@@ -27,7 +27,6 @@ from .harness import (
     load_scenario,
     read_attacker_csv,
     run_experiment,
-    run_single,
     summarize,
     write_summary_csv,
 )
@@ -50,6 +49,7 @@ def _resolve_scenario(spec: str, seed, reps) -> Scenario:
         scenario = replace(scenario, seed=seed)
     if reps is not None:
         scenario = replace(scenario, repetitions=reps)
+    scenario.validate()
     return scenario
 
 
@@ -102,11 +102,9 @@ def cmd_check(args) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed, args.reps)
     print(f"stealth check {scenario.name}: {scenario.repetitions} repetition(s)")
     failures = 0
-    for rep in range(1, scenario.repetitions + 1):
-        sim = run_single(scenario, rep)
-        trace = sim.trace(rep)
+    for trace in run_experiment(scenario, strict=False):
         for v in trace.violations:
-            print(f"rep {rep}: VIOLATION {v}")
+            print(f"rep {trace.rep}: VIOLATION {v}")
             failures += 1
     if failures:
         print(f"FAIL: {failures} violation(s)")

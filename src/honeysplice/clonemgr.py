@@ -13,16 +13,19 @@ clone takes to become operational, and what it costs while idle.
                 resources the whole time it sits idle.
   DISK_COPY     snapshot the live disk on demand; slowest, idle-free.
 
-The numeric table shipped here is configuration, not measurement: only
-the qualitative ordering above is contractual, and deployments are
-expected to substitute their own numbers via a cost-table file.
+The numeric table shipped in ``scenarios/default_costs.json`` is
+configuration, not measurement: only the qualitative ordering above is
+contractual, and deployments are expected to substitute their own numbers
+via a cost-table file.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 from .netcore import HostAddr
@@ -62,20 +65,11 @@ class StrategyProfile:
 
 
 def default_cost_table() -> dict[StrategyKind, StrategyProfile]:
-    return {
-        StrategyKind.INFO_CONFIG: StrategyProfile(
-            StrategyKind.INFO_CONFIG, Distribution("fixed", 120_000),
-            steady_cost=0.5, per_clone_cost=3.0, staleness_risk="high"),
-        StrategyKind.VICTIM_IMAGE: StrategyProfile(
-            StrategyKind.VICTIM_IMAGE, Distribution("fixed", 30_000),
-            steady_cost=0.0, per_clone_cost=2.0, staleness_risk="medium"),
-        StrategyKind.SUSPENDED: StrategyProfile(
-            StrategyKind.SUSPENDED, Distribution("fixed", 5_000),
-            steady_cost=5.0, per_clone_cost=1.0, staleness_risk="low"),
-        StrategyKind.DISK_COPY: StrategyProfile(
-            StrategyKind.DISK_COPY, Distribution("fixed", 300_000),
-            steady_cost=0.0, per_clone_cost=5.0, staleness_risk="low"),
-    }
+    """The shipped table, ``scenarios/default_costs.json``, as a fresh dict.
+
+    The file is read once per process.
+    """
+    return dict(_shipped_table())
 
 
 def load_cost_table(path) -> dict[StrategyKind, StrategyProfile]:
@@ -94,6 +88,11 @@ def load_cost_table(path) -> dict[StrategyKind, StrategyProfile]:
             staleness_risk=entry.get("staleness_risk", "unknown"),
         )
     return table
+
+
+@functools.cache
+def _shipped_table() -> dict[StrategyKind, StrategyProfile]:
+    return load_cost_table(Path(__file__).parent / "scenarios" / "default_costs.json")
 
 
 def strategy_cost(profile: StrategyProfile, horizon_s: float, clones: int = 0) -> float:
@@ -118,6 +117,9 @@ def select_strategy(weights: tuple[float, float],
     w_latency, w_cost = weights
     if w_latency < 0 or w_cost < 0 or (w_latency == 0 and w_cost == 0):
         raise ValueError("weights must be >= 0 and not both zero")
+    # scoring weights scaled to a maximum of 1 cannot underflow into a false tie
+    top = max(weights)
+    w_latency, w_cost = w_latency / top, w_cost / top
     if table is None:
         table = default_cost_table()
     if not table:
@@ -140,7 +142,6 @@ class VictimSpec:
     addr: HostAddr
     app_id: str
     open_ports: tuple[int, ...]
-    image_version: str = "v1"
 
 
 class CloneManager:

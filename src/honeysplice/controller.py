@@ -118,7 +118,6 @@ class MigrationRecord:
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
     honey_host: Optional[ServerHost] = None
-    honey_port: int = 0
     buffer_id: str = ""
     contained: bool = False
     restore_armed: bool = False
@@ -310,7 +309,6 @@ class Controller:
         key = record.key
         self.log("clone_latency", f"us={latency_us};conn={_fmt_key(key)}")
         record.honey_host = host
-        record.honey_port = host.port
         if not record.contained:
             self._contain(record, trigger_in_flight=False)
         record.transition(PHASE_SPLICING, self.engine.now)

@@ -21,7 +21,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .clonemgr import (
 from .controller import Controller
 from .endpoint import ServerApp, fixed_iss, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
-from .ids import Ids, load_ruleset_file
+from .ids import Ids, ParseError, load_ruleset_file
 from .netcore import HostAddr
 from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel, derive_seed
 from .vswitch import Switch
@@ -63,37 +63,71 @@ class InvariantViolation(Exception):
     """A repetition violated a stealth or completeness invariant."""
 
 
+_PATH = "path"  # parser marker: a file name, resolved against the scenario's directory
+
+
+def _flag(value) -> bool:
+    """Parser for on/off keys: only JSON ``true``/``false`` are accepted."""
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, not {value!r}")
+    return value
+
+
+def _jitter(doc: dict) -> Optional[Distribution]:
+    """Parser for ``link.jitter``: kind ``none`` (the default) means no jitter."""
+    if doc.get("kind", "none") == "none":
+        return None
+    return Distribution(**{k: v if k == "kind" else float(v) for k, v in doc.items()})
+
+
+def _background(doc: dict) -> BackgroundLoadSpec:
+    """Parser for ``background``: BackgroundLoadSpec's fields, as integers."""
+    return BackgroundLoadSpec(**{k: int(v) for k, v in doc.items()})
+
+
+def _opt(key: str, default, parse):
+    """A scenario field read from document key ``key`` (dotted for nested
+    sections) through ``parse``; absent or null keeps ``default``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Validated experiment configuration (see module docstring)."""
+    """Validated experiment configuration (see module docstring).
 
-    name: str
-    total_packets: int
-    trigger_kind: str = "nth_packet"      # "nth_packet" | "rule"
-    trigger_n: int = 0
-    trigger_sid: int = 0
-    ruleset: Optional[str] = None          # absolute path once loaded
-    request_size: int = 32
-    request_size_random: bool = False
-    request_interval_us: int = 10_000
-    link_base_delay_us: int = 1_000
-    link_jitter: Optional[Distribution] = None
-    background: Optional[BackgroundLoadSpec] = None
-    clone_strategy: StrategyKind = StrategyKind.VICTIM_IMAGE
-    cost_table_path: Optional[str] = None
-    clone_on_demand: bool = False
-    clone_failure_p: float = 0.0
-    containment: str = "immediate"
-    replay: bool = True
-    restore_at: Optional[int] = None
-    restore_grace_us: int = 5_000
-    honey_addr_mode: str = "same"          # "same" | "distinct"
-    iss_policy_kind: str = "random"        # "random" | "fixed"
-    iss_fixed_value: int = 0
-    repetitions: int = 1
-    seed: int = 1
-    controller_service_us: int = 50
-    miss_hold_timeout_us: int = 1_000_000
+    The field declarations are the scenario file schema: each names its
+    document key, its default and its parser, and ``scenario_from_dict``
+    reads nothing else.
+    """
+
+    name: str = _opt("name", "unnamed", str)
+    total_packets: int = _opt("total_packets", 0, int)  # validate() rejects 0
+    trigger_kind: str = _opt("trigger.kind", "nth_packet", str)  # "nth_packet" | "rule"
+    trigger_n: int = _opt("trigger.n", 0, int)
+    trigger_sid: int = _opt("trigger.sid", 0, int)
+    ruleset: Optional[str] = _opt("ruleset", None, _PATH)     # absolute path once loaded
+    request_size: int = _opt("request.size", 32, int)
+    request_size_random: bool = _opt("request.random_size", False, _flag)
+    request_interval_us: int = _opt("request.interval_us", 10_000, int)
+    link_base_delay_us: int = _opt("link.base_delay_us", 1_000, int)
+    link_jitter: Optional[Distribution] = _opt("link.jitter", None, _jitter)
+    background: Optional[BackgroundLoadSpec] = _opt("background", None, _background)
+    clone_strategy: StrategyKind = _opt("clone.strategy", StrategyKind.VICTIM_IMAGE,
+                                        StrategyKind)
+    cost_table_path: Optional[str] = _opt("clone.cost_table", None, _PATH)
+    clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
+    clone_failure_p: float = _opt("clone.failure_p", 0.0, float)
+    containment: str = _opt("containment", "immediate", str)
+    replay: bool = _opt("replay", True, _flag)
+    restore_at: Optional[int] = _opt("restore_at", None, int)
+    restore_grace_us: int = _opt("restore_grace_us", 5_000, int)
+    honey_addr_mode: str = _opt("honey_addr_mode", "same", str)  # "same" | "distinct"
+    iss_policy_kind: str = _opt("iss_policy.kind", "random", str)  # "random" | "fixed"
+    iss_fixed_value: int = _opt("iss_policy.value", 0, int)
+    repetitions: int = _opt("repetitions", 1, int)
+    seed: int = _opt("seed", 1, int)
+    controller_service_us: int = _opt("controller_service_us", 50, int)
+    miss_hold_timeout_us: int = _opt("miss_hold_timeout_us", 1_000_000, int)
 
     def validate(self) -> None:
         if self.total_packets < 1:
@@ -135,82 +169,70 @@ class Scenario:
             raise ConfigError("clone.failure_p", "must be in [0, 1]")
 
 
-def _parse_jitter(doc, where: str) -> Optional[Distribution]:
-    if doc is None:
-        return None
-    kind = doc.get("kind", "none")
-    if kind == "none":
-        return None
-    try:
-        return Distribution(kind, float(doc.get("a", 0.0)), float(doc.get("b", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
+_FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
+_SECTIONS = {key.rsplit(".", 1)[0] for key in _FIELDS if "." in key}
+
+
+def _flatten(doc, prefix: str = "") -> dict:
+    """Map dotted key -> value, descending into the declared sections and
+    rejecting any key no Scenario field declares."""
+    if not isinstance(doc, dict):
+        raise ConfigError(prefix.rstrip(".") or "document", "must be an object")
+    flat = {}
+    for name, value in doc.items():
+        key = prefix + name
+        if key in _FIELDS:
+            flat[key] = value
+        elif key not in _SECTIONS:
+            raise ConfigError(key, "unknown key")
+        elif value is not None:
+            flat.update(_flatten(value, key + "."))
+    return flat
 
 
 def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None) -> Scenario:
+    """Build a Scenario from a parsed document, as declared by its fields.
+
+    Relative paths resolve against ``base_dir`` (default: the working
+    directory). Unknown keys, malformed values, failed validation and
+    unreadable referenced files raise ConfigError naming the key.
+    """
     base_dir = base_dir or Path.cwd()
-    trigger = doc.get("trigger", {})
-    request = doc.get("request", {})
-    link = doc.get("link", {})
-    clone = doc.get("clone", {})
-    iss = doc.get("iss_policy", {})
-
-    background = None
-    if doc.get("background") is not None:
-        bg = doc["background"]
+    flat = _flatten(doc)
+    values = {}
+    for key, f in _FIELDS.items():
+        raw = flat.get(key)
+        if raw is None:
+            continue
+        parse = f.metadata["parse"]
         try:
-            background = BackgroundLoadSpec(
-                n_hosts=int(bg["n_hosts"]),
-                procs_per_host=int(bg["procs_per_host"]),
-                msg_interval_us=int(bg.get("msg_interval_us", 1_000_000)))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("background", f"bad spec: {exc}") from None
-
-    ruleset = doc.get("ruleset")
-    if ruleset is not None:
-        ruleset = str((base_dir / ruleset).resolve())
-
-    cost_table = clone.get("cost_table")
-    if cost_table is not None:
-        cost_table = str((base_dir / cost_table).resolve())
-
-    try:
-        strategy = StrategyKind(clone.get("strategy", "VICTIM_IMAGE"))
-    except ValueError:
-        raise ConfigError("clone.strategy",
-                          f"unknown strategy {clone.get('strategy')!r}") from None
-
-    scenario = Scenario(
-        name=str(doc.get("name", "unnamed")),
-        total_packets=int(doc.get("total_packets", 0)),
-        trigger_kind=str(trigger.get("kind", "nth_packet")),
-        trigger_n=int(trigger.get("n", 0)),
-        trigger_sid=int(trigger.get("sid", 0)),
-        ruleset=ruleset,
-        request_size=int(request.get("size", 32)),
-        request_size_random=bool(request.get("random_size", False)),
-        request_interval_us=int(request.get("interval_us", 10_000)),
-        link_base_delay_us=int(link.get("base_delay_us", 1_000)),
-        link_jitter=_parse_jitter(link.get("jitter"), "link.jitter"),
-        background=background,
-        clone_strategy=strategy,
-        cost_table_path=cost_table,
-        clone_on_demand=bool(clone.get("on_demand", False)),
-        clone_failure_p=float(clone.get("failure_p", 0.0)),
-        containment=str(doc.get("containment", "immediate")),
-        replay=bool(doc.get("replay", True)),
-        restore_at=(int(doc["restore_at"]) if doc.get("restore_at") is not None else None),
-        restore_grace_us=int(doc.get("restore_grace_us", 5_000)),
-        honey_addr_mode=str(doc.get("honey_addr_mode", "same")),
-        iss_policy_kind=str(iss.get("kind", "random")),
-        iss_fixed_value=int(iss.get("value", 0)),
-        repetitions=int(doc.get("repetitions", 1)),
-        seed=int(doc.get("seed", 1)),
-        controller_service_us=int(doc.get("controller_service_us", 50)),
-        miss_hold_timeout_us=int(doc.get("miss_hold_timeout_us", 1_000_000)),
-    )
+            values[f.name] = (str((base_dir / raw).resolve()) if parse is _PATH
+                              else parse(raw))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(key, str(exc)) from None
+    scenario = Scenario(**values)
     scenario.validate()
+    _check_files(scenario)
     return scenario
+
+
+def _check_files(scenario: Scenario) -> None:
+    """Load the files a scenario names, so a bad one fails before any run."""
+    if scenario.ruleset is not None:
+        try:
+            sids = {rule.sid for rule in load_ruleset_file(scenario.ruleset)}
+        except (OSError, ValueError, ParseError) as exc:
+            raise ConfigError("ruleset", str(exc)) from None
+        if scenario.trigger_kind == "rule" and scenario.trigger_sid not in sids:
+            raise ConfigError("trigger.sid", f"no rule with sid {scenario.trigger_sid}")
+    if scenario.cost_table_path is not None:
+        try:
+            table = load_cost_table(scenario.cost_table_path)
+        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError("clone.cost_table", f"bad cost table: {exc!r}") from None
+        if scenario.clone_strategy not in table:
+            raise ConfigError("clone.cost_table",
+                              f"no entry for strategy {scenario.clone_strategy.value}")
 
 
 def load_scenario(path) -> Scenario:
@@ -525,15 +547,10 @@ def random_scenario(index: int, master_seed: int = 0xC0FFEE) -> Scenario:
     return Scenario(
         name=f"rand-{index}",
         total_packets=total,
-        trigger_kind="nth_packet",
         trigger_n=trigger,
         request_size=64,
         request_size_random=True,
-        request_interval_us=10_000,
-        link_base_delay_us=1_000,
         restore_at=restore_at,
         honey_addr_mode=rng.choice(["same", "distinct"]),
-        iss_policy_kind="random",
-        repetitions=1,
         seed=rng.randrange(2**32),
     )

@@ -11,7 +11,6 @@ plane.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
@@ -38,7 +37,7 @@ class Host:
         return self.port
 
     def transmit(self, pkt) -> None:
-        self.uplink.send(replace(pkt, ts_sent=self.engine.now))
+        self.uplink.send(pkt)
 
     def deliver(self, pkt) -> None:
         raise NotImplementedError
@@ -138,7 +137,6 @@ class AttackerHost(Host):
         self.received_stream = bytearray()
         self._responses_seen = 0
         self.violations: list[str] = []
-        self.established_at: Optional[int] = None
         self.initiated_close = False
 
     # -- script ------------------------------------------------------------
@@ -192,7 +190,6 @@ class AttackerHost(Host):
         for seg in emitted:
             self.transmit(seg)
         if not was_established and self.conn.state is ConnState.ESTABLISHED:
-            self.established_at = self.engine.now
             if self.total > 0:
                 self.engine.schedule_in(lambda: self._send_request(1),
                                         self.interval_us)
@@ -205,21 +202,13 @@ class AttackerHost(Host):
 class EchoHost(Host):
     """Background-load host: answers echo requests, runs ping processes."""
 
-    def __init__(self, engine: Engine, name: str, addr: HostAddr):
-        super().__init__(engine, name, addr)
-        self.requests_seen = 0
-        self.responses_seen = 0
-
     def deliver(self, pkt) -> None:
         if not isinstance(pkt, EchoPacket):
             return
         if pkt.kind == "req":
-            self.requests_seen += 1
             reply = EchoPacket(src=self.addr, dst=pkt.src, sport=pkt.dport,
                                dport=pkt.sport, kind="resp", flow_id=pkt.flow_id)
             self.transmit(reply)
-        else:
-            self.responses_seen += 1
 
     def run_ping(self, target: HostAddr, sport: int, dport: int,
                  flow_id: str, start_at: int, interval_us: int,

@@ -71,8 +71,7 @@ class TcpSegment:
     """One simulated TCP/IP segment.
 
     ``seq``/``ack`` are normalized modulo 2**32 on construction. A segment
-    never carries both SYN and FIN. ``ts_sent`` is stamped (in simulated
-    microseconds) when the segment is handed to a link.
+    never carries both SYN and FIN.
     """
 
     src: HostAddr
@@ -83,16 +82,12 @@ class TcpSegment:
     ack: int
     flags: TcpFlags
     payload: bytes = b""
-    ts_sent: int = 0
 
     def __post_init__(self) -> None:
         if (self.flags & TcpFlags.SYN) and (self.flags & TcpFlags.FIN):
             raise ValueError("segment cannot carry both SYN and FIN")
         object.__setattr__(self, "seq", self.seq % SEQ_MOD)
         object.__setattr__(self, "ack", self.ack % SEQ_MOD)
-
-    def has(self, flag: TcpFlags) -> bool:
-        return bool(self.flags & flag)
 
     @property
     def is_data(self) -> bool:

@@ -60,9 +60,6 @@ class Distribution:
         return self.a
 
 
-FIXED_ZERO = Distribution("fixed", 0.0)
-
-
 @dataclass(frozen=True, slots=True)
 class LinkModel:
     """Delivery delay model for one link: base delay plus optional jitter."""
@@ -108,7 +105,6 @@ class EchoPacket:
     dport: int
     kind: str  # "req" | "resp"
     flow_id: str
-    ts_sent: int = 0
 
 
 class Engine:

@@ -1,8 +1,11 @@
 """Scenario loading/validation, aggregation, CSV export, CLI surface."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from honeysplice.harness import (
     ConfigError,
     LatencyTrace,
     PacketRecord,
+    Scenario,
     builtin_scenario_path,
     export_run,
     load_scenario,
@@ -93,6 +97,56 @@ def test_invalid_json_is_config_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"total_packets": "abc"}, "total_packets"),
+    ({"request": 5}, "request"),
+    ({"clone": {"failure_p": "x"}}, "clone.failure_p"),
+    ({"restore_at": "z"}, "restore_at"),
+    ({"replay": "false"}, "replay"),
+    ({"background": {}}, "background"),
+    ({"containmnet": "on_clone_ready"}, "containmnet"),
+])
+def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
+    doc = minimal_doc(**overrides)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith(f"{key}: ")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+RULES = 'alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; sid:7;)\n'
+
+
+@pytest.mark.parametrize("files,overrides,key", [
+    ({}, {"ruleset": "absent.rules"}, "ruleset"),
+    ({"m.rules": "alert tcp nonsense\n"}, {"ruleset": "m.rules"}, "ruleset"),
+    ({"m.rules": RULES}, {"ruleset": "m.rules", "trigger": {"kind": "rule", "sid": 8}},
+     "trigger.sid"),
+    ({}, {"clone": {"cost_table": "absent.json"}}, "clone.cost_table"),
+    ({"c.json": '{"strategies": [{"kind": "VICTIM_IMAGE"}]}'},
+     {"clone": {"cost_table": "c.json"}}, "clone.cost_table"),
+])
+def test_bad_referenced_file_names_the_key(tmp_path, files, overrides, key):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(minimal_doc(**overrides), base_dir=tmp_path)
+    assert str(err.value).startswith(f"{key}: ")
+
+
+def test_readme_documents_every_scenario_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    for f in fields(Scenario):
+        *sections, leaf = f.metadata["key"].split(".")
+        pattern = "".join(f'"{s}": {{[^\n]*' for s in sections) + f'"{leaf}":'
+        assert re.search(pattern, section), f.metadata["key"]
 
 
 # -- rule-triggered migration ----------------------------------------------------------
@@ -273,6 +327,12 @@ def test_cli_config_error_exit_code(tmp_path):
 
 def test_cli_unknown_scenario_exit_code():
     assert cli_main(["run", "no_such_scenario"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_zero_reps_is_config_error(command, capsys):
+    assert cli_main([command, "e1_redirect", "--reps", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: repetitions: ")
 
 
 def test_cli_builtin_scenario_name(tmp_path):
