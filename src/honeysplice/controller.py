@@ -45,11 +45,12 @@ victim connection never sent the responses the honey server did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager, VictimSpec
 from .hosts import ServerHost
 from .netcore import (
+    ConnKey,
     HostAddr,
     TcpFlags,
     TcpSegment,
@@ -59,7 +60,7 @@ from .netcore import (
     seq_sub,
 )
 from .simnet import Engine
-from .vswitch import Buffer, Drop, FlowMatch, FlowRule, Output, Rewrite, Switch
+from .vswitch import Buffer, Drop, FlowRule, Output, Rewrite, Switch
 from .ids import Alert
 
 
@@ -81,7 +82,14 @@ PHASE_SPLICING = "SPLICING"
 PHASE_REDIRECTED = "REDIRECTED"
 PHASE_RESTORED = "RESTORED"
 
-ConnKey = tuple[str, int, str, int]
+
+class ControllerEvent(NamedTuple):
+    """One controller log record; ``fields`` keep the order they were
+    logged in, and ``fields["conn"]``, when present, is a ConnKey."""
+
+    time_us: int
+    kind: str
+    fields: dict
 
 
 @dataclass
@@ -118,8 +126,10 @@ class MigrationRecord:
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
     honey_host: Optional[ServerHost] = None
-    buffer_id: str = ""
+    buffer_id: tuple = ()
     contained: bool = False
+    # inside on_alert: the triggering segment is still mid-pipeline
+    in_alert: bool = False
     restore_armed: bool = False
     victim_seen: Optional[int] = None   # payload-log index the victim has seen
     replay_upto: Optional[int] = None   # payload-log index the splice replays to
@@ -156,7 +166,7 @@ class Controller:
         self._conn_rules: dict[ConnKey, int] = {}
         self._busy_until = 0
         self.packet_in_count = 0
-        self.events: list[tuple[int, str, str]] = []
+        self.events: list[ControllerEvent] = []
 
         switch.packet_in_handler = self.on_packet_in
 
@@ -169,8 +179,8 @@ class Controller:
         self.server_hosts[host.addr.ip] = host
         self.register_port(host.addr.ip, host.port)
 
-    def log(self, event: str, detail: str = "") -> None:
-        self.events.append((self.engine.now, event, detail))
+    def log(self, kind: str, **fields) -> None:
+        self.events.append(ControllerEvent(self.engine.now, kind, fields))
 
     # -- connection bookkeeping (mirror tap; runs before rule lookup) ---------
 
@@ -213,30 +223,22 @@ class Controller:
         if record is not None and record.phase != PHASE_IDLE:
             # a migrated flow should never miss; don't disturb the splice
             self.switch.drop_held(hold_id)
-            self.log("anomaly_drop", f"conn={_fmt_key(key)}")
+            self.log("anomaly_drop", conn=key)
             return
         if key not in self._conn_rules:
             dst_port = self.port_map.get(pkt.dst.ip)
             src_port = self.port_map.get(pkt.src.ip)
             if dst_port is None or src_port is None:
                 self.switch.drop_held(hold_id)
-                self.log("packet_in_unroutable", f"conn={_fmt_key(key)}")
+                self.log("packet_in_unroutable", conn=key)
                 return
-            fwd = FlowRule(priority=10,
-                           match=FlowMatch(src_ip=pkt.src.ip, dst_ip=pkt.dst.ip,
-                                           sport=pkt.sport, dport=pkt.dport),
-                           actions=(Output(dst_port),))
-            rev = FlowRule(priority=10,
-                           match=FlowMatch(src_ip=pkt.dst.ip, dst_ip=pkt.src.ip,
-                                           sport=pkt.dport, dport=pkt.sport),
-                           actions=(Output(src_port),))
-            c1 = self.switch.install_rule(fwd)
-            c2 = self.switch.install_rule(rev)
-            self._conn_rules[key] = c1
-            rkey = (pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport)
-            self._conn_rules[rkey] = c2
-            self.log("flow_rules", f"conn={_fmt_key(key)}")
-        self.log("packet_in", f"conn={_fmt_key(key)}")
+            rkey = (key[2], key[3], key[0], key[1])
+            self._conn_rules[key] = self.switch.install_rule(
+                FlowRule(10, key, (Output(dst_port),)))
+            self._conn_rules[rkey] = self.switch.install_rule(
+                FlowRule(10, rkey, (Output(src_port),)))
+            self.log("flow_rules", conn=key)
+        self.log("packet_in", conn=key)
         self.switch.release_held(hold_id)
 
     # -- migration --------------------------------------------------------------
@@ -246,55 +248,52 @@ class Controller:
         key = alert.conn
         led = self.ledgers.get(key)
         if led is None or led.server_isn is None:
-            raise AlertForUnknownConnection(_fmt_key(key))
+            raise AlertForUnknownConnection(key)
         record = self.records.get(key)
         if record is not None and record.phase != PHASE_IDLE:
-            self.log("alert_ignored",
-                     f"conn={_fmt_key(key)};phase={record.phase};sid={alert.sid}")
+            self.log("alert_ignored", conn=key, phase=record.phase, sid=alert.sid)
             return
-        self.log("alert", f"conn={_fmt_key(key)};sid={alert.sid};"
-                          f"ordinal={alert.ordinal}")
+        self.log("alert", conn=key, sid=alert.sid, ordinal=alert.ordinal)
         record = MigrationRecord(key=key, victim_isn=led.server_isn)
         self.records[key] = record
         record.transition(PHASE_CLONING, self.engine.now)
 
-        # "immediate": the triggering segment is still in flight through the
-        # switch (this call is inside its mirror tap) and must not reach the
-        # victim; containment before lookup guarantees the victim has seen
-        # exactly the pre-alert traffic.
+        # This call is inside the triggering segment's mirror tap, so the
+        # segment is still in flight through the switch. Containing now
+        # ("immediate", or a clone handed over synchronously) keeps it from
+        # the victim: the victim has seen exactly the pre-alert traffic.
+        record.in_alert = True
         if self.containment == "immediate":
-            self._contain(record, trigger_in_flight=True)
+            self._contain(record)
 
         victim = self.server_hosts[led.server_addr.ip]
         spec = VictimSpec(addr=victim.addr, app_id=victim.app.app_id,
                           open_ports=(victim.listen_port,))
-        self.log("clone_requested", f"conn={_fmt_key(key)}")
+        self.log("clone_requested", conn=key)
         try:
             self.clonemgr.request_clone(
                 spec, lambda host, lat, r=record: self._on_clone_ready(r, host, lat))
         except CloneFailed:
             self._clone_failed(record)
+        record.in_alert = False
 
-    def _contain(self, record: MigrationRecord, trigger_in_flight: bool) -> None:
+    def _contain(self, record: MigrationRecord) -> None:
         """Protect the victim: buffer the attacker's direction, forge an RST
         toward the victim only."""
         key = record.key
         led = self.ledgers[key]
-        record.buffer_id = f"mig:{_fmt_key(key)}"
+        record.buffer_id = ("mig", key)
         self.switch.create_queue(record.buffer_id)
-        cookie = self.switch.install_rule(FlowRule(
-            priority=100,
-            match=FlowMatch(src_ip=key[0], sport=key[1],
-                            dst_ip=key[2], dport=key[3]),
-            actions=(Buffer(record.buffer_id),)))
+        cookie = self.switch.install_rule(
+            FlowRule(100, key, (Buffer(record.buffer_id),)))
         record.splice_cookies.append(cookie)
         record.contained = True
         # a segment currently mid-pipeline was mirrored (so it is in the
         # payload log) but will be re-presented live via the buffer path
-        record.replay_upto = len(led.payloads) - (1 if trigger_in_flight else 0)
+        record.replay_upto = len(led.payloads) - (1 if record.in_alert else 0)
         if record.victim_seen is None:
             record.victim_seen = record.replay_upto
-        self.log("buffer_installed", f"conn={_fmt_key(key)}")
+        self.log("buffer_installed", conn=key)
 
         victim = self.server_hosts[led.server_addr.ip]
         rst = TcpSegment(src=led.attacker_addr, dst=led.server_addr,
@@ -302,17 +301,17 @@ class Controller:
                          seq=led.attacker_snd_nxt, ack=led.last_ack,
                          flags=TcpFlags.RST | TcpFlags.ACK)
         victim.deliver_oob(rst)
-        self.log("victim_closed", f"conn={_fmt_key(key)}")
+        self.log("victim_closed", conn=key)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
                         latency_us: int) -> None:
         key = record.key
-        self.log("clone_latency", f"us={latency_us};conn={_fmt_key(key)}")
+        self.log("clone_latency", us=latency_us, conn=key)
         record.honey_host = host
         if not record.contained:
-            self._contain(record, trigger_in_flight=False)
+            self._contain(record)
         record.transition(PHASE_SPLICING, self.engine.now)
-        self.log("splice_started", f"conn={_fmt_key(key)}")
+        self.log("splice_started", conn=key)
         record.honey_isn = self._splice(
             record, host, host.port,
             replay_from=0, replay_upto=record.replay_upto,
@@ -320,8 +319,7 @@ class Controller:
 
     def _clone_failed(self, record: MigrationRecord) -> None:
         key = record.key
-        self.log("clone_failed", f"conn={_fmt_key(key)};"
-                                 f"policy={'open' if self.fail_open else 'closed'}")
+        self.log("clone_failed", conn=key, policy="open" if self.fail_open else "closed")
         if not record.contained:
             # victim was never cut over; nothing to undo
             record.transition(PHASE_RESTORED, self.engine.now)
@@ -338,12 +336,8 @@ class Controller:
             for cookie in record.splice_cookies:
                 self.switch.remove_rule(cookie)
             record.splice_cookies.clear()
-            self.switch.install_rule(FlowRule(
-                priority=100,
-                match=FlowMatch(src_ip=key[0], sport=key[1],
-                                dst_ip=key[2], dport=key[3]),
-                actions=(Drop(),)))
-            self.log("fail_closed", f"conn={_fmt_key(key)}")
+            self.switch.install_rule(FlowRule(100, key, (Drop(),)))
+            self.log("fail_closed", conn=key)
 
     # -- the splice (shared by migration, restore and fail-open) ----------------
 
@@ -388,7 +382,7 @@ class Controller:
                     # response already delivered to the attacker by the
                     # previous incumbent; consume it, track the position
                     server_snd_nxt = seq_add(emitted.seq, len(emitted.payload))
-        self.log("replayed", f"count={len(entries)};conn={_fmt_key(key)}")
+        self.log("replayed", count=len(entries), conn=key)
 
         # stream-position offsets: ledger.last_ack is the attacker's rcv_nxt
         # in its own (victim-anchored) coordinates
@@ -411,27 +405,30 @@ class Controller:
         rev_actions = (Rewrite(seq_delta=record.ack_delta,
                                new_src=led.server_addr if distinct else None),
                        Output(self.port_map[led.attacker_addr.ip]))
-        c1 = self.switch.install_rule(FlowRule(
-            priority=90,
-            match=FlowMatch(src_ip=key[0], sport=key[1],
-                            dst_ip=key[2], dport=key[3]),
-            actions=fwd_actions))
-        c2 = self.switch.install_rule(FlowRule(
-            priority=90,
-            match=FlowMatch(src_ip=server.addr.ip, sport=key[3],
-                            dst_ip=key[0], dport=key[1]),
-            actions=rev_actions))
-        record.splice_cookies = [c1, c2]
-        self.log("rewrite_rules", f"conn={_fmt_key(key)};"
-                                  f"seq_delta={record.seq_delta}")
+        record.splice_cookies = [
+            self.switch.install_rule(FlowRule(90, key, fwd_actions)),
+            self.switch.install_rule(
+                FlowRule(90, (server.addr.ip, key[3], key[0], key[1]), rev_actions))]
+        self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
 
         record.transition(final_phase, self.engine.now)
         released = self.switch.release_buffer(record.buffer_id)
         self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
-                 f"conn={_fmt_key(key)};released={released}")
+                 conn=key, released=released)
         return server_isn
 
     # -- reverse migration -------------------------------------------------------
+
+    def on_restore_alert(self, alert: Alert) -> None:
+        """Restore on a detector's request. Outside REDIRECTED (a clone still
+        booting, or a failed clone already restored by fail-open) there is
+        nothing to restore: the alert is logged and ignored."""
+        record = self.records.get(alert.conn)
+        if record is None or record.phase != PHASE_REDIRECTED:
+            phase = record.phase if record is not None else PHASE_IDLE
+            self.log("restore_ignored", conn=alert.conn, phase=phase)
+            return
+        self.restore_original(alert.conn)
 
     def restore_original(self, key: ConnKey) -> None:
         """Arm the return of a redirected connection to the original server.
@@ -446,7 +443,7 @@ class Controller:
         if record.restore_armed:
             raise InvalidPhase("restore already armed")
         record.restore_armed = True
-        self.log("restore_armed", f"conn={_fmt_key(key)}")
+        self.log("restore_armed", conn=key)
         self.engine.schedule_in(lambda: self._restore_splice(record),
                                 self.restore_grace_us)
 
@@ -455,18 +452,15 @@ class Controller:
         led = self.ledgers[key]
         victim = self.server_hosts[led.server_addr.ip]
         if not victim.accepting:
-            self.log("restore_failed", f"conn={_fmt_key(key)}")
+            self.log("restore_failed", conn=key)
             record.restore_armed = False
             raise RestoreFailed(f"victim {victim.name} not accepting")
 
         # quiesce: buffer new attacker segments while we re-splice
-        record.buffer_id = f"res:{_fmt_key(key)}"
+        record.buffer_id = ("res", key)
         self.switch.create_queue(record.buffer_id)
-        cookie = self.switch.install_rule(FlowRule(
-            priority=110,
-            match=FlowMatch(src_ip=key[0], sport=key[1],
-                            dst_ip=key[2], dport=key[3]),
-            actions=(Buffer(record.buffer_id),)))
+        cookie = self.switch.install_rule(
+            FlowRule(110, key, (Buffer(record.buffer_id),)))
         record.splice_cookies.append(cookie)
 
         replay_from = record.victim_seen
@@ -476,7 +470,3 @@ class Controller:
                                          replay_upto=replay_upto,
                                          final_phase=PHASE_RESTORED)
         record.victim_seen = replay_upto
-
-
-def _fmt_key(key: ConnKey) -> str:
-    return f"{key[0]}:{key[1]}->{key[2]}:{key[3]}"

@@ -11,8 +11,10 @@ repetition, not sampled.
 
 CSV formats are pinned: attacker traces are
 ``rep,packet_index,send_us,recv_us,rtt_us`` and controller event logs are
-``rep,event,time_us,detail`` (UTF-8, header row, LF endings). Re-exporting
-the same data is byte-identical.
+``rep,event,time_us,detail`` (UTF-8, header row, LF endings), where
+``detail`` renders an event's fields as ``k=v`` joined by ``;`` in logging
+order, a connection as ``a:p->b:q``. Re-exporting the same data is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .clonemgr import (
     default_cost_table,
     load_cost_table,
 )
-from .controller import Controller
+from .controller import Controller, ControllerEvent
 from .endpoint import ServerApp, fixed_iss, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
 from .ids import Ids, ParseError, load_ruleset_file
@@ -267,7 +269,7 @@ class LatencyTrace:
 
     rep: int
     records: list[PacketRecord]
-    controller_events: list[tuple[int, str, str]]
+    controller_events: list[ControllerEvent]
     violations: list[str] = field(default_factory=list)
 
 
@@ -347,11 +349,14 @@ class Simulation:
                                               sid=RESTORE_WATCH_SID, msg="RESTORE",
                                               dst_ip=VICTIM_ADDR.ip)
 
+            migrate_sid = (MIGRATE_WATCH_SID if scenario.trigger_kind == "nth_packet"
+                           else scenario.trigger_sid)
+
             def route(alert):
-                if alert.sid == RESTORE_WATCH_SID:
-                    self.controller.restore_original(alert.conn)
-                else:
+                if alert.sid == migrate_sid:
                     self.controller.on_alert(alert)
+                elif alert.sid == RESTORE_WATCH_SID:
+                    self.controller.on_restore_alert(alert)
 
             self.ids.subscribe(route)
 
@@ -483,8 +488,11 @@ def write_controller_csv(traces: list[LatencyTrace], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rep", "event", "time_us", "detail"])
         for trace in traces:
-            for (time_us, event, detail) in trace.controller_events:
-                writer.writerow([trace.rep, event, time_us, detail])
+            for time_us, kind, event_fields in trace.controller_events:
+                detail = ";".join(
+                    f"conn={v[0]}:{v[1]}->{v[2]}:{v[3]}" if k == "conn" else f"{k}={v}"
+                    for k, v in event_fields.items())
+                writer.writerow([trace.rep, kind, time_us, detail])
 
 
 def write_summary_csv(summary: Summary, path) -> None:

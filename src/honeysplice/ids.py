@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .netcore import TcpFlags, TcpSegment, five_tuple
+from .netcore import ConnKey, TcpFlags, TcpSegment, five_tuple
 
 _FLAG_CHARS = {
     "S": TcpFlags.SYN,
@@ -74,7 +74,7 @@ class Alert:
     sid: int
     msg: str
     segment: TcpSegment
-    conn: tuple[str, int, str, int]
+    conn: ConnKey
     ts_us: int
     ordinal: int
 

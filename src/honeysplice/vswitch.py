@@ -1,16 +1,17 @@
-"""Software switch with a programmable match-action flow table.
+"""Software switch with an exact-connection-key match-action flow table.
 
-Processing order for every packet entering the switch:
+Every rule matches one directed connection (``ConnKey``: src ip, sport,
+dst ip, dport). Processing order for every packet entering the switch:
 
 1. an unmodified copy is handed to the mirror taps (detection and
    connection bookkeeping live there) -- taps may install or remove
    rules, and the subsequent lookup sees the updated table, so a tap
    reacting to a packet can decide that same packet's fate;
-2. best-match rule lookup (highest priority wins, ties to the earliest
-   installed rule); exactly one rule fires;
+2. lookup of the packet's connection key (highest priority wins, ties to
+   the earliest installed rule); exactly one rule fires;
 3. the rule's action list runs in order: REWRITE transforms the packet,
    OUTPUT forwards the current form out a port, BUFFER parks it in a
-   named queue, DROP discards, PACKET_IN escalates to the controller.
+   named queue, DROP discards.
 
 On a table miss the packet is held (not dropped) and escalated; the
 controller is expected to install rules and release it. A hold timeout
@@ -23,9 +24,10 @@ mirrored again: the taps saw them on first entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from operator import attrgetter
+from typing import Callable, Hashable, Optional, Union
 
-from .netcore import HostAddr, TcpFlags, TcpSegment, seq_add
+from .netcore import ConnKey, HostAddr, TcpSegment, seq_add
 from .simnet import Engine, Link
 
 
@@ -35,43 +37,6 @@ class UnknownCookie(Exception):
 
 class UnknownQueue(Exception):
     """release_buffer called for a queue that was never created."""
-
-
-@dataclass(frozen=True, slots=True)
-class FlowMatch:
-    """Predicates on a packet; an absent (None) field matches anything.
-
-    ``flags_req`` is a required subset: it matches TCP segments carrying
-    at least those flags, and never matches non-TCP packets.
-    """
-
-    src_ip: Optional[str] = None
-    dst_ip: Optional[str] = None
-    sport: Optional[int] = None
-    dport: Optional[int] = None
-    flags_req: Optional[TcpFlags] = None
-
-    def matches(self, pkt) -> bool:
-        if self.src_ip is not None and pkt.src.ip != self.src_ip:
-            return False
-        if self.dst_ip is not None and pkt.dst.ip != self.dst_ip:
-            return False
-        if self.sport is not None and pkt.sport != self.sport:
-            return False
-        if self.dport is not None and pkt.dport != self.dport:
-            return False
-        if self.flags_req is not None:
-            flags = getattr(pkt, "flags", None)
-            if flags is None or (flags & self.flags_req) != self.flags_req:
-                return False
-        return True
-
-    @property
-    def exact_key(self) -> Optional[tuple[str, int, str, int]]:
-        """Index key when all four address/port fields are concrete."""
-        if None in (self.src_ip, self.dst_ip, self.sport, self.dport):
-            return None
-        return (self.src_ip, self.sport, self.dst_ip, self.dport)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +69,7 @@ class Rewrite:
 
 @dataclass(frozen=True, slots=True)
 class Buffer:
-    queue: str
+    queue: Hashable
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,21 +77,20 @@ class Drop:
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PacketIn:
-    pass
-
-
-FlowAction = Union[Output, Rewrite, Buffer, Drop, PacketIn]
+FlowAction = Union[Output, Rewrite, Buffer, Drop]
 
 
 @dataclass(slots=True)
 class FlowRule:
+    """Actions for the packets of the one connection ``match`` names."""
+
     priority: int
-    match: FlowMatch
+    match: ConnKey
     actions: tuple[FlowAction, ...]
     cookie: int = 0
-    _seqno: int = 0  # insertion order, assigned by the switch
+
+
+_priority = attrgetter("priority")
 
 
 class Switch:
@@ -137,13 +101,11 @@ class Switch:
         self.miss_hold_timeout_us = miss_hold_timeout_us
         self._ports: dict[int, Link] = {}
         self._next_port = 1
-        # table: exact-keyed rules indexed for O(1) lookup, the rest scanned
-        self._exact: dict[tuple, list[FlowRule]] = {}
-        self._wild: list[FlowRule] = []
+        # per connection key, its rules in installation order
+        self._table: dict[ConnKey, list[FlowRule]] = {}
         self._by_cookie: dict[int, FlowRule] = {}
         self._next_cookie = 1
-        self._next_seqno = 1
-        self._buffers: dict[str, list] = {}
+        self._buffers: dict[Hashable, list] = {}
         self._held: dict[int, object] = {}
         self._next_hold = 1
         self.mirror_taps: list[Callable[[object], None]] = []
@@ -164,13 +126,7 @@ class Switch:
     def install_rule(self, rule: FlowRule) -> int:
         rule.cookie = self._next_cookie
         self._next_cookie += 1
-        rule._seqno = self._next_seqno
-        self._next_seqno += 1
-        key = rule.match.exact_key
-        if key is not None:
-            self._exact.setdefault(key, []).append(rule)
-        else:
-            self._wild.append(rule)
+        self._table.setdefault(rule.match, []).append(rule)
         self._by_cookie[rule.cookie] = rule
         return rule.cookie
 
@@ -178,50 +134,36 @@ class Switch:
         rule = self._by_cookie.pop(cookie, None)
         if rule is None:
             raise UnknownCookie(f"no rule with cookie {cookie}")
-        key = rule.match.exact_key
-        if key is not None:
-            bucket = self._exact[key]
-            bucket.remove(rule)
-            if not bucket:
-                del self._exact[key]
-        else:
-            self._wild.remove(rule)
+        bucket = self._table[rule.match]
+        bucket.remove(rule)
+        if not bucket:
+            del self._table[rule.match]
         return True
 
     def rules(self) -> list[FlowRule]:
         return list(self._by_cookie.values())
 
     def _lookup(self, pkt) -> Optional[FlowRule]:
-        key = (pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport)
-        best = None
-        for rule in self._exact.get(key, ()):
-            if rule.match.matches(pkt):
-                if best is None or (rule.priority, -rule._seqno) > (best.priority, -best._seqno):
-                    best = rule
-        for rule in self._wild:
-            if rule.match.matches(pkt):
-                if best is None or (rule.priority, -rule._seqno) > (best.priority, -best._seqno):
-                    best = rule
-        return best
+        bucket = self._table.get((pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))
+        # max() keeps the first of equal priorities: the earliest installed
+        return max(bucket, key=_priority) if bucket else None
 
     # -- buffering -------------------------------------------------------------
 
-    def create_queue(self, queue_id: str) -> None:
+    def create_queue(self, queue_id: Hashable) -> None:
         self._buffers.setdefault(queue_id, [])
 
-    def release_buffer(self, queue_id: str, rewrite: Optional[Rewrite] = None) -> int:
+    def release_buffer(self, queue_id: Hashable) -> int:
         """Re-inject buffered packets in arrival order; returns the count."""
         if queue_id not in self._buffers:
             raise UnknownQueue(queue_id)
         pkts = self._buffers[queue_id]
         self._buffers[queue_id] = []
         for pkt in pkts:
-            if rewrite is not None:
-                pkt = rewrite.apply(pkt)
             self.process(pkt, mirror=False)
         return len(pkts)
 
-    def queue_len(self, queue_id: str) -> int:
+    def queue_len(self, queue_id: Hashable) -> int:
         if queue_id not in self._buffers:
             raise UnknownQueue(queue_id)
         return len(self._buffers[queue_id])
@@ -248,9 +190,6 @@ class Switch:
                 self._buffers.setdefault(act.queue, []).append(pkt)
                 return
             elif isinstance(act, Drop):
-                return
-            elif isinstance(act, PacketIn):
-                self._escalate(pkt)
                 return
 
     def _escalate(self, pkt) -> None:

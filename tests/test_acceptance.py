@@ -71,8 +71,8 @@ def e3():
             "violations": mig_trace.violations + base_trace.violations,
             "mig_rtts": {r.index: r.rtt_us for r in mig_trace.records},
             "base_rtts": {r.index: r.rtt_us for r in base_trace.records},
-            "clone_events": [(t, d) for t, e, d in mig_trace.controller_events
-                             if e == "clone_latency"],
+            "clone_events": [ev for ev in mig_trace.controller_events
+                             if ev.kind == "clone_latency"],
         })
     return scenario, runs
 
@@ -87,7 +87,7 @@ def e4():
             "violations": sim.trace(rep).violations,
             "victim_log_complete":
                 sim.victim.app.request_log == sim.attacker.sent_requests,
-            "restored": any(e == "restored" for _, e, _ in sim.controller.events),
+            "restored": any(ev.kind == "restored" for ev in sim.controller.events),
         })
     return scenario, runs
 
@@ -133,14 +133,15 @@ def test_criterion_1_e1_redirection_latency(e1):
 
 def test_criterion_2_e2_saturated_controller(e2):
     scenario, traces, elapsed = e2
-    packet_ins = [sum(1 for _, e, _ in t.controller_events if e == "packet_in")
+    packet_ins = [sum(1 for ev in t.controller_events if ev.kind == "packet_in")
                   for t in traces]
     ok_load = all(n >= 1400 for n in packet_ins)
     # migration fired exactly at packet 100: the splice replayed 99 payloads
     ok_trigger = all(
-        any(e == "alert" and "ordinal=100" in d for _, e, d in t.controller_events)
-        and any(e == "replayed" and d.startswith("count=99")
-                for _, e, d in t.controller_events)
+        any(ev.kind == "alert" and ev.fields["ordinal"] == 100
+            for ev in t.controller_events)
+        and any(ev.kind == "replayed" and ev.fields["count"] == 99
+                for ev in t.controller_events)
         for t in traces)
     summary = summarize(traces, scenario.trigger_n)
     ok_ratio = summary.ratio == 1.0  # zero jitter: same tolerance as e1
@@ -154,8 +155,7 @@ def test_criterion_3_e3_copy_on_demand(e3):
     scenario, runs = e3
     configured = default_cost_table()[StrategyKind.VICTIM_IMAGE].latency.mean()
     ok_one_record = all(len(r["clone_events"]) == 1 for r in runs)
-    latencies = [int(r["clone_events"][0][1].split(";")[0].split("=")[1])
-                 for r in runs]
+    latencies = [r["clone_events"][0].fields["us"] for r in runs]
     ok_latency = all(lat == configured for lat in latencies)
     ok_rtt = all(
         r["mig_rtts"].keys() == r["base_rtts"].keys()

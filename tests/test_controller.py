@@ -85,7 +85,7 @@ class Mini:
 
         def route(alert):
             if alert.sid == 2:
-                self.controller.restore_original(alert.conn)
+                self.controller.on_restore_alert(alert)
             else:
                 self.controller.on_alert(alert)
 
@@ -99,7 +99,7 @@ class Mini:
         self.engine.run_until(horizon)
 
     def events(self, kind):
-        return [(t, d) for t, e, d in self.controller.events if e == kind]
+        return [ev for ev in self.controller.events if ev.kind == kind]
 
 
 # -- reactive forwarding ----------------------------------------------------------
@@ -211,11 +211,10 @@ def test_on_demand_clone_latency_accounting():
                 clone_latency_us=30_000, pre_instantiated=False,
                 containment="on_clone_ready")
     mini.run()
-    (t_req, _), = mini.events("clone_requested")
-    (t_lat, detail), = mini.events("clone_latency")
-    latency = int(detail.split(";")[0].split("=")[1])
-    assert latency == 30_000
-    assert t_lat - t_req == latency
+    requested, = mini.events("clone_requested")
+    ready, = mini.events("clone_latency")
+    assert ready.fields == {"us": 30_000, "conn": CONN}
+    assert ready.time_us - requested.time_us == 30_000
     # victim kept serving through instantiation: it saw the trigger packet
     assert mini.victim.app.request_count == 5
     assert mini.honey.app.request_count == 10

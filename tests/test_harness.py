@@ -1,10 +1,11 @@
 """Scenario loading/validation, aggregation, CSV export, CLI surface."""
 
+import hashlib
 import json
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from honeysplice.harness import (
     write_controller_csv,
 )
 from honeysplice.cli import main as cli_main
+from honeysplice.controller import ControllerEvent
 
 
 def minimal_doc(**overrides):
@@ -167,6 +169,49 @@ def test_rule_trigger_migrates_on_fifth_packet(tmp_path):
     assert not sim.trace(1).violations
 
 
+def test_only_the_trigger_sid_migrates(tmp_path):
+    shipped = builtin_scenario_path("e1_redirect").parent / "migrate.rules"
+    rules = tmp_path / "m.rules"
+    rules.write_text(
+        shipped.read_text(encoding="utf-8")
+        + 'alert tcp any -> 10.0.0.2 any (msg:"OTHER"; flags:P.A.; '
+          'threshold:type threshold, track by_dst, count 3, seconds 120; sid:7;)\n',
+        encoding="utf-8")
+    doc = minimal_doc(trigger={"kind": "rule", "sid": 1000001}, ruleset="m.rules")
+    sim = run_single(scenario_from_dict(doc, base_dir=tmp_path), 1)
+    # sid 7 fires at ordinal 3 but only sid 1000001 (ordinal 5) migrates
+    assert sim.victim.app.request_count == 4
+    assert 7 in {alert.sid for alert in sim.ids.alerts}
+    assert not sim.trace(1).violations
+
+
+# -- containment and restore corner cases ------------------------------------------------
+
+
+def test_on_clone_ready_with_preinstantiated_clone_matches_immediate(tmp_path):
+    e1 = replace(load_scenario(builtin_scenario_path("e1_redirect")), repetitions=5)
+    immediate, on_ready = tmp_path / "immediate.csv", tmp_path / "on_ready.csv"
+    write_attacker_csv(run_experiment(e1), immediate)
+    write_attacker_csv(run_experiment(replace(e1, containment="on_clone_ready")),
+                       on_ready)
+    assert immediate.read_bytes() == on_ready.read_bytes()
+
+
+def test_restore_alert_after_fail_open_is_ignored():
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       clone_failure_p=1.0, restore_at=110)
+    for rep in (1, 2):
+        sim = run_single(scenario, rep)
+        oracle = run_single(scenario, rep, migration=False)
+        ignored = [ev.fields for ev in sim.controller.events
+                   if ev.kind == "restore_ignored"]
+        assert ignored == [{"conn": ("10.0.0.1", 40001, "10.0.0.2", 9000),
+                            "phase": "RESTORED"}]
+        assert not sim.trace(rep).violations
+        assert bytes(sim.attacker.received_stream) == \
+            bytes(oracle.attacker.received_stream)
+
+
 # -- background load ---------------------------------------------------------------------
 
 
@@ -175,7 +220,7 @@ def test_background_small_scale():
         background={"n_hosts": 3, "procs_per_host": 4, "msg_interval_us": 100_000}))
     sim = run_single(scenario, 1)
     assert len(sim.background_flows) == 12
-    packet_ins = sum(1 for _, e, _ in sim.controller.events if e == "packet_in")
+    packet_ins = sum(1 for ev in sim.controller.events if ev.kind == "packet_in")
     assert packet_ins >= 12 + 1  # every flow misses once, plus the attacker SYN
     assert not sim.trace(1).violations
 
@@ -236,12 +281,17 @@ def test_attacker_csv_format(tmp_path):
 
 def test_controller_csv_format(tmp_path):
     path = tmp_path / "c.csv"
-    trace = LatencyTrace(rep=1, records=[],
-                         controller_events=[(50, "alert", "conn=x;sid=1")])
+    conn = ("10.0.0.1", 40001, "10.0.0.2", 9000)
+    trace = LatencyTrace(rep=1, records=[], controller_events=[
+        ControllerEvent(50, "alert", {"conn": conn, "sid": 1}),
+        ControllerEvent(80, "clone_latency", {"us": 30000, "conn": conn}),
+    ])
     write_controller_csv([trace], path)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == "rep,event,time_us,detail"
-    assert lines[1] == "1,alert,50,conn=x;sid=1"
+    assert lines[1] == "1,alert,50,conn=10.0.0.1:40001->10.0.0.2:9000;sid=1"
+    # fields in logging order, whatever the field names
+    assert lines[2] == "1,clone_latency,80,us=30000;conn=10.0.0.1:40001->10.0.0.2:9000"
 
 
 def test_empty_trace_list_writes_header_only(tmp_path):
@@ -266,6 +316,33 @@ def test_read_attacker_csv_roundtrip(tmp_path):
     back = read_attacker_csv(path)
     assert [(t.rep, [(r.index, r.rtt_us) for r in t.records]) for t in back] == \
         [(t.rep, [(r.index, r.rtt_us) for r in t.records]) for t in traces]
+
+
+# SHA-256 of the shipped scenarios' exports at 3 repetitions. A change that
+# alters any exported byte changes behaviour and must update these openly.
+EXPORT_SHA256 = {
+    "e1_redirect": (
+        "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
+        "c8e07f9e757dde430bf5a8b5cc03abb81693b2c18f9ff0a2e7281c13c1efff14"),
+    "e2_saturated": (
+        "53178cc8b354d99f26f29b5d95db569d42e0d2a9c49fc7fd827e4bf9d352a6ec",
+        "7e00eb18ed7bb83b7d9fd43258df048d8ad2846378b465b3f8940594d54f22b9"),
+    "e3_copy_on_demand": (
+        "c8af85aed1a4f8389822c3638a7b828f51a533a10c1c8c6dba21d6ac08248136",
+        "dfb376256be85f24bcad727862e06dd7ece56b68579fc9ec48a716f53e8c7ca5"),
+    "e4_restore": (
+        "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
+        "65c6423a400d834d8a1c8be9801822102425d5a4f9ca2ad05cae62bed4ce60b5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_shipped_exports_match_recorded_hashes(tmp_path, name):
+    scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=3)
+    files = export_run(scenario, run_experiment(scenario), tmp_path)
+    digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
+                    for key in ("attacker", "controller"))
+    assert digests == EXPORT_SHA256[name]
 
 
 def test_export_run_writes_file_set(tmp_path):
