@@ -33,7 +33,18 @@ identically because the whole redirect completes within the alert event.
 Restore (reverse migration) re-splices the connection onto a fresh
 victim-side connection with the same recipe -- forge, replay whatever the
 victim has not seen, recompute offsets -- after a short grace period that
-lets in-flight honey responses drain.
+lets in-flight honey responses drain. A clone that fails to instantiate
+fails open: the contained connection is spliced straight back onto the
+victim with nothing to replay.
+
+Every replay window is a range of the attacker's stream positions. At
+containment the record notes ``victim_pos``, the position the victim has
+consumed: the triggering segment's seq while ``on_alert`` runs (that
+segment is still mid-pipeline and never reaches the victim), the
+attacker's snd_nxt otherwise. Migration replays [ISS+1, victim_pos) into
+the clone, fail-open replays nothing, and restore replays [victim_pos,
+snd_nxt) into the victim; each forged handshake starts one before its
+window, so the first segment the server sees lands at its rcv_nxt.
 
 Splice offsets are computed from stream *positions*, not ISNs: the
 server-to-attacker delta is (attacker's expected next peer seq) minus
@@ -60,7 +71,7 @@ from .netcore import (
     seq_sub,
 )
 from .simnet import Engine
-from .vswitch import Buffer, Drop, FlowRule, Output, Rewrite, Switch
+from .vswitch import Buffer, FlowRule, Output, Rewrite, Switch
 from .ids import Alert
 
 
@@ -93,46 +104,35 @@ class ControllerEvent(NamedTuple):
 
 
 @dataclass
-class ConnLedger:
-    """Everything the controller knows about one tracked connection,
-    reconstructed purely from mirrored segments."""
+class MigrationRecord:
+    """Everything the controller knows about one tracked connection: what
+    the mirrored segments show, and its migration state.
+
+    ``payloads`` are the attacker's (seq, payload) segments in stream
+    order and ``last_ack`` its latest ack (its rcv_nxt, in victim-anchored
+    coordinates). ``seq_delta`` is how far the serving endpoint's stream
+    runs ahead of the attacker's view (honey ISN - victim ISN right after
+    migration); ``ack_delta`` is its mod-2**32 negation. Rules apply
+    ``seq_delta`` to attacker-to-server acks and ``ack_delta`` to
+    server-to-attacker seqs.
+    """
 
     key: ConnKey
     attacker_addr: HostAddr
     server_addr: HostAddr
     attacker_iss: int
-    server_isn: Optional[int] = None
-    attacker_snd_nxt: int = 0
-    last_seq: int = 0
+    attacker_snd_nxt: int
     last_ack: int = 0
     payloads: list[tuple[int, bytes]] = field(default_factory=list)
-
-
-@dataclass
-class MigrationRecord:
-    """State of one connection's migration, including the splice offsets.
-
-    ``seq_delta`` is how far the serving endpoint's stream runs ahead of
-    the attacker's view (honey ISN - victim ISN right after migration);
-    ``ack_delta`` is its mod-2**32 negation. Rules apply ``seq_delta`` to
-    attacker-to-server acks and ``ack_delta`` to server-to-attacker seqs.
-    """
-
-    key: ConnKey
     victim_isn: Optional[int] = None
     honey_isn: Optional[int] = None
     seq_delta: int = 0
     ack_delta: int = 0
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
-    honey_host: Optional[ServerHost] = None
-    buffer_id: tuple = ()
-    contained: bool = False
-    # inside on_alert: the triggering segment is still mid-pipeline
-    in_alert: bool = False
+    # attacker stream position the victim has consumed; None until contained
+    victim_pos: Optional[int] = None
     restore_armed: bool = False
-    victim_seen: Optional[int] = None   # payload-log index the victim has seen
-    replay_upto: Optional[int] = None   # payload-log index the splice replays to
     splice_cookies: list[int] = field(default_factory=list)
 
     def transition(self, phase: str, now: int) -> None:
@@ -145,26 +145,24 @@ class Controller:
     clone-ready callbacks are serialized events of one simulation."""
 
     def __init__(self, engine: Engine, switch: Switch, *,
-                 replay: bool = True, containment: str = "immediate",
-                 service_us: int = 50, restore_grace_us: int = 5000,
-                 fail_open: bool = True):
+                 containment: str = "immediate", service_us: int = 50,
+                 restore_grace_us: int = 5000):
         if containment not in ("immediate", "on_clone_ready"):
             raise ValueError(f"unknown containment mode {containment!r}")
         self.engine = engine
         self.switch = switch
-        self.replay = replay
         self.containment = containment
         self.service_us = service_us
         self.restore_grace_us = restore_grace_us
-        self.fail_open = fail_open
         self.clonemgr: Optional[CloneManager] = None
 
-        self.ledgers: dict[ConnKey, ConnLedger] = {}
         self.records: dict[ConnKey, MigrationRecord] = {}
         self.port_map: dict[str, int] = {}
         self.server_hosts: dict[str, ServerHost] = {}
         self._conn_rules: dict[ConnKey, int] = {}
         self._busy_until = 0
+        # seq of the alert's trigger segment while on_alert runs, else None
+        self._alert_seq: Optional[int] = None
         self.packet_in_count = 0
         self.events: list[ControllerEvent] = []
 
@@ -189,24 +187,21 @@ class Controller:
             return
         key = five_tuple(pkt)
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
-            self.ledgers[key] = ConnLedger(
+            self.records[key] = MigrationRecord(
                 key=key, attacker_addr=pkt.src, server_addr=pkt.dst,
-                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1),
-                last_seq=pkt.seq)
+                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1))
             return
-        led = self.ledgers.get(key)
-        if led is not None:
-            led.last_seq = pkt.seq
-            led.attacker_snd_nxt = seq_add(pkt.seq, seg_span(pkt))
+        record = self.records.get(key)
+        if record is not None:
+            record.attacker_snd_nxt = seq_add(pkt.seq, seg_span(pkt))
             if pkt.flags & TcpFlags.ACK:
-                led.last_ack = pkt.ack
+                record.last_ack = pkt.ack
             if pkt.payload:
-                led.payloads.append((pkt.seq, pkt.payload))
+                record.payloads.append((pkt.seq, pkt.payload))
             return
-        rkey = (pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport)
-        led = self.ledgers.get(rkey)
-        if led is not None and (pkt.flags & TcpFlags.SYN):
-            led.server_isn = pkt.seq
+        record = self.records.get((pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport))
+        if record is not None and (pkt.flags & TcpFlags.SYN):
+            record.victim_isn = pkt.seq
 
     # -- reactive forwarding ---------------------------------------------------
 
@@ -246,119 +241,93 @@ class Controller:
     def on_alert(self, alert: Alert) -> None:
         """Start the migration for the alerted connection."""
         key = alert.conn
-        led = self.ledgers.get(key)
-        if led is None or led.server_isn is None:
-            raise AlertForUnknownConnection(key)
         record = self.records.get(key)
-        if record is not None and record.phase != PHASE_IDLE:
+        if record is None or record.victim_isn is None:
+            raise AlertForUnknownConnection(key)
+        if record.phase != PHASE_IDLE:
             self.log("alert_ignored", conn=key, phase=record.phase, sid=alert.sid)
             return
         self.log("alert", conn=key, sid=alert.sid, ordinal=alert.ordinal)
-        record = MigrationRecord(key=key, victim_isn=led.server_isn)
-        self.records[key] = record
         record.transition(PHASE_CLONING, self.engine.now)
 
         # This call is inside the triggering segment's mirror tap, so the
         # segment is still in flight through the switch. Containing now
         # ("immediate", or a clone handed over synchronously) keeps it from
-        # the victim: the victim has seen exactly the pre-alert traffic.
-        record.in_alert = True
-        if self.containment == "immediate":
-            self._contain(record)
-
-        victim = self.server_hosts[led.server_addr.ip]
-        spec = VictimSpec(addr=victim.addr, app_id=victim.app.app_id,
-                          open_ports=(victim.listen_port,))
-        self.log("clone_requested", conn=key)
+        # the victim: the victim has consumed the stream up to its seq.
+        self._alert_seq = alert.segment.seq
         try:
-            self.clonemgr.request_clone(
-                spec, lambda host, lat, r=record: self._on_clone_ready(r, host, lat))
-        except CloneFailed:
-            self._clone_failed(record)
-        record.in_alert = False
+            if self.containment == "immediate":
+                self._contain(record)
+            victim = self.server_hosts[record.server_addr.ip]
+            spec = VictimSpec(addr=victim.addr, app_id=victim.app.app_id,
+                              open_ports=(victim.listen_port,))
+            self.log("clone_requested", conn=key)
+            try:
+                self.clonemgr.request_clone(
+                    spec, lambda host, lat: self._on_clone_ready(record, host, lat))
+            except CloneFailed:
+                self._clone_failed(record)
+        finally:
+            self._alert_seq = None
 
     def _contain(self, record: MigrationRecord) -> None:
         """Protect the victim: buffer the attacker's direction, forge an RST
         toward the victim only."""
         key = record.key
-        led = self.ledgers[key]
-        record.buffer_id = ("mig", key)
-        self.switch.create_queue(record.buffer_id)
-        cookie = self.switch.install_rule(
-            FlowRule(100, key, (Buffer(record.buffer_id),)))
-        record.splice_cookies.append(cookie)
-        record.contained = True
-        # a segment currently mid-pipeline was mirrored (so it is in the
-        # payload log) but will be re-presented live via the buffer path
-        record.replay_upto = len(led.payloads) - (1 if record.in_alert else 0)
-        if record.victim_seen is None:
-            record.victim_seen = record.replay_upto
+        self.switch.create_queue(key)
+        record.splice_cookies.append(
+            self.switch.install_rule(FlowRule(100, key, (Buffer(key),))))
+        record.victim_pos = (record.attacker_snd_nxt if self._alert_seq is None
+                             else self._alert_seq)
         self.log("buffer_installed", conn=key)
 
-        victim = self.server_hosts[led.server_addr.ip]
-        rst = TcpSegment(src=led.attacker_addr, dst=led.server_addr,
+        victim = self.server_hosts[record.server_addr.ip]
+        rst = TcpSegment(src=record.attacker_addr, dst=record.server_addr,
                          sport=key[1], dport=key[3],
-                         seq=led.attacker_snd_nxt, ack=led.last_ack,
+                         seq=record.attacker_snd_nxt, ack=record.last_ack,
                          flags=TcpFlags.RST | TcpFlags.ACK)
         victim.deliver_oob(rst)
         self.log("victim_closed", conn=key)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
                         latency_us: int) -> None:
-        key = record.key
-        self.log("clone_latency", us=latency_us, conn=key)
-        record.honey_host = host
-        if not record.contained:
+        self.log("clone_latency", us=latency_us, conn=record.key)
+        if record.victim_pos is None:
             self._contain(record)
         record.transition(PHASE_SPLICING, self.engine.now)
-        self.log("splice_started", conn=key)
+        self.log("splice_started", conn=record.key)
         record.honey_isn = self._splice(
-            record, host, host.port,
-            replay_from=0, replay_upto=record.replay_upto,
-            final_phase=PHASE_REDIRECTED)
+            record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
+            PHASE_REDIRECTED)
 
     def _clone_failed(self, record: MigrationRecord) -> None:
-        key = record.key
-        self.log("clone_failed", conn=key, policy="open" if self.fail_open else "closed")
-        if not record.contained:
+        """Fail open: hand a contained connection straight back to the
+        victim, which has already consumed everything up to victim_pos."""
+        self.log("clone_failed", conn=record.key, policy="open")
+        if record.victim_pos is None:
             # victim was never cut over; nothing to undo
             record.transition(PHASE_RESTORED, self.engine.now)
             return
-        led = self.ledgers[key]
-        if self.fail_open:
-            victim = self.server_hosts[led.server_addr.ip]
-            record.transition(PHASE_SPLICING, self.engine.now)
-            self._splice(record, victim, victim.port,
-                         replay_from=record.victim_seen,
-                         replay_upto=record.replay_upto,
-                         final_phase=PHASE_RESTORED)
-        else:
-            for cookie in record.splice_cookies:
-                self.switch.remove_rule(cookie)
-            record.splice_cookies.clear()
-            self.switch.install_rule(FlowRule(100, key, (Drop(),)))
-            self.log("fail_closed", conn=key)
+        victim = self.server_hosts[record.server_addr.ip]
+        record.transition(PHASE_SPLICING, self.engine.now)
+        self._splice(record, victim, record.victim_pos, record.victim_pos,
+                     PHASE_RESTORED)
 
     # -- the splice (shared by migration, restore and fail-open) ----------------
 
     def _splice(self, record: MigrationRecord, server: ServerHost,
-                server_port: int, replay_from: int, replay_upto: int,
-                final_phase: str) -> int:
+                replay_from: int, replay_upto: int, final_phase: str) -> int:
+        """Forge a handshake with ``server`` as the attacker, replay the
+        logged payloads whose seq lies in [replay_from, replay_upto) (mod
+        2**32), rewrite by the new stream offset and release the buffer.
+        Returns the server's ISN."""
         key = record.key
-        led = self.ledgers[key]
-        entries = led.payloads[replay_from:replay_upto] if self.replay else []
+        window = seq_sub(replay_upto, replay_from)
+        entries = [(seq, payload) for seq, payload in record.payloads
+                   if seq_sub(seq, replay_from) < window]
 
-        # anchor the forged handshake so the first segment the server will
-        # see (replayed or live) lands exactly at its rcv_nxt
-        if entries:
-            anchor = entries[0][0]
-        elif replay_upto is not None and replay_upto < len(led.payloads):
-            anchor = led.payloads[replay_upto][0]
-        else:
-            anchor = led.attacker_snd_nxt
-        forge_isn = seq_add(anchor, -1)
-
-        syn = TcpSegment(src=led.attacker_addr, dst=server.addr,
+        forge_isn = seq_add(replay_from, -1)
+        syn = TcpSegment(src=record.attacker_addr, dst=server.addr,
                          sport=key[1], dport=key[3], seq=forge_isn, ack=0,
                          flags=TcpFlags.SYN)
         replies = server.deliver_oob(syn)
@@ -366,14 +335,14 @@ class Controller:
             raise RestoreFailed(f"server {server.name} refused forged handshake")
         server_isn = replies[0].seq
         server_snd_nxt = seq_add(server_isn, 1)
-        ack = TcpSegment(src=led.attacker_addr, dst=server.addr,
+        ack = TcpSegment(src=record.attacker_addr, dst=server.addr,
                          sport=key[1], dport=key[3],
-                         seq=seq_add(forge_isn, 1), ack=server_snd_nxt,
+                         seq=replay_from, ack=server_snd_nxt,
                          flags=TcpFlags.ACK)
         server.deliver_oob(ack)
 
         for seq, payload in entries:
-            seg = TcpSegment(src=led.attacker_addr, dst=server.addr,
+            seg = TcpSegment(src=record.attacker_addr, dst=server.addr,
                              sport=key[1], dport=key[3],
                              seq=seq, ack=server_snd_nxt,
                              flags=TcpFlags.PSH | TcpFlags.ACK, payload=payload)
@@ -384,9 +353,9 @@ class Controller:
                     server_snd_nxt = seq_add(emitted.seq, len(emitted.payload))
         self.log("replayed", count=len(entries), conn=key)
 
-        # stream-position offsets: ledger.last_ack is the attacker's rcv_nxt
-        # in its own (victim-anchored) coordinates
-        record.seq_delta = seq_sub(server_snd_nxt, led.last_ack)
+        # stream-position offsets: last_ack is the attacker's rcv_nxt in its
+        # own (victim-anchored) coordinates
+        record.seq_delta = seq_sub(server_snd_nxt, record.last_ack)
         record.ack_delta = seq_sub(0, record.seq_delta)
 
         for cookie in record.splice_cookies:
@@ -398,13 +367,13 @@ class Controller:
             if cookie is not None:
                 self.switch.remove_rule(cookie)
 
-        distinct = server.addr != led.server_addr
+        distinct = server.addr != record.server_addr
         fwd_actions = (Rewrite(ack_delta=record.seq_delta,
                                new_dst=server.addr if distinct else None),
-                       Output(server_port))
+                       Output(server.port))
         rev_actions = (Rewrite(seq_delta=record.ack_delta,
-                               new_src=led.server_addr if distinct else None),
-                       Output(self.port_map[led.attacker_addr.ip]))
+                               new_src=record.server_addr if distinct else None),
+                       Output(self.port_map[record.attacker_addr.ip]))
         record.splice_cookies = [
             self.switch.install_rule(FlowRule(90, key, fwd_actions)),
             self.switch.install_rule(
@@ -412,7 +381,7 @@ class Controller:
         self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
 
         record.transition(final_phase, self.engine.now)
-        released = self.switch.release_buffer(record.buffer_id)
+        released = self.switch.release_buffer(key)
         self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
                  conn=key, released=released)
         return server_isn
@@ -449,24 +418,14 @@ class Controller:
 
     def _restore_splice(self, record: MigrationRecord) -> None:
         key = record.key
-        led = self.ledgers[key]
-        victim = self.server_hosts[led.server_addr.ip]
+        victim = self.server_hosts[record.server_addr.ip]
         if not victim.accepting:
             self.log("restore_failed", conn=key)
             record.restore_armed = False
             raise RestoreFailed(f"victim {victim.name} not accepting")
 
         # quiesce: buffer new attacker segments while we re-splice
-        record.buffer_id = ("res", key)
-        self.switch.create_queue(record.buffer_id)
-        cookie = self.switch.install_rule(
-            FlowRule(110, key, (Buffer(record.buffer_id),)))
-        record.splice_cookies.append(cookie)
-
-        replay_from = record.victim_seen
-        replay_upto = len(led.payloads)
-        record.victim_isn = self._splice(record, victim, victim.port,
-                                         replay_from=replay_from,
-                                         replay_upto=replay_upto,
-                                         final_phase=PHASE_RESTORED)
-        record.victim_seen = replay_upto
+        record.splice_cookies.append(
+            self.switch.install_rule(FlowRule(100, key, (Buffer(key),))))
+        record.victim_isn = self._splice(record, victim, record.victim_pos,
+                                         record.attacker_snd_nxt, PHASE_RESTORED)

@@ -120,7 +120,6 @@ class Scenario:
     clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
     clone_failure_p: float = _opt("clone.failure_p", 0.0, float)
     containment: str = _opt("containment", "immediate", str)
-    replay: bool = _opt("replay", True, _flag)
     restore_at: Optional[int] = _opt("restore_at", None, int)
     restore_grace_us: int = _opt("restore_grace_us", 5_000, int)
     honey_addr_mode: str = _opt("honey_addr_mode", "same", str)  # "same" | "distinct"
@@ -284,7 +283,6 @@ class Simulation:
         self.ids = Ids(self.engine)
         self.controller = Controller(
             self.engine, self.switch,
-            replay=scenario.replay,
             containment=scenario.containment,
             service_us=scenario.controller_service_us,
             restore_grace_us=scenario.restore_grace_us)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
-from .netcore import HostAddr, TcpFlags, TcpSegment
+from .netcore import HostAddr, TcpFlags, TcpSegment, seq_add
 from .simnet import BackgroundLoadSpec, EchoPacket, Engine, Link, LinkModel
 from .vswitch import Switch
 
@@ -113,7 +113,8 @@ class AttackerHost(Host):
     timer, not lockstep), records per-request RTTs, and checks the
     stealth invariants on every inbound segment:
 
-      * it never receives RST or FIN it did not initiate;
+      * it never receives RST or FIN (it never closes, so any FIN is
+        unsolicited);
       * every ack received equals its snd_nxt at that moment;
       * peer data always lands exactly at rcv_nxt (one gapless stream).
 
@@ -132,12 +133,11 @@ class AttackerHost(Host):
         self.request_size = request_size
         self._size_rng = size_rng  # when set, sizes draw uniform 1..request_size
         self.send_ts: dict[int, int] = {}
-        self.recv_ts: dict[int, int] = {}
+        self.recv_ts: dict[int, int] = {}   # keyed by the request a response acks
         self.sent_requests: list[bytes] = []
         self.received_stream = bytearray()
-        self._responses_seen = 0
+        self._request_by_end: dict[int, int] = {}  # request end seq -> index
         self.violations: list[str] = []
-        self.initiated_close = False
 
     # -- script ------------------------------------------------------------
 
@@ -155,6 +155,7 @@ class AttackerHost(Host):
         seg = self.conn.app_send(payload, self.engine.now)
         self.sent_requests.append(payload)
         self.send_ts[index] = self.engine.now
+        self._request_by_end[seq_add(seg.seq, len(payload))] = index
         self.transmit(seg)
         if index < self.total:
             self.engine.schedule_in(lambda i=index + 1: self._send_request(i),
@@ -165,7 +166,7 @@ class AttackerHost(Host):
     def _check_stealth(self, seg: TcpSegment) -> None:
         if seg.flags & TcpFlags.RST:
             self.violations.append(f"t={self.engine.now} received RST")
-        if (seg.flags & TcpFlags.FIN) and not self.initiated_close:
+        if seg.flags & TcpFlags.FIN:
             self.violations.append(f"t={self.engine.now} received unsolicited FIN")
         if self.conn.state is ConnState.ESTABLISHED:
             if (seg.flags & TcpFlags.ACK) and seg.ack != self.conn.snd_nxt:
@@ -185,8 +186,9 @@ class AttackerHost(Host):
         emitted, delivered = self.conn.on_segment(pkt, self.engine.now)
         if delivered:
             self.received_stream.extend(delivered)
-            self._responses_seen += 1
-            self.recv_ts[self._responses_seen] = self.engine.now
+            # a server answers each request segment as it consumes it, so
+            # the response acks exactly that request's end
+            self.recv_ts[self._request_by_end[pkt.ack]] = self.engine.now
         for seg in emitted:
             self.transmit(seg)
         if not was_established and self.conn.state is ConnState.ESTABLISHED:
@@ -196,7 +198,7 @@ class AttackerHost(Host):
 
     @property
     def complete(self) -> bool:
-        return self._responses_seen >= self.total
+        return len(self.recv_ts) >= self.total
 
 
 class EchoHost(Host):

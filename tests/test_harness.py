@@ -106,7 +106,7 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"request": 5}, "request"),
     ({"clone": {"failure_p": "x"}}, "clone.failure_p"),
     ({"restore_at": "z"}, "restore_at"),
-    ({"replay": "false"}, "replay"),
+    ({"clone": {"on_demand": "false"}}, "clone.on_demand"),
     ({"background": {}}, "background"),
     ({"containmnet": "on_clone_ready"}, "containmnet"),
 ])
@@ -149,6 +149,10 @@ def test_readme_documents_every_scenario_key():
         *sections, leaf = f.metadata["key"].split(".")
         pattern = "".join(f'"{s}": {{[^\n]*' for s in sections) + f'"{leaf}":'
         assert re.search(pattern, section), f.metadata["key"]
+    # and the other way: the example declares no key the schema lacks
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", example))
+    scenario_from_dict(doc, base_dir=builtin_scenario_path("e1_redirect").parent)
 
 
 # -- rule-triggered migration ----------------------------------------------------------
@@ -210,6 +214,34 @@ def test_restore_alert_after_fail_open_is_ignored():
         assert not sim.trace(rep).violations
         assert bytes(sim.attacker.received_stream) == \
             bytes(oracle.attacker.received_stream)
+
+
+KNOB_RULE = ('alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; flags:{flags}; '
+             'threshold:type threshold, track by_dst, count 3, seconds 120; sid:7;)\n')
+
+
+@pytest.mark.parametrize("restore_at", [None, 9])
+@pytest.mark.parametrize("failure_p", [0, 1])
+@pytest.mark.parametrize("containment", ["immediate", "on_clone_ready"])
+@pytest.mark.parametrize("trigger", ["nth 4", "flags:A", "flags:P.A."])
+def test_knob_space_runs_clean_and_equals_oracle(tmp_path, trigger, containment,
+                                                 failure_p, restore_at):
+    # a payload-less trigger (the 3rd flags:A match is a pure ACK) must
+    # still replay every pre-alert request
+    doc = minimal_doc(total_packets=12, seed=5, containment=containment,
+                      clone={"on_demand": False, "failure_p": failure_p},
+                      restore_at=restore_at)
+    if trigger == "nth 4":
+        doc["trigger"] = {"kind": "nth_packet", "n": 4}
+    else:
+        (tmp_path / "m.rules").write_text(
+            KNOB_RULE.format(flags=trigger.split(":")[1]), encoding="utf-8")
+        doc.update(trigger={"kind": "rule", "sid": 7}, ruleset="m.rules")
+    scenario = scenario_from_dict(doc, base_dir=tmp_path)
+    sim = run_single(scenario, 1)
+    oracle = run_single(scenario, 1, migration=False)
+    assert not sim.trace(1).violations
+    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
 
 
 # -- background load ---------------------------------------------------------------------
