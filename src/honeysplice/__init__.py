@@ -12,7 +12,7 @@ attacker. Experiments measure exactly that invisibility.
 from .netcore import HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_lt
 from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel
 from .endpoint import ConnState, ServerApp, TcpEndpoint
-from .vswitch import FlowRule, Switch
+from .vswitch import Switch
 from .ids import Ids, IdsRule, parse_rule, render_rule
 from .clonemgr import CloneManager, StrategyKind, select_strategy, strategy_cost
 from .controller import Controller, MigrationRecord
@@ -30,7 +30,7 @@ __all__ = [
     "HostAddr", "TcpFlags", "TcpSegment", "seg_span", "seq_add", "seq_lt",
     "BackgroundLoadSpec", "Distribution", "Engine", "LinkModel",
     "ConnState", "ServerApp", "TcpEndpoint",
-    "FlowRule", "Switch",
+    "Switch",
     "Ids", "IdsRule", "parse_rule", "render_rule",
     "CloneManager", "StrategyKind", "select_strategy", "strategy_cost",
     "Controller", "MigrationRecord",

@@ -1,16 +1,18 @@
 """The response controller: reactive forwarding plus stealthy redirection.
 
 Reactive forwarding: table misses escalate to the controller, which
-installs bidirectional OUTPUT rules and releases the held packet. This
-path carries the background load and is the only controller path with a
+installs an OUTPUT rule for each direction of the connection (never over
+a rule a splice installed) and releases the held packet. This path
+carries the background load and is the only controller path with a
 modeled service time (a FIFO queue, ``service_us`` per packet-in).
 
 Redirection, on an alert for an established connection:
 
-  1. contain -- a BUFFER rule quietly swallows everything the attacker
-     sends (nothing further reaches the victim), and a forged RST tears
-     down the victim-side endpoint only; the attacker-facing direction is
-     never reset, so the attacker sees no change;
+  1. contain -- the attacker direction's rule becomes a BUFFER that
+     quietly swallows everything the attacker sends (nothing further
+     reaches the victim), and a forged RST tears down the victim-side
+     endpoint only; the attacker-facing direction is never reset, so the
+     attacker sees no change;
   2. clone -- a honey server with the victim's app identity is requested;
   3. splice -- once the clone is up, the controller forges a three-way
      handshake with it while impersonating the attacker, replays the
@@ -18,11 +20,12 @@ Redirection, on an alert for an established connection:
      the victim's (its responses are consumed, the attacker already has
      them), and computes the stream offset between what the attacker
      expects and where the clone's send sequence actually is;
-  4. rewrite -- two flow rules translate seq/ack by that offset (and
-     optionally rewrite addresses when the honey server lives at a
-     distinct internal address), the buffered segments are released
-     through them, and the attacker-visible byte stream continues without
-     a seam.
+  4. rewrite -- the attacker direction's rule and the new server's
+     reverse rule translate seq/ack by that offset (and rewrite addresses
+     when the honey server lives at a distinct internal address, whose
+     replies carry another key: the previous server's reverse rule is
+     removed), the buffered segments are released through them, and the
+     attacker-visible byte stream continues without a seam.
 
 Containment timing is configurable: "immediate" contains at alert time
 (the victim never sees the triggering segment), "on_clone_ready" lets the
@@ -71,7 +74,7 @@ from .netcore import (
     seq_sub,
 )
 from .simnet import Engine
-from .vswitch import Buffer, FlowRule, Output, Rewrite, Switch
+from .vswitch import Buffer, Output, Rewrite, Switch
 from .ids import Alert
 
 
@@ -110,11 +113,12 @@ class MigrationRecord:
 
     ``payloads`` are the attacker's (seq, payload) segments in stream
     order and ``last_ack`` its latest ack (its rcv_nxt, in victim-anchored
-    coordinates). ``seq_delta`` is how far the serving endpoint's stream
-    runs ahead of the attacker's view (honey ISN - victim ISN right after
-    migration); ``ack_delta`` is its mod-2**32 negation. Rules apply
-    ``seq_delta`` to attacker-to-server acks and ``ack_delta`` to
-    server-to-attacker seqs.
+    coordinates). ``reverse_key`` is the key of the rule that carries the
+    serving server's segments back to the attacker. ``seq_delta`` is how
+    far the serving endpoint's stream runs ahead of the attacker's view
+    (honey ISN - victim ISN right after migration); ``ack_delta`` is its
+    mod-2**32 negation. Rules apply ``seq_delta`` to attacker-to-server
+    acks and ``ack_delta`` to server-to-attacker seqs.
     """
 
     key: ConnKey
@@ -122,6 +126,7 @@ class MigrationRecord:
     server_addr: HostAddr
     attacker_iss: int
     attacker_snd_nxt: int
+    reverse_key: ConnKey
     last_ack: int = 0
     payloads: list[tuple[int, bytes]] = field(default_factory=list)
     victim_isn: Optional[int] = None
@@ -133,7 +138,6 @@ class MigrationRecord:
     # attacker stream position the victim has consumed; None until contained
     victim_pos: Optional[int] = None
     restore_armed: bool = False
-    splice_cookies: list[int] = field(default_factory=list)
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase
@@ -159,7 +163,6 @@ class Controller:
         self.records: dict[ConnKey, MigrationRecord] = {}
         self.port_map: dict[str, int] = {}
         self.server_hosts: dict[str, ServerHost] = {}
-        self._conn_rules: dict[ConnKey, int] = {}
         self._busy_until = 0
         # seq of the alert's trigger segment while on_alert runs, else None
         self._alert_seq: Optional[int] = None
@@ -189,7 +192,8 @@ class Controller:
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
             self.records[key] = MigrationRecord(
                 key=key, attacker_addr=pkt.src, server_addr=pkt.dst,
-                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1))
+                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1),
+                reverse_key=(pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport))
             return
         record = self.records.get(key)
         if record is not None:
@@ -220,18 +224,20 @@ class Controller:
             self.switch.drop_held(hold_id)
             self.log("anomaly_drop", conn=key)
             return
-        if key not in self._conn_rules:
+        rules = self.switch.rules()
+        if key not in rules:
             dst_port = self.port_map.get(pkt.dst.ip)
             src_port = self.port_map.get(pkt.src.ip)
             if dst_port is None or src_port is None:
                 self.switch.drop_held(hold_id)
                 self.log("packet_in_unroutable", conn=key)
                 return
+            self.switch.install_rule(key, (Output(dst_port),))
             rkey = (key[2], key[3], key[0], key[1])
-            self._conn_rules[key] = self.switch.install_rule(
-                FlowRule(10, key, (Output(dst_port),)))
-            self._conn_rules[rkey] = self.switch.install_rule(
-                FlowRule(10, rkey, (Output(src_port),)))
+            # a victim segment still in flight when a distinct-address
+            # splice removed its rule misses; keep the splice's rule
+            if rkey not in rules:
+                self.switch.install_rule(rkey, (Output(src_port),))
             self.log("flow_rules", conn=key)
         self.log("packet_in", conn=key)
         self.switch.release_held(hold_id)
@@ -275,8 +281,7 @@ class Controller:
         toward the victim only."""
         key = record.key
         self.switch.create_queue(key)
-        record.splice_cookies.append(
-            self.switch.install_rule(FlowRule(100, key, (Buffer(key),))))
+        self.switch.install_rule(key, (Buffer(key),))
         record.victim_pos = (record.attacker_snd_nxt if self._alert_seq is None
                              else self._alert_seq)
         self.log("buffer_installed", conn=key)
@@ -358,26 +363,21 @@ class Controller:
         record.seq_delta = seq_sub(server_snd_nxt, record.last_ack)
         record.ack_delta = seq_sub(0, record.seq_delta)
 
-        for cookie in record.splice_cookies:
-            self.switch.remove_rule(cookie)
-        record.splice_cookies.clear()
-        rkey = (key[2], key[3], key[0], key[1])
-        for cookie in (self._conn_rules.pop(key, None),
-                       self._conn_rules.pop(rkey, None)):
-            if cookie is not None:
-                self.switch.remove_rule(cookie)
-
+        rkey = (server.addr.ip, key[3], key[0], key[1])
+        if rkey != record.reverse_key:
+            # distinct address mode: the previous server replied from
+            # another address, under another key
+            self.switch.remove_rule(record.reverse_key)
+            record.reverse_key = rkey
         distinct = server.addr != record.server_addr
-        fwd_actions = (Rewrite(ack_delta=record.seq_delta,
-                               new_dst=server.addr if distinct else None),
-                       Output(server.port))
-        rev_actions = (Rewrite(seq_delta=record.ack_delta,
-                               new_src=record.server_addr if distinct else None),
-                       Output(self.port_map[record.attacker_addr.ip]))
-        record.splice_cookies = [
-            self.switch.install_rule(FlowRule(90, key, fwd_actions)),
-            self.switch.install_rule(
-                FlowRule(90, (server.addr.ip, key[3], key[0], key[1]), rev_actions))]
+        self.switch.install_rule(key, (
+            Rewrite(ack_delta=record.seq_delta,
+                    new_dst=server.addr if distinct else None),
+            Output(server.port)))
+        self.switch.install_rule(rkey, (
+            Rewrite(seq_delta=record.ack_delta,
+                    new_src=record.server_addr if distinct else None),
+            Output(self.port_map[record.attacker_addr.ip])))
         self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
 
         record.transition(final_phase, self.engine.now)
@@ -423,9 +423,5 @@ class Controller:
             self.log("restore_failed", conn=key)
             record.restore_armed = False
             raise RestoreFailed(f"victim {victim.name} not accepting")
-
-        # quiesce: buffer new attacker segments while we re-splice
-        record.splice_cookies.append(
-            self.switch.install_rule(FlowRule(100, key, (Buffer(key),))))
         record.victim_isn = self._splice(record, victim, record.victim_pos,
                                          record.attacker_snd_nxt, PHASE_RESTORED)

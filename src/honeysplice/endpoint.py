@@ -64,9 +64,8 @@ class TcpEndpoint:
     """One side of a TCP-lite connection.
 
     Callers drive it with ``open`` / ``on_segment`` / ``app_send`` /
-    ``close`` / ``abort`` and transmit whatever segments those return.
-    ``now`` is passed in rather than read from a clock so the endpoint
-    stays a pure state machine.
+    ``close`` / ``abort`` and transmit whatever segments those return; it
+    reads no clock, so it stays a pure state machine.
     """
 
     def __init__(self, local: HostAddr, lport: int, remote: HostAddr, rport: int,
@@ -80,8 +79,6 @@ class TcpEndpoint:
         self.iss = 0
         self.snd_nxt = 0
         self.rcv_nxt = 0
-        self.sent_log: list[tuple[bytes, int]] = []
-        self.rcvd_stream = bytearray()
 
     # -- segment construction -------------------------------------------------
 
@@ -107,7 +104,7 @@ class TcpEndpoint:
         self.state = ConnState.SYN_SENT
         return seg
 
-    def app_send(self, data: bytes, now: int = 0) -> TcpSegment:
+    def app_send(self, data: bytes) -> TcpSegment:
         """Send application bytes as one PSH-ACK segment."""
         if self.state is not ConnState.ESTABLISHED:
             raise InvalidState(f"app_send in {self.state.name}")
@@ -115,7 +112,6 @@ class TcpEndpoint:
             raise EmptyPayload("refusing to send empty payload")
         seg = self._make(TcpFlags.PSH | TcpFlags.ACK, self.snd_nxt, bytes(data))
         self.snd_nxt = seq_add(self.snd_nxt, len(data))
-        self.sent_log.append((bytes(data), now))
         return seg
 
     def close(self) -> TcpSegment:
@@ -135,7 +131,7 @@ class TcpEndpoint:
         self.state = ConnState.CLOSED_FINAL
         return seg
 
-    def on_segment(self, seg: TcpSegment, now: int = 0) -> tuple[list[TcpSegment], bytes]:
+    def on_segment(self, seg: TcpSegment) -> tuple[list[TcpSegment], bytes]:
         """Process one inbound segment.
 
         Returns (segments to emit, application bytes delivered). Protocol
@@ -196,7 +192,6 @@ class TcpEndpoint:
             # in order (possibly overlapping the left edge)
             offset = seq_sub(self.rcv_nxt, seg.seq)
             delivered = seg.payload[offset:]
-            self.rcvd_stream.extend(delivered)
             self.rcv_nxt = seq_add(self.rcv_nxt, len(delivered))
             advanced = True
 

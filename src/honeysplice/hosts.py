@@ -78,14 +78,14 @@ class ServerHost(Host):
         conn = self._endpoint_for(seg)
         if conn is None:
             return []
-        emitted, delivered = conn.on_segment(seg, self.engine.now)
+        emitted, delivered = conn.on_segment(seg)
         if delivered and conn.state is ConnState.ESTABLISHED:
             # one data segment == one application request; the response's
             # piggybacked ack supersedes the endpoint's pure ack
             response = self.app.respond(delivered)
             emitted = [e for e in emitted if e.is_data or not (e.flags & TcpFlags.ACK)
                        or e.flags & (TcpFlags.SYN | TcpFlags.FIN | TcpFlags.RST)]
-            emitted.append(conn.app_send(response, self.engine.now))
+            emitted.append(conn.app_send(response))
         return emitted
 
     def deliver(self, pkt) -> None:
@@ -152,7 +152,7 @@ class AttackerHost(Host):
         if self._size_rng is not None:
             size = self._size_rng.randint(1, self.request_size)
         payload = make_request(index, size)
-        seg = self.conn.app_send(payload, self.engine.now)
+        seg = self.conn.app_send(payload)
         self.sent_requests.append(payload)
         self.send_ts[index] = self.engine.now
         self._request_by_end[seq_add(seg.seq, len(payload))] = index
@@ -183,7 +183,7 @@ class AttackerHost(Host):
             return
         self._check_stealth(pkt)
         was_established = self.conn.state is ConnState.ESTABLISHED
-        emitted, delivered = self.conn.on_segment(pkt, self.engine.now)
+        emitted, delivered = self.conn.on_segment(pkt)
         if delivered:
             self.received_stream.extend(delivered)
             # a server answers each request segment as it consumes it, so

@@ -1,17 +1,18 @@
 """Software switch with an exact-connection-key match-action flow table.
 
-Every rule matches one directed connection (``ConnKey``: src ip, sport,
-dst ip, dport). Processing order for every packet entering the switch:
+The table maps a directed connection (``ConnKey``: src ip, sport, dst
+ip, dport) to one action list; installing actions for a key replaces
+whatever the key had. Processing order for every packet entering the
+switch:
 
 1. an unmodified copy is handed to the mirror taps (detection and
    connection bookkeeping live there) -- taps may install or remove
    rules, and the subsequent lookup sees the updated table, so a tap
    reacting to a packet can decide that same packet's fate;
-2. lookup of the packet's connection key (highest priority wins, ties to
-   the earliest installed rule); exactly one rule fires;
-3. the rule's action list runs in order: REWRITE transforms the packet,
+2. lookup of the packet's connection key;
+3. the key's actions run in order: REWRITE transforms the packet,
    OUTPUT forwards the current form out a port, BUFFER parks it in a
-   named queue, DROP discards.
+   named queue.
 
 On a table miss the packet is held (not dropped) and escalated; the
 controller is expected to install rules and release it. A hold timeout
@@ -24,15 +25,15 @@ mirrored again: the taps saw them on first entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Callable, Hashable, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Hashable, Mapping, Optional, Union
 
 from .netcore import ConnKey, HostAddr, TcpSegment, seq_add
 from .simnet import Engine, Link
 
 
-class UnknownCookie(Exception):
-    """remove_rule called with a cookie not in the table."""
+class UnknownRule(Exception):
+    """remove_rule called for a connection key with no rule."""
 
 
 class UnknownQueue(Exception):
@@ -72,25 +73,7 @@ class Buffer:
     queue: Hashable
 
 
-@dataclass(frozen=True, slots=True)
-class Drop:
-    pass
-
-
-FlowAction = Union[Output, Rewrite, Buffer, Drop]
-
-
-@dataclass(slots=True)
-class FlowRule:
-    """Actions for the packets of the one connection ``match`` names."""
-
-    priority: int
-    match: ConnKey
-    actions: tuple[FlowAction, ...]
-    cookie: int = 0
-
-
-_priority = attrgetter("priority")
+FlowAction = Union[Output, Rewrite, Buffer]
 
 
 class Switch:
@@ -101,10 +84,7 @@ class Switch:
         self.miss_hold_timeout_us = miss_hold_timeout_us
         self._ports: dict[int, Link] = {}
         self._next_port = 1
-        # per connection key, its rules in installation order
-        self._table: dict[ConnKey, list[FlowRule]] = {}
-        self._by_cookie: dict[int, FlowRule] = {}
-        self._next_cookie = 1
+        self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
         self._buffers: dict[Hashable, list] = {}
         self._held: dict[int, object] = {}
         self._next_hold = 1
@@ -123,30 +103,18 @@ class Switch:
 
     # -- table management ----------------------------------------------------
 
-    def install_rule(self, rule: FlowRule) -> int:
-        rule.cookie = self._next_cookie
-        self._next_cookie += 1
-        self._table.setdefault(rule.match, []).append(rule)
-        self._by_cookie[rule.cookie] = rule
-        return rule.cookie
+    def install_rule(self, key: ConnKey,
+                     actions: tuple[FlowAction, ...]) -> None:
+        """Set the key's actions, replacing any it had."""
+        self._table[key] = actions
 
-    def remove_rule(self, cookie: int) -> bool:
-        rule = self._by_cookie.pop(cookie, None)
-        if rule is None:
-            raise UnknownCookie(f"no rule with cookie {cookie}")
-        bucket = self._table[rule.match]
-        bucket.remove(rule)
-        if not bucket:
-            del self._table[rule.match]
-        return True
+    def remove_rule(self, key: ConnKey) -> None:
+        if self._table.pop(key, None) is None:
+            raise UnknownRule(f"no rule for {key}")
 
-    def rules(self) -> list[FlowRule]:
-        return list(self._by_cookie.values())
-
-    def _lookup(self, pkt) -> Optional[FlowRule]:
-        bucket = self._table.get((pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))
-        # max() keeps the first of equal priorities: the earliest installed
-        return max(bucket, key=_priority) if bucket else None
+    def rules(self) -> Mapping[ConnKey, tuple[FlowAction, ...]]:
+        """Read-only live view of the table."""
+        return MappingProxyType(self._table)
 
     # -- buffering -------------------------------------------------------------
 
@@ -175,11 +143,11 @@ class Switch:
         if mirror:
             for tap in self.mirror_taps:
                 tap(pkt)
-        rule = self._lookup(pkt)
-        if rule is None:
+        actions = self._table.get((pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))
+        if actions is None:
             self._escalate(pkt)
             return
-        for act in rule.actions:
+        for act in actions:
             if isinstance(act, Output):
                 link = self._ports.get(act.port)
                 if link is not None:
@@ -188,8 +156,6 @@ class Switch:
                 pkt = act.apply(pkt)
             elif isinstance(act, Buffer):
                 self._buffers.setdefault(act.queue, []).append(pkt)
-                return
-            elif isinstance(act, Drop):
                 return
 
     def _escalate(self, pkt) -> None:

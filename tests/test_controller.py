@@ -22,20 +22,24 @@ from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.ids import Alert, Ids
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
 from honeysplice.simnet import Distribution, Engine, LinkModel
-from honeysplice.vswitch import Switch
+from honeysplice.vswitch import Output, Rewrite, Switch
 
 ATT = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 VIC = HostAddr("10.0.0.2", "02:00:00:00:00:02")
+HONEY = HostAddr("10.0.0.9", "02:00:00:00:00:09")
 CONN = (ATT.ip, 40001, VIC.ip, 9000)
+VIC_REV = (VIC.ip, 9000, ATT.ip, 40001)
+HONEY_REV = (HONEY.ip, 9000, ATT.ip, 40001)
 
 
 class Mini:
-    """Hand-wired topology with per-endpoint fixed ISNs."""
+    """Hand-wired topology with per-endpoint fixed ISNs; the honey server
+    takes the victim's address unless ``honey_addr`` is given."""
 
     def __init__(self, attacker_iss=100, victim_iss=7000, honey_iss=9000,
                  trigger_n=None, restore_at=None, total=10, interval_us=10_000,
                  clone_latency_us=None, pre_instantiated=True,
-                 failure_p=0.0, **ctl_kwargs):
+                 failure_p=0.0, honey_addr=None, **ctl_kwargs):
         self.engine = Engine(5)
         self.switch = Switch(self.engine)
         self.ids = Ids(self.engine)
@@ -57,8 +61,8 @@ class Mini:
         self.honey = None
 
         def make_honey(spec):
-            host = ServerHost(self.engine, "honey", spec.addr, 9000,
-                              ServerApp(spec.app_id), fixed_iss(honey_iss))
+            host = ServerHost(self.engine, "honey", honey_addr or spec.addr,
+                              9000, ServerApp(spec.app_id), fixed_iss(honey_iss))
             host.attach(self.switch, link)
             self.honey = host
             return host
@@ -203,6 +207,49 @@ def test_migration_phases_and_timestamps():
     assert set(record.times) == {"CLONING", "SPLICING", "REDIRECTED"}
     assert record.times["CLONING"] <= record.times["SPLICING"] \
         <= record.times["REDIRECTED"]
+
+
+def test_flow_rules_after_migration_and_restore_at_distinct_address():
+    """Each splice leaves one rule per direction; the reverse rule of the
+    server left behind goes, since its key names the other address."""
+    mini = Mini(trigger_n=5, restore_at=8, total=12, honey_addr=HONEY)
+    migrated = []
+
+    def snapshot(alert):
+        # the restore alert only arms the restore: the table is migration's
+        if alert.sid == 2:
+            migrated.append(dict(mini.switch.rules()))
+
+    mini.ids.subscribe(snapshot)
+    mini.run()
+    att_port = mini.attacker.port
+    (rules,) = migrated
+    assert set(rules) == {CONN, HONEY_REV}
+    assert rules[CONN][1:] == (Output(mini.honey.port),)
+    assert rules[CONN][0].new_dst == HONEY
+    assert rules[HONEY_REV][1:] == (Output(att_port),)
+    assert rules[HONEY_REV][0].new_src == VIC
+
+    record = mini.controller.records[CONN]
+    assert record.phase == PHASE_RESTORED
+    assert mini.switch.rules() == {
+        CONN: (Rewrite(ack_delta=record.seq_delta), Output(mini.victim.port)),
+        VIC_REV: (Rewrite(seq_delta=record.ack_delta), Output(att_port)),
+    }
+    assert mini.victim.app.request_log == mini.attacker.sent_requests
+    assert not mini.attacker.violations
+
+
+def test_victim_segment_missing_after_distinct_splice_keeps_splice_rule():
+    """Requests sent faster than the round trip: victim responses still in
+    flight when the splice removes the victim's reverse rule miss, and the
+    packet-in that forwards them leaves the attacker's spliced rule alone."""
+    mini = Mini(trigger_n=5, total=10, interval_us=500, honey_addr=HONEY)
+    mini.run()
+    flow_rules = [ev.fields["conn"] for ev in mini.events("flow_rules")]
+    assert flow_rules == [CONN, VIC_REV]
+    assert mini.switch.rules()[CONN][-1] == Output(mini.honey.port)
+    assert mini.honey.app.request_log == mini.attacker.sent_requests
 
 
 def test_alert_for_unknown_connection():

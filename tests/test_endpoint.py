@@ -115,11 +115,11 @@ def test_no_established_without_full_exchange():
 def test_app_send_advances_snd_nxt():
     client, _ = handshake()
     assert client.snd_nxt == 101
-    seg = client.app_send(b"abc", now=5)
+    seg = client.app_send(b"abc")
     assert seg.seq == 101
+    assert seg.payload == b"abc"
     assert seg.flags & TcpFlags.PSH and seg.flags & TcpFlags.ACK
     assert client.snd_nxt == 104
-    assert client.sent_log == [(b"abc", 5)]
 
 
 def test_app_send_sequencing():
@@ -141,17 +141,16 @@ def test_in_order_delivery_and_ack():
     (ack,), delivered = server.on_segment(seg)
     assert delivered == b"hello"
     assert ack.ack == seq_add(seg.seq, 5)
-    assert bytes(server.rcvd_stream) == b"hello"
 
 
 def test_duplicate_is_reacked_not_delivered():
     client, server = handshake()
     seg = client.app_send(b"hello")
-    server.on_segment(seg)
+    _, first = server.on_segment(seg)
     (ack,), delivered = server.on_segment(seg)  # exact duplicate
+    assert first == b"hello"
     assert delivered == b""
-    assert ack.ack == server.rcv_nxt
-    assert bytes(server.rcvd_stream) == b"hello"
+    assert ack.ack == server.rcv_nxt == seq_add(seg.seq, 5)
 
 
 def test_out_of_window_acked_not_delivered():
@@ -159,10 +158,10 @@ def test_out_of_window_acked_not_delivered():
     ahead = TcpSegment(A, B, 40001, 9000, seq=seq_add(client.snd_nxt, 500),
                        ack=server.snd_nxt, flags=TcpFlags.PSH | TcpFlags.ACK,
                        payload=b"zz")
+    rcv_nxt = server.rcv_nxt
     (ack,), delivered = server.on_segment(ahead)
     assert delivered == b""
-    assert ack.ack == server.rcv_nxt
-    assert server.rcvd_stream == bytearray()
+    assert ack.ack == server.rcv_nxt == rcv_nxt
 
 
 # -- close / abort ---------------------------------------------------------------------
@@ -227,12 +226,11 @@ def test_stream_integrity_with_duplicates(payloads, data):
         if len(sent) > 1 and data.draw(st.booleans()):
             script.append(sent[data.draw(st.integers(0, len(sent) - 2))])
 
-    for seg in script:
-        server.on_segment(seg)
+    stream = b"".join(server.on_segment(seg)[1] for seg in script)
 
     expected = reference_reassembler(
         [(seg.seq, seg.payload) for seg in script], client.iss)
-    assert bytes(server.rcvd_stream) == expected == b"".join(payloads)
+    assert stream == expected == b"".join(payloads)
 
 
 # -- server app / clone determinism ------------------------------------------------------

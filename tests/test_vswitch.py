@@ -1,6 +1,6 @@
-"""Flow table semantics: exact connection keys, priorities, mirroring,
-packet-in holds, buffering, and seq/ack rewriting (checked against the
-modular-arithmetic oracle)."""
+"""Flow table semantics: one action list per exact connection key,
+mirroring, packet-in holds, buffering, and seq/ack rewriting (checked
+against the modular-arithmetic oracle)."""
 
 import pytest
 
@@ -8,13 +8,11 @@ from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
 from honeysplice.simnet import Engine, Link, LinkModel
 from honeysplice.vswitch import (
     Buffer,
-    Drop,
-    FlowRule,
     Output,
     Rewrite,
     Switch,
-    UnknownCookie,
     UnknownQueue,
+    UnknownRule,
 )
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
@@ -48,7 +46,7 @@ def exact_match(src=A, dst=B, sport=40001, dport=9000):
 
 def test_install_then_match_applies_actions():
     eng, sw, sinks = make_switch()
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
+    sw.install_rule(exact_match(), (Output(1),))
     sw.process(seg(b"hi"))
     eng.run_until(10)
     assert len(sinks[0]) == 1
@@ -57,25 +55,18 @@ def test_install_then_match_applies_actions():
 
 def test_remove_rule_once_then_unknown():
     _, sw, _ = make_switch()
-    cookie = sw.install_rule(FlowRule(10, exact_match(), (Drop(),)))
-    assert sw.remove_rule(cookie) is True
-    with pytest.raises(UnknownCookie):
-        sw.remove_rule(cookie)
+    sw.install_rule(exact_match(), (Buffer("q"),))
+    sw.remove_rule(exact_match())
+    assert exact_match() not in sw.rules()
+    with pytest.raises(UnknownRule):
+        sw.remove_rule(exact_match())
 
 
-def test_equal_priority_earlier_install_wins():
+def test_install_replaces_the_keys_actions():
     eng, sw, sinks = make_switch(3)
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
-    sw.install_rule(FlowRule(10, exact_match(), (Output(2),)))
-    sw.process(seg())
-    eng.run_until(10)
-    assert len(sinks[0]) == 1 and len(sinks[1]) == 0
-
-
-def test_higher_priority_wins():
-    eng, sw, sinks = make_switch(3)
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
-    sw.install_rule(FlowRule(90, exact_match(), (Output(2),)))
+    sw.install_rule(exact_match(), (Output(1),))
+    sw.install_rule(exact_match(), (Output(2),))
+    assert sw.rules() == {exact_match(): (Output(2),)}
     sw.process(seg())
     eng.run_until(10)
     assert len(sinks[1]) == 1 and len(sinks[0]) == 0
@@ -83,10 +74,9 @@ def test_higher_priority_wins():
 
 def test_at_most_one_rule_fires():
     eng, sw, sinks = make_switch(3)
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
-    sw.install_rule(FlowRule(5, exact_match(), (Output(2),)))
+    sw.install_rule(exact_match(), (Output(1),))
     # the reverse direction is another key: its rule never fires here
-    sw.install_rule(FlowRule(90, exact_match(B, A, 9000, 40001), (Output(2),)))
+    sw.install_rule(exact_match(B, A, 9000, 40001), (Output(2),))
     sw.process(seg())
     eng.run_until(10)
     assert len(sinks[0]) == 1
@@ -100,8 +90,7 @@ def test_mirror_sees_every_segment_exactly_once_pre_rewrite():
     eng, sw, sinks = make_switch()
     mirrored = []
     sw.mirror_taps.append(mirrored.append)
-    sw.install_rule(FlowRule(10, exact_match(),
-                             (Rewrite(seq_delta=500), Output(1))))
+    sw.install_rule(exact_match(), (Rewrite(seq_delta=500), Output(1)))
     s = seg(seq=1000)
     sw.process(s)
     eng.run_until(10)
@@ -114,22 +103,21 @@ def test_buffered_release_is_not_mirrored_again():
     eng, sw, _ = make_switch()
     mirrored = []
     sw.mirror_taps.append(mirrored.append)
-    cookie = sw.install_rule(FlowRule(10, exact_match(), (Buffer("q"),)))
+    sw.install_rule(exact_match(), (Buffer("q"),))
     sw.process(seg(b"a"))
-    sw.remove_rule(cookie)
-    sw.install_rule(FlowRule(10, exact_match(), (Drop(),)))
-    sw.release_buffer("q")
+    sw.install_rule(exact_match(), (Output(1),))
+    assert sw.release_buffer("q") == 1
     assert len(mirrored) == 1
 
 
 def test_tap_rule_change_affects_same_packet():
     # a tap may mutate the table; the packet then sees the new table
     eng, sw, sinks = make_switch()
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
+    sw.install_rule(exact_match(), (Output(1),))
 
     def tap(pkt):
         if pkt.payload == b"trigger":
-            sw.install_rule(FlowRule(100, exact_match(), (Buffer("held"),)))
+            sw.install_rule(exact_match(), (Buffer("held"),))
 
     sw.mirror_taps.append(tap)
     sw.process(seg(b"normal"))
@@ -144,8 +132,8 @@ def test_tap_rule_change_affects_same_packet():
 
 def test_rewrite_deltas_match_seq_add_oracle():
     eng, sw, sinks = make_switch()
-    sw.install_rule(FlowRule(10, exact_match(),
-                             (Rewrite(seq_delta=500, ack_delta=-500), Output(1))))
+    sw.install_rule(exact_match(),
+                    (Rewrite(seq_delta=500, ack_delta=-500), Output(1)))
     sw.process(seg(seq=1000, ack=9000))
     eng.run_until(10)
     out = sinks[0][0]
@@ -155,8 +143,7 @@ def test_rewrite_deltas_match_seq_add_oracle():
 
 def test_rewrite_wraps_modulo():
     eng, sw, sinks = make_switch()
-    sw.install_rule(FlowRule(10, exact_match(),
-                             (Rewrite(seq_delta=20), Output(1))))
+    sw.install_rule(exact_match(), (Rewrite(seq_delta=20), Output(1)))
     sw.process(seg(seq=2**32 - 10))
     eng.run_until(10)
     assert sinks[0][0].seq == 10
@@ -165,8 +152,7 @@ def test_rewrite_wraps_modulo():
 def test_rewrite_addresses():
     eng, sw, sinks = make_switch()
     honey = HostAddr("10.0.0.3", "02:00:00:00:00:03")
-    sw.install_rule(FlowRule(10, exact_match(),
-                             (Rewrite(new_dst=honey), Output(1))))
+    sw.install_rule(exact_match(), (Rewrite(new_dst=honey), Output(1)))
     sw.process(seg())
     eng.run_until(10)
     assert sinks[0][0].dst == honey
@@ -184,7 +170,7 @@ def test_miss_escalates_and_holds_until_release():
     assert len(escalated) == 1
     assert sinks[0] == []  # held, not forwarded
     pkt, hold = escalated[0]
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
+    sw.install_rule(exact_match(), (Output(1),))
     assert sw.release_held(hold) is True
     eng.run_until(10)
     assert [p.payload for p in sinks[0]] == [b"first"]
@@ -207,12 +193,11 @@ def test_hold_expires_after_timeout():
 
 def test_buffer_and_release_preserves_order():
     eng, sw, sinks = make_switch()
-    buf_cookie = sw.install_rule(FlowRule(100, exact_match(), (Buffer("q"),)))
+    sw.install_rule(exact_match(), (Buffer("q"),))
     for tag in (b"1", b"2", b"3"):
         sw.process(seg(tag))
     assert sw.queue_len("q") == 3
-    sw.remove_rule(buf_cookie)
-    sw.install_rule(FlowRule(10, exact_match(), (Output(1),)))
+    sw.install_rule(exact_match(), (Output(1),))
     assert sw.release_buffer("q") == 3
     eng.run_until(10)
     assert [p.payload for p in sinks[0]] == [b"1", b"2", b"3"]
