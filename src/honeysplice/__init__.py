@@ -13,8 +13,8 @@ from .netcore import HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_lt
 from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel
 from .endpoint import ConnState, ServerApp, TcpEndpoint
 from .vswitch import Switch
-from .ids import Ids, IdsRule, parse_rule, render_rule
-from .clonemgr import CloneManager, StrategyKind, select_strategy, strategy_cost
+from .ids import Ids, IdsRule, parse_rule
+from .clonemgr import CloneManager, StrategyKind
 from .controller import Controller, MigrationRecord
 from .harness import (
     Scenario,
@@ -31,8 +31,8 @@ __all__ = [
     "BackgroundLoadSpec", "Distribution", "Engine", "LinkModel",
     "ConnState", "ServerApp", "TcpEndpoint",
     "Switch",
-    "Ids", "IdsRule", "parse_rule", "render_rule",
-    "CloneManager", "StrategyKind", "select_strategy", "strategy_cost",
+    "Ids", "IdsRule", "parse_rule",
+    "CloneManager", "StrategyKind",
     "Controller", "MigrationRecord",
     "Scenario", "load_scenario", "run_experiment", "run_single", "summarize",
     "__version__",

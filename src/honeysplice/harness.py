@@ -21,19 +21,12 @@ from __future__ import annotations
 
 import csv
 import json
-import random
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .clonemgr import (
-    CloneManager,
-    StrategyKind,
-    VictimSpec,
-    default_cost_table,
-    load_cost_table,
-)
+from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
 from .controller import Controller, ControllerEvent
 from .endpoint import ServerApp, fixed_iss, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
@@ -116,7 +109,6 @@ class Scenario:
     background: Optional[BackgroundLoadSpec] = _opt("background", None, _background)
     clone_strategy: StrategyKind = _opt("clone.strategy", StrategyKind.VICTIM_IMAGE,
                                         StrategyKind)
-    cost_table_path: Optional[str] = _opt("clone.cost_table", None, _PATH)
     clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
     clone_failure_p: float = _opt("clone.failure_p", 0.0, float)
     containment: str = _opt("containment", "immediate", str)
@@ -154,12 +146,23 @@ class Scenario:
                     >= self.request_interval_us:
                 raise ConfigError("restore_grace_us",
                                   "grace window must fit inside the request interval")
-        if self.request_size < 1:
-            raise ConfigError("request.size", "must be >= 1")
-        if self.request_interval_us < 1:
-            raise ConfigError("request.interval_us", "must be >= 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions", "must be >= 1")
+        # lower bounds: a negative delay schedules an event in the past or
+        # cuts the run short, and a zero echo interval reschedules itself at
+        # the same µs forever
+        bounds = [("request.size", self.request_size, 1),
+                  ("request.interval_us", self.request_interval_us, 1),
+                  ("repetitions", self.repetitions, 1),
+                  ("link.base_delay_us", self.link_base_delay_us, 0),
+                  ("controller_service_us", self.controller_service_us, 0),
+                  ("miss_hold_timeout_us", self.miss_hold_timeout_us, 0),
+                  ("restore_grace_us", self.restore_grace_us, 0)]
+        if self.background is not None:
+            bounds += [("background.n_hosts", self.background.n_hosts, 0),
+                       ("background.procs_per_host", self.background.procs_per_host, 0),
+                       ("background.msg_interval_us", self.background.msg_interval_us, 1)]
+        for key, value, least in bounds:
+            if value < least:
+                raise ConfigError(key, f"must be >= {least}")
         if self.containment not in ("immediate", "on_clone_ready"):
             raise ConfigError("containment", f"unknown mode {self.containment!r}")
         if self.honey_addr_mode not in ("same", "distinct"):
@@ -226,14 +229,6 @@ def _check_files(scenario: Scenario) -> None:
             raise ConfigError("ruleset", str(exc)) from None
         if scenario.trigger_kind == "rule" and scenario.trigger_sid not in sids:
             raise ConfigError("trigger.sid", f"no rule with sid {scenario.trigger_sid}")
-    if scenario.cost_table_path is not None:
-        try:
-            table = load_cost_table(scenario.cost_table_path)
-        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError("clone.cost_table", f"bad cost table: {exc!r}") from None
-        if scenario.clone_strategy not in table:
-            raise ConfigError("clone.cost_table",
-                              f"no entry for strategy {scenario.clone_strategy.value}")
 
 
 def load_scenario(path) -> Scenario:
@@ -321,17 +316,13 @@ class Simulation:
             self.honey = host
             return host
 
-        if scenario.cost_table_path:
-            table = load_cost_table(scenario.cost_table_path)
-        else:
-            table = default_cost_table()
-        profile = table[scenario.clone_strategy]
+        latency_us = CLONE_LATENCY_US[scenario.clone_strategy]
         pre = None
         if not scenario.clone_on_demand:
             pre = make_honey(VictimSpec(addr=VICTIM_ADDR, app_id=APP_ID,
                                         open_ports=(SERVER_PORT,)))
         self.controller.clonemgr = CloneManager(
-            self.engine, profile, make_honey,
+            self.engine, latency_us, make_honey,
             failure_p=scenario.clone_failure_p, pre_instantiated=pre)
 
         if migration:
@@ -362,9 +353,8 @@ class Simulation:
         attacker_start = 200_000 if scenario.background else 10_000
         self.horizon = (attacker_start + 50_000
                         + (scenario.total_packets + 2) * scenario.request_interval_us
-                        + profile.latency.mean() * 3
+                        + latency_us * 3
                         + scenario.restore_grace_us + 100_000)
-        self.horizon = int(self.horizon)
         if scenario.background:
             self.background_flows = spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,
@@ -536,27 +526,3 @@ def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir) -> dict:
                              encoding="utf-8")
     return files
 
-
-# -- randomized stealth corpus -------------------------------------------------------
-
-
-def random_scenario(index: int, master_seed: int = 0xC0FFEE) -> Scenario:
-    """Deterministic random scenario #index for the stealth sweep: random
-    ISS, random trigger in 1..total, random payload sizes <= 64 B, sessions
-    of at most 50 segments, both honey address deployments."""
-    rng = random.Random(derive_seed(master_seed, f"rand:{index}"))
-    total = rng.randint(1, 50)
-    trigger = rng.randint(1, total)
-    restore_at = None
-    if trigger < total and rng.random() < 0.5:
-        restore_at = rng.randint(trigger + 1, total)
-    return Scenario(
-        name=f"rand-{index}",
-        total_packets=total,
-        trigger_n=trigger,
-        request_size=64,
-        request_size_random=True,
-        restore_at=restore_at,
-        honey_addr_mode=rng.choice(["same", "distinct"]),
-        seed=rng.randrange(2**32),
-    )

@@ -32,7 +32,6 @@ _FLAG_CHARS = {
     "R": TcpFlags.RST,
     "P": TcpFlags.PSH,
 }
-_FLAG_ORDER = "SFRPA"  # canonical render order
 
 
 class ParseError(Exception):
@@ -274,28 +273,6 @@ def parse_rule(text: str) -> IdsRule:
     return IdsRule(action=action, proto=proto, src_ip=src_ip, src_port=src_port,
                    dst_ip=dst_ip, dst_port=dst_port, msg=msg,
                    flags_req=flags_req, threshold=threshold, sid=sid)
-
-
-def render_rule(rule: IdsRule) -> str:
-    """Canonical text form; parse(render(r)) == r."""
-
-    def ip(v: Optional[str]) -> str:
-        return v if v is not None else "any"
-
-    def port(v: Optional[int]) -> str:
-        return str(v) if v is not None else "any"
-
-    opts = [f'msg:"{rule.msg}"']
-    if rule.flags_req is not None:
-        chars = "".join(c for c in _FLAG_ORDER if rule.flags_req & _FLAG_CHARS[c])
-        opts.append(f"flags:{chars}")
-    if rule.threshold is not None:
-        t = rule.threshold
-        opts.append(f"threshold:type threshold, track {t.track}, "
-                    f"count {t.count}, seconds {t.seconds}")
-    opts.append(f"sid:{rule.sid}")
-    return (f"alert tcp {ip(rule.src_ip)} {port(rule.src_port)} -> "
-            f"{ip(rule.dst_ip)} {port(rule.dst_port)} ({'; '.join(opts)};)")
 
 
 def load_ruleset(text: str) -> list[IdsRule]:

@@ -54,11 +54,6 @@ class Distribution:
             v = rng.normalvariate(self.a, self.b)
         return max(0, round(v))
 
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return (self.a + self.b) / 2.0
-        return self.a
-
 
 @dataclass(frozen=True, slots=True)
 class LinkModel:

@@ -8,7 +8,7 @@ modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 
 import pytest
 
-from honeysplice.clonemgr import CloneManager, StrategyKind, VictimSpec, default_cost_table
+from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
 from honeysplice.controller import (
     AlertForUnknownConnection,
     Controller,
@@ -21,7 +21,7 @@ from honeysplice.endpoint import ServerApp, fixed_iss
 from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.ids import Alert, Ids
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
-from honeysplice.simnet import Distribution, Engine, LinkModel
+from honeysplice.simnet import Engine, LinkModel
 from honeysplice.vswitch import Output, Rewrite, Switch
 
 ATT = HostAddr("10.0.0.1", "02:00:00:00:00:01")
@@ -38,8 +38,8 @@ class Mini:
 
     def __init__(self, attacker_iss=100, victim_iss=7000, honey_iss=9000,
                  trigger_n=None, restore_at=None, total=10, interval_us=10_000,
-                 clone_latency_us=None, pre_instantiated=True,
-                 failure_p=0.0, honey_addr=None, **ctl_kwargs):
+                 clone_latency_us=CLONE_LATENCY_US[StrategyKind.VICTIM_IMAGE],
+                 pre_instantiated=True, failure_p=0.0, honey_addr=None, **ctl_kwargs):
         self.engine = Engine(5)
         self.switch = Switch(self.engine)
         self.ids = Ids(self.engine)
@@ -67,17 +67,11 @@ class Mini:
             self.honey = host
             return host
 
-        profile = default_cost_table()[StrategyKind.VICTIM_IMAGE]
-        if clone_latency_us is not None:
-            profile = type(profile)(profile.kind,
-                                    Distribution("fixed", clone_latency_us),
-                                    profile.steady_cost, profile.per_clone_cost,
-                                    profile.staleness_risk)
         pre = None
         if pre_instantiated:
             pre = make_honey(VictimSpec(addr=VIC, app_id="svc", open_ports=(9000,)))
         self.controller.clonemgr = CloneManager(
-            self.engine, profile, make_honey, failure_p=failure_p,
+            self.engine, clone_latency_us, make_honey, failure_p=failure_p,
             pre_instantiated=pre)
 
         if trigger_n is not None:

@@ -18,7 +18,6 @@ from honeysplice.harness import (
     builtin_scenario_path,
     export_run,
     load_scenario,
-    random_scenario,
     read_attacker_csv,
     run_experiment,
     run_single,
@@ -28,6 +27,8 @@ from honeysplice.harness import (
     write_controller_csv,
 )
 from honeysplice.cli import main as cli_main
+
+from random_scenarios import random_scenario
 from honeysplice.controller import ControllerEvent
 
 
@@ -109,6 +110,17 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"clone": {"on_demand": "false"}}, "clone.on_demand"),
     ({"background": {}}, "background"),
     ({"containmnet": "on_clone_ready"}, "containmnet"),
+    ({"clone": {"cost_table": "c.json"}}, "clone.cost_table"),
+    ({"link": {"base_delay_us": -5}}, "link.base_delay_us"),
+    ({"controller_service_us": -100}, "controller_service_us"),
+    ({"miss_hold_timeout_us": -1}, "miss_hold_timeout_us"),
+    ({"restore_grace_us": -1}, "restore_grace_us"),
+    ({"background": {"n_hosts": -1, "procs_per_host": 1}}, "background.n_hosts"),
+    ({"background": {"n_hosts": 1, "procs_per_host": -1}}, "background.procs_per_host"),
+    ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": -5}},
+     "background.msg_interval_us"),
+    ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": 0}},
+     "background.msg_interval_us"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -129,9 +141,6 @@ RULES = 'alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; sid:7;)\n'
     ({"m.rules": "alert tcp nonsense\n"}, {"ruleset": "m.rules"}, "ruleset"),
     ({"m.rules": RULES}, {"ruleset": "m.rules", "trigger": {"kind": "rule", "sid": 8}},
      "trigger.sid"),
-    ({}, {"clone": {"cost_table": "absent.json"}}, "clone.cost_table"),
-    ({"c.json": '{"strategies": [{"kind": "VICTIM_IMAGE"}]}'},
-     {"clone": {"cost_table": "c.json"}}, "clone.cost_table"),
 ])
 def test_bad_referenced_file_names_the_key(tmp_path, files, overrides, key):
     for name, text in files.items():

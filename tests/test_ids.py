@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from honeysplice.ids import (
     Alert,
     Ids,
+    IdsRule,
     ParseError,
     Threshold,
     load_ruleset,
     parse_rule,
-    render_rule,
 )
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
 from honeysplice.simnet import Engine
@@ -122,20 +122,36 @@ def test_threshold_validation():
                    'threshold:type threshold, track by_dst, count 0, seconds 1; sid:1;)')
 
 
-RULE_CORPUS = [
-    MIGRATE_RULE_TEXT,
-    'alert tcp any -> any any (msg:"X"; sid:1;)',
-    'alert tcp any any -> any 9000 (msg:"Y"; sid:2;)',
-    'alert tcp 10.0.0.1 -> 10.0.0.2 9000 (msg:"Z"; flags:S; sid:3;)',
+def tcp_rule(msg, sid, src_ip=None, src_port=None, dst_ip=None, dst_port=None,
+             flags_req=None, threshold=None):
+    return IdsRule(action="alert", proto="tcp", src_ip=src_ip, src_port=src_port,
+                   dst_ip=dst_ip, dst_port=dst_port, msg=msg, flags_req=flags_req,
+                   threshold=threshold, sid=sid)
+
+
+# rule text -> the rule it must parse to
+RULE_CORPUS = {
+    MIGRATE_RULE_TEXT:
+        tcp_rule("MIGRATE", 1000001, dst_ip="10.0.0.2",
+                 flags_req=TcpFlags.PSH | TcpFlags.ACK,
+                 threshold=Threshold(count=5, seconds=120)),
+    'alert tcp any -> any any (msg:"X"; sid:1;)':
+        tcp_rule("X", 1),
+    'alert tcp any any -> any 9000 (msg:"Y"; sid:2;)':
+        tcp_rule("Y", 2, dst_port=9000),
+    'alert tcp 10.0.0.1 -> 10.0.0.2 9000 (msg:"Z"; flags:S; sid:3;)':
+        tcp_rule("Z", 3, src_ip="10.0.0.1", dst_ip="10.0.0.2", dst_port=9000,
+                 flags_req=TcpFlags.SYN),
     'alert tcp any -> 10.0.0.2 any (msg:"W"; flags:P.A.; '
-    'threshold:type threshold, track by_dst, count 2, seconds 60; sid:4;)',
-]
+    'threshold:type threshold, track by_dst, count 2, seconds 60; sid:4;)':
+        tcp_rule("W", 4, dst_ip="10.0.0.2", flags_req=TcpFlags.PSH | TcpFlags.ACK,
+                 threshold=Threshold(count=2, seconds=60)),
+}
 
 
-@pytest.mark.parametrize("text", RULE_CORPUS)
-def test_parse_render_roundtrip(text):
-    rule = parse_rule(text)
-    assert parse_rule(render_rule(rule)) == rule
+@pytest.mark.parametrize("text,expected", RULE_CORPUS.items(), ids=list(RULE_CORPUS))
+def test_parse_corpus_rule(text, expected):
+    assert parse_rule(text) == expected
 
 
 def test_load_ruleset_comments_and_duplicates():

@@ -117,6 +117,12 @@ def test_distribution_uniform_bounds():
     assert all(-100 <= s <= 100 for s in samples)
 
 
+def test_latency_samples_nonnegative():
+    rng = Engine(3).stream("t")
+    dist = Distribution("normal", 1000, 5000)
+    assert all(dist.sample(rng) >= 0 for _ in range(200))
+
+
 def test_distribution_unknown_kind():
     with pytest.raises(ValueError):
         Distribution("exponential", 1.0)
