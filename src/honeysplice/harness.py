@@ -28,7 +28,7 @@ from typing import Optional
 
 from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
 from .controller import Controller, ControllerEvent
-from .endpoint import ServerApp, fixed_iss, random_iss
+from .endpoint import ServerApp, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
 from .ids import Ids, ParseError, load_ruleset_file
 from .netcore import HostAddr
@@ -115,12 +115,9 @@ class Scenario:
     restore_at: Optional[int] = _opt("restore_at", None, int)
     restore_grace_us: int = _opt("restore_grace_us", 5_000, int)
     honey_addr_mode: str = _opt("honey_addr_mode", "same", str)  # "same" | "distinct"
-    iss_policy_kind: str = _opt("iss_policy.kind", "random", str)  # "random" | "fixed"
-    iss_fixed_value: int = _opt("iss_policy.value", 0, int)
     repetitions: int = _opt("repetitions", 1, int)
     seed: int = _opt("seed", 1, int)
     controller_service_us: int = _opt("controller_service_us", 50, int)
-    miss_hold_timeout_us: int = _opt("miss_hold_timeout_us", 1_000_000, int)
 
     def validate(self) -> None:
         if self.total_packets < 1:
@@ -137,11 +134,12 @@ class Scenario:
         if self.restore_at is not None:
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
-            # restore splices after a grace period: it must outlast in-flight
-            # honey responses and finish before the next request arrives
-            if self.restore_grace_us <= 2 * self.link_base_delay_us:
+            # restore splices after a grace period: it must outlast one attacker
+            # round trip (four link crossings), or the splice offset lags a
+            # response still in flight, and end before the next request arrives
+            if self.restore_grace_us <= 4 * self.link_base_delay_us:
                 raise ConfigError("restore_grace_us",
-                                  "must exceed one switch round trip (2x link delay)")
+                                  "must exceed one attacker round trip (4x link delay)")
             if self.restore_grace_us + 2 * self.link_base_delay_us \
                     >= self.request_interval_us:
                 raise ConfigError("restore_grace_us",
@@ -154,7 +152,6 @@ class Scenario:
                   ("repetitions", self.repetitions, 1),
                   ("link.base_delay_us", self.link_base_delay_us, 0),
                   ("controller_service_us", self.controller_service_us, 0),
-                  ("miss_hold_timeout_us", self.miss_hold_timeout_us, 0),
                   ("restore_grace_us", self.restore_grace_us, 0)]
         if self.background is not None:
             bounds += [("background.n_hosts", self.background.n_hosts, 0),
@@ -167,8 +164,6 @@ class Scenario:
             raise ConfigError("containment", f"unknown mode {self.containment!r}")
         if self.honey_addr_mode not in ("same", "distinct"):
             raise ConfigError("honey_addr_mode", f"unknown mode {self.honey_addr_mode!r}")
-        if self.iss_policy_kind not in ("random", "fixed"):
-            raise ConfigError("iss_policy.kind", f"unknown kind {self.iss_policy_kind!r}")
         if not 0.0 <= self.clone_failure_p <= 1.0:
             raise ConfigError("clone.failure_p", "must be in [0, 1]")
 
@@ -274,7 +269,7 @@ class Simulation:
         self.scenario = scenario
         self.engine = Engine(seed)
         link_model = LinkModel(scenario.link_base_delay_us, scenario.link_jitter)
-        self.switch = Switch(self.engine, scenario.miss_hold_timeout_us)
+        self.switch = Switch(self.engine)
         self.ids = Ids(self.engine)
         self.controller = Controller(
             self.engine, self.switch,
@@ -284,8 +279,6 @@ class Simulation:
         self.switch.mirror_taps = [self.controller.ledger_tap, self.ids.tap]
 
         def iss_policy(tag: str):
-            if scenario.iss_policy_kind == "fixed":
-                return fixed_iss(scenario.iss_fixed_value)
             return random_iss(self.engine.stream(f"iss:{tag}"))
 
         self.victim = ServerHost(self.engine, "victim", VICTIM_ADDR, SERVER_PORT,

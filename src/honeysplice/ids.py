@@ -3,8 +3,10 @@
 The rule dialect is deliberately tiny: ``alert tcp`` rules with ip/port
 specs (``any`` wildcards allowed, source port optional), a ``msg``, an
 optional required-flags set, an optional ``threshold`` clause and a
-mandatory ``sid``. Anything outside that grammar is a ParseError -- the
-loader refuses to silently accept constructs it does not implement.
+mandatory ``sid``, each option at most once and the last one's ``;``
+optional. Three regular expressions are the grammar: the header, one
+option, and the threshold body. Anything outside it is a ParseError at
+the offset where the text stops fitting.
 
 Flag specs like ``P.A.`` are read as a *required set* ({PSH, ACK} here):
 a segment matches if it carries at least those flags. Dots and ``+`` are
@@ -20,6 +22,9 @@ data-plane packets.
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +37,40 @@ _FLAG_CHARS = {
     "R": TcpFlags.RST,
     "P": TcpFlags.PSH,
 }
+
+_OCTET = r"0*(?:25[0-5]|2[0-4]\d|1?\d?\d)"
+_IP = rf"(?:any|(?:{_OCTET}\.){{3}}{_OCTET}\.*)(?![\w.-])"  # a trailing dot is tolerated
+_PORT = r"any|0*(?:6553[0-5]|655[0-2]\d|65[0-4]\d\d|6[0-4]\d{3}|[1-5]?\d{1,4})(?!\d)"
+
+# The header up to its '('. Each piece after the first is optional only so
+# that a header which stops fitting still matches: the match then ends
+# where the first missing piece belongs, and that is the error offset.
+_HEADER = re.compile(rf"""(?:[ \t]*(?P<action>alert)(?![\w.-])[ \t]*
+    (?:(?P<proto>tcp)(?![\w.-])[ \t]*
+    (?:(?P<src_ip>{_IP})[ \t]*(?:(?P<src_port>{_PORT})[ \t]*)?
+    (?:(?P<arrow>->)[ \t]*
+    (?:(?P<dst_ip>{_IP})[ \t]*
+    (?:(?P<dst_port>{_PORT})[ \t]*
+    (?P<open>\()?)?)?)?)?)?)?""", re.X)
+_EXPECTED = {"action": "'alert'", "proto": "'tcp'", "src_ip": "an ip spec",
+             "arrow": "a port or '->'", "dst_ip": "an ip spec",
+             "dst_port": "a port", "open": "'('"}
+
+# One option and the ';' after it (the last option may end at the ')'
+# instead), or the ')' itself. Text that fits no option is <bad>, which
+# goes as far as a known option's key, ':' and opening quote fit.
+_OPTION = re.compile(r"""[ \t]*(?:(?P<close>\))[ \t]*
+    |(?P<option>msg[ \t]*:[ \t]*"(?P<msg>[^"]*)"
+      |flags[ \t]*:(?P<flags>[^;)]*)
+      |threshold[ \t]*:(?P<threshold>[^;)]*)
+      |sid(?![^\W\d])[ \t]*(?::[ \t]*)?(?P<sid>\d+)  # also sid1000001
+     )[ \t]*(?P<end>;|(?=\)))?
+    |(?P<bad>(?P<key>(?:msg|flags|threshold|sid)(?![\w.-]))?[ \t]*(?::[ \t]*"?)?))""",
+                     re.X)
+
+# the four comma-separated clauses of a threshold body, in any order
+_THRESHOLD = re.compile(r"""(?:\s*(?:type\s+(?P<type>threshold)|track\s+(?P<track>by_dst)
+    |count\s+(?P<count>\d+)|seconds\s+(?P<seconds>\d+))\s*(?:,(?=\s*\S)|$)){4}""", re.X)
 
 
 class ParseError(Exception):
@@ -47,15 +86,12 @@ class ParseError(Exception):
 class Threshold:
     count: int
     seconds: int
-    track: str = "by_dst"
 
 
 @dataclass(frozen=True)
 class IdsRule:
-    """Parsed detection rule. ``None`` in an ip/port field means ``any``."""
+    """Parsed ``alert tcp`` rule. ``None`` in an ip/port field means ``any``."""
 
-    action: str
-    proto: str
     src_ip: Optional[str]
     src_port: Optional[int]
     dst_ip: Optional[str]
@@ -78,201 +114,71 @@ class Alert:
     ordinal: int
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, reason: str, at: Optional[int] = None) -> ParseError:
-        return ParseError(self.pos if at is None else at, reason)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def literal(self, lit: str) -> None:
-        if not self.text.startswith(lit, self.pos):
-            raise self.error(f"expected {lit!r}")
-        self.pos += len(lit)
-
-    def word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "._-"):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a token")
-        return self.text[start:self.pos]
-
-    def number(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start:self.pos])
+def _found(text: str, at: int) -> str:
+    """The word (or character) at ``at``, for an error message."""
+    return repr(re.match(r"[\w.-]+|.?", text[at:])[0] or "end of rule")
 
 
-def _parse_ip(sc: _Scanner) -> Optional[str]:
-    start = sc.pos
-    tok = sc.word()
-    if tok == "any":
-        return None
-    ip = tok.rstrip(".")  # tolerate a trailing dot on dotted quads
-    parts = ip.split(".")
-    if len(parts) != 4 or not all(p.isdigit() and int(p) <= 255 for p in parts):
-        raise sc.error(f"bad ip spec {tok!r}", at=start)
-    return ip
+def _flags(value: str, at: int) -> TcpFlags:
+    spec = value.strip()
+    if not re.fullmatch(r"[.+ ]*(?:[SAFRP][.+ ]*)+", spec, re.I):
+        raise ParseError(at, f"bad flags spec {spec!r}: want letters of SAFRP")
+    return functools.reduce(operator.or_, (_FLAG_CHARS[ch] for ch in spec.upper()
+                                           if ch in _FLAG_CHARS))
 
 
-def _parse_port(sc: _Scanner) -> Optional[int]:
-    start = sc.pos
-    if sc.text.startswith("any", sc.pos):
-        sc.pos += 3
-        return None
-    port = sc.number()
-    if port > 65535:
-        raise sc.error(f"port {port} out of range", at=start)
-    return port
+def _threshold(body: str, at: int) -> Threshold:
+    clause = _THRESHOLD.fullmatch(body)
+    if clause is None or None in clause.groupdict().values() \
+            or int(clause["count"]) < 1 or int(clause["seconds"]) < 1:
+        raise ParseError(at, "want 'type threshold, track by_dst, count N, seconds S'"
+                             " with N and S >= 1")
+    return Threshold(count=int(clause["count"]), seconds=int(clause["seconds"]))
 
 
-def _parse_flags(value: str, sc: _Scanner, at: int) -> TcpFlags:
-    flags = TcpFlags.NONE
-    for ch in value:
-        if ch in ".+ ":
-            continue
-        bit = _FLAG_CHARS.get(ch.upper())
-        if bit is None:
-            raise sc.error(f"unknown flag char {ch!r}", at=at)
-        flags |= bit
-    if flags is TcpFlags.NONE:
-        raise sc.error("empty flags spec", at=at)
-    return flags
-
-
-def _parse_threshold(body: str, sc: _Scanner, at: int) -> Threshold:
-    fields = [part.strip() for part in body.split(",")]
-    seen: dict[str, str] = {}
-    for part in fields:
-        bits = part.split(None, 1)
-        if len(bits) != 2:
-            raise sc.error(f"bad threshold clause {part!r}", at=at)
-        seen[bits[0]] = bits[1].strip()
-    if seen.get("type") != "threshold":
-        raise sc.error("only 'type threshold' is supported", at=at)
-    if seen.get("track") != "by_dst":
-        raise sc.error("only 'track by_dst' is supported", at=at)
-    try:
-        count = int(seen["count"])
-        seconds = int(seen["seconds"])
-    except (KeyError, ValueError):
-        raise sc.error("threshold needs integer count and seconds", at=at)
-    if count < 1 or seconds < 1:
-        raise sc.error("threshold count and seconds must be >= 1", at=at)
-    return Threshold(count=count, seconds=seconds)
+# an option's text -> its value; the offset locates errors in the text
+_OPTION_VALUE = {"msg": lambda text, at: text, "flags": _flags,
+                 "threshold": _threshold, "sid": lambda text, at: int(text)}
 
 
 def parse_rule(text: str) -> IdsRule:
     """Parse one rule line into an IdsRule; raises ParseError otherwise."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    action = sc.word()
-    if action != "alert":
-        raise sc.error(f"unsupported action {action!r}", at=0)
-    sc.skip_ws()
-    proto_at = sc.pos
-    proto = sc.word()
-    if proto != "tcp":
-        raise sc.error(f"unsupported proto {proto!r}", at=proto_at)
-    sc.skip_ws()
-    src_ip = _parse_ip(sc)
-    sc.skip_ws()
-    # source port is optional: "alert tcp any -> ..." and
-    # "alert tcp any any -> ..." are both legal
-    src_port: Optional[int] = None
-    if not sc.text.startswith("->", sc.pos):
-        src_port = _parse_port(sc)
-        sc.skip_ws()
-    sc.literal("->")
-    sc.skip_ws()
-    dst_ip = _parse_ip(sc)
-    sc.skip_ws()
-    dst_port = _parse_port(sc)
-    sc.skip_ws()
-    sc.literal("(")
+    head = _HEADER.match(text)
+    missing = next((name for name in _EXPECTED if head[name] is None), None)
+    if missing is not None:
+        raise ParseError(head.end(), f"expected {_EXPECTED[missing]}, "
+                                     f"found {_found(text, head.end())}")
+    src_ip, dst_ip = (None if head[name] == "any" else head[name].rstrip(".")
+                      for name in ("src_ip", "dst_ip"))
+    src_port, dst_port = (None if head[name] in (None, "any") else int(head[name])
+                          for name in ("src_port", "dst_port"))
 
-    msg: Optional[str] = None
-    flags_req: Optional[TcpFlags] = None
-    threshold: Optional[Threshold] = None
-    sid: Optional[int] = None
-
-    while True:
-        sc.skip_ws()
-        if sc.peek() == ")":
-            sc.pos += 1
-            break
-        if sc.at_end():
-            raise sc.error("unterminated option list")
-        key_at = sc.pos
-        key = sc.word()
-        sc.skip_ws()
-        if key == "msg":
-            sc.literal(":")
-            sc.skip_ws()
-            sc.literal('"')
-            end = sc.text.find('"', sc.pos)
-            if end < 0:
-                raise sc.error("unterminated msg string")
-            msg = sc.text[sc.pos:end]
-            sc.pos = end + 1
-        elif key == "flags":
-            sc.literal(":")
-            value_at = sc.pos
-            end = sc.text.find(";", sc.pos)
-            if end < 0:
-                raise sc.error("missing ';' after flags")
-            flags_req = _parse_flags(sc.text[sc.pos:end].strip(), sc, value_at)
-            sc.pos = end
-        elif key == "threshold":
-            sc.literal(":")
-            value_at = sc.pos
-            end = sc.text.find(";", sc.pos)
-            if end < 0:
-                raise sc.error("missing ';' after threshold")
-            threshold = _parse_threshold(sc.text[sc.pos:end], sc, value_at)
-            sc.pos = end
-        elif key == "sid":
-            if sc.peek() == ":":
-                sc.pos += 1
-                sc.skip_ws()
-            sid = sc.number()
-        elif key.startswith("sid") and key[3:].isdigit():
-            # colon-less spelling "sid1000001"
-            sid = int(key[3:])
-        else:
-            raise sc.error(f"unsupported option {key!r}", at=key_at)
-        sc.skip_ws()
-        if sc.peek() == ";":
-            sc.pos += 1
-        elif sc.peek() != ")":
-            raise sc.error("expected ';' or ')' after option")
-
-    sc.skip_ws()
-    if not sc.at_end():
-        raise sc.error("trailing garbage after rule")
-    if sid is None:
-        raise ParseError(len(text), "rule is missing a sid")
-    if msg is None:
-        raise ParseError(len(text), "rule is missing a msg")
-    return IdsRule(action=action, proto=proto, src_ip=src_ip, src_port=src_port,
-                   dst_ip=dst_ip, dst_port=dst_port, msg=msg,
-                   flags_req=flags_req, threshold=threshold, sid=sid)
+    options = {}
+    opt = _OPTION.match(text, head.end())
+    while opt["close"] is None:
+        if opt["key"] is not None:
+            at = opt.end("bad")
+            raise ParseError(at, f"bad {opt['key']} option, found {_found(text, at)}")
+        if opt["bad"] is not None:
+            at = opt.start("bad")
+            raise ParseError(at, "unterminated option list" if at == len(text)
+                             else f"unsupported option {_found(text, at)}")
+        if opt["end"] is None:
+            raise ParseError(opt.end(), "expected ';' or ')' after option")
+        name = next(name for name in _OPTION_VALUE if opt[name] is not None)
+        if name in options:
+            raise ParseError(opt.start("option"), f"repeated option {name!r}")
+        options[name] = _OPTION_VALUE[name](opt[name], opt.start(name))
+        opt = _OPTION.match(text, opt.end())
+    if opt.end() < len(text):
+        raise ParseError(opt.end(), "trailing garbage after rule")
+    for name in ("sid", "msg"):
+        if name not in options:
+            raise ParseError(len(text), f"rule is missing a {name}")
+    return IdsRule(src_ip=src_ip, src_port=src_port, dst_ip=dst_ip,
+                   dst_port=dst_port, msg=options["msg"],
+                   flags_req=options.get("flags"), threshold=options.get("threshold"),
+                   sid=options["sid"])
 
 
 def load_ruleset(text: str) -> list[IdsRule]:
@@ -322,7 +228,6 @@ class _NthWatch:
     msg: str
     dst_ip: Optional[str]
     counts: dict = field(default_factory=dict)
-    fired: set = field(default_factory=set)
 
 
 class Ids:
@@ -339,8 +244,7 @@ class Ids:
         self._watches: list[_NthWatch] = []
         self._sinks: list[Callable[[Alert], None]] = []
         # per (sid, dst ip): (cumulative match count, in-window match times)
-        self._track: dict[tuple[int, str], list] = {}
-        self._match_counts: dict[tuple[int, str], int] = {}
+        self._matches: dict[tuple[int, str], tuple[int, list[int]]] = {}
         self.alerts: list[Alert] = []
 
     def load_rules(self, rules: list[IdsRule]) -> None:
@@ -367,19 +271,16 @@ class Ids:
             if not _rule_matches(rule, seg):
                 continue
             key = (rule.sid, seg.dst.ip)
-            self._match_counts[key] = ordinal = self._match_counts.get(key, 0) + 1
-            if rule.threshold is None:
-                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg),
-                                   now, ordinal))
-                continue
-            window_us = rule.threshold.seconds * 1_000_000
-            times = self._track.setdefault(key, [])
-            times[:] = [t for t in times if now - t < window_us]
-            times.append(now)
-            if len(times) >= rule.threshold.count:
-                times.clear()
-                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg),
-                                   now, ordinal))
+            count, times = self._matches.get(key, (0, []))
+            fires = rule.threshold is None
+            if not fires:
+                window_us = rule.threshold.seconds * 1_000_000
+                times = [t for t in times if now - t < window_us] + [now]
+                fires = len(times) >= rule.threshold.count
+            self._matches[key] = (count + 1, [] if fires else times)
+            if fires:
+                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg), now,
+                                   count + 1))
 
         if seg.is_data and (seg.flags & (TcpFlags.PSH | TcpFlags.ACK)) \
                 == (TcpFlags.PSH | TcpFlags.ACK):
@@ -389,8 +290,7 @@ class Ids:
                     continue
                 count = watch.counts.get(conn, 0) + 1
                 watch.counts[conn] = count
-                if count == watch.n and conn not in watch.fired:
-                    watch.fired.add(conn)
+                if count == watch.n:  # counts only grow: once per connection
                     fired.append(Alert(watch.sid, watch.msg, seg, conn, now, count))
 
         for alert in fired:

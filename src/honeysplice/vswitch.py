@@ -16,7 +16,8 @@ switch:
 
 On a table miss the packet is held (not dropped) and escalated; the
 controller is expected to install rules and release it. A hold timeout
-(default one simulated second) guards against a dead controller.
+(``MISS_HOLD_TIMEOUT_US``, one simulated second) guards against a dead
+controller.
 
 Packets re-entering via ``release_buffer``/``release_held`` are *not*
 mirrored again: the taps saw them on first entry.
@@ -30,6 +31,9 @@ from typing import Callable, Hashable, Mapping, Optional, Union
 
 from .netcore import ConnKey, HostAddr, TcpSegment, seq_add
 from .simnet import Engine, Link
+
+
+MISS_HOLD_TIMEOUT_US = 1_000_000
 
 
 class UnknownRule(Exception):
@@ -79,9 +83,8 @@ FlowAction = Union[Output, Rewrite, Buffer]
 class Switch:
     """Single software switch; one per simulation instance."""
 
-    def __init__(self, engine: Engine, miss_hold_timeout_us: int = 1_000_000):
+    def __init__(self, engine: Engine):
         self._engine = engine
-        self.miss_hold_timeout_us = miss_hold_timeout_us
         self._ports: dict[int, Link] = {}
         self._next_port = 1
         self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
@@ -164,7 +167,7 @@ class Switch:
         self._next_hold += 1
         self._held[hold_id] = pkt
         self._engine.schedule_in(lambda h=hold_id: self._expire_hold(h),
-                                 self.miss_hold_timeout_us)
+                                 MISS_HOLD_TIMEOUT_US)
         if self.packet_in_handler is not None:
             self.packet_in_handler(pkt, hold_id)
 

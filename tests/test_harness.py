@@ -95,6 +95,25 @@ def test_restore_grace_must_fit_interval():
             request={"interval_us": 10_000}))
 
 
+@pytest.mark.parametrize("grace", [2500, 3000, 4000])
+def test_restore_grace_within_one_round_trip_rejected(grace):
+    # link delay 1,000 us: one attacker round trip crosses four links
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(minimal_doc(restore_at=7, restore_grace_us=grace))
+    assert str(err.value).startswith("restore_grace_us: ")
+
+
+@pytest.mark.parametrize("honey_addr_mode", ["same", "distinct"])
+@pytest.mark.parametrize("grace", [4001, 4500])
+def test_restore_grace_past_one_round_trip_runs_clean(grace, honey_addr_mode):
+    scenario = scenario_from_dict(minimal_doc(restore_at=7, restore_grace_us=grace,
+                                              honey_addr_mode=honey_addr_mode))
+    sim = run_single(scenario, 1)
+    oracle = run_single(scenario, 1, migration=False)
+    assert not sim.trace(1).violations
+    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
+
+
 def test_invalid_json_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -113,7 +132,7 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"clone": {"cost_table": "c.json"}}, "clone.cost_table"),
     ({"link": {"base_delay_us": -5}}, "link.base_delay_us"),
     ({"controller_service_us": -100}, "controller_service_us"),
-    ({"miss_hold_timeout_us": -1}, "miss_hold_timeout_us"),
+    ({"miss_hold_timeout_us": 1_000_000}, "miss_hold_timeout_us"),
     ({"restore_grace_us": -1}, "restore_grace_us"),
     ({"background": {"n_hosts": -1, "procs_per_host": 1}}, "background.n_hosts"),
     ({"background": {"n_hosts": 1, "procs_per_host": -1}}, "background.procs_per_host"),
@@ -121,6 +140,7 @@ def test_invalid_json_is_config_error(tmp_path):
      "background.msg_interval_us"),
     ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": 0}},
      "background.msg_interval_us"),
+    ({"iss_policy": {"kind": "random"}}, "iss_policy"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)

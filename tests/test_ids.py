@@ -60,8 +60,6 @@ def reference_threshold_alerts(events, count, window_s):
 
 def test_parse_migrate_rule_exact():
     rule = parse_rule(MIGRATE_RULE_TEXT)
-    assert rule.action == "alert"
-    assert rule.proto == "tcp"
     assert rule.src_ip is None and rule.src_port is None
     assert rule.dst_ip == "10.0.0.2"
     assert rule.dst_port is None
@@ -120,12 +118,17 @@ def test_threshold_validation():
     with pytest.raises(ParseError):
         parse_rule('alert tcp any -> any any (msg:"X"; '
                    'threshold:type threshold, track by_dst, count 0, seconds 1; sid:1;)')
+    # each of the four clauses exactly once, and no other
+    for body in ("type threshold, track by_dst, count 5, seconds 1, count 6",
+                 "type threshold, track by_dst, count 5, seconds 1, limit 2"):
+        with pytest.raises(ParseError):
+            parse_rule(f'alert tcp any -> any any (msg:"X"; threshold:{body}; sid:1;)')
 
 
 def tcp_rule(msg, sid, src_ip=None, src_port=None, dst_ip=None, dst_port=None,
              flags_req=None, threshold=None):
-    return IdsRule(action="alert", proto="tcp", src_ip=src_ip, src_port=src_port,
-                   dst_ip=dst_ip, dst_port=dst_port, msg=msg, flags_req=flags_req,
+    return IdsRule(src_ip=src_ip, src_port=src_port, dst_ip=dst_ip,
+                   dst_port=dst_port, msg=msg, flags_req=flags_req,
                    threshold=threshold, sid=sid)
 
 
@@ -152,6 +155,96 @@ RULE_CORPUS = {
 @pytest.mark.parametrize("text,expected", RULE_CORPUS.items(), ids=list(RULE_CORPUS))
 def test_parse_corpus_rule(text, expected):
     assert parse_rule(text) == expected
+
+
+H = "alert tcp any -> any any "
+
+# malformed rule text -> the byte offset its ParseError must carry; one
+# case per way the grammar can reject a rule
+MALFORMED = {
+    'drop tcp any -> any any (msg:"X"; sid:1;)': 0,
+    'alert udp any -> any any (msg:"X"; sid:1;)': 6,
+    'alert tcp 10.0.0.256 -> any any (msg:"X"; sid:1;)': 10,
+    'alert tcp any -> 10.0.0 any (msg:"X"; sid:1;)': 17,
+    'alert tcp any 70000 -> any any (msg:"X"; sid:1;)': 14,
+    'alert tcp any -> any 65536 (msg:"X"; sid:1;)': 21,
+    'alert tcp any -> any http (msg:"X"; sid:1;)': 21,
+    'alert tcp any any any any (msg:"X"; sid:1;)': 18,
+    'alert tcp any -> any any msg:"X"; sid:1;)': 25,
+    H + '(msg "X"; sid:1;)': 30,
+    H + '(msg:X; sid:1;)': 30,
+    H + '(msg:"X; sid:1;)': 31,
+    H + '(msg:"X"; sid:1;': 41,
+    H + '(msg:"X"; sid:1': 40,
+    H + '(msg:"X" sid:1;)': 34,
+    H + '(msg:"X";; sid:1;)': 34,
+    H + '(msg:"X"; sid:1;) x': 43,
+    H + '(sid:1;)': 33,
+    H + '(msg:"X";)': 35,
+    H + '(msg:"X"; content:"evil"; sid:1;)': 35,
+    H + '(msg:"X"; flags:PZ; sid:1;)': 41,
+    H + '(msg:"X"; flags: .; sid:1;)': 41,
+    H + '(msg:"X"; threshold:type threshold, track, count 5, seconds 1; sid:1;)': 45,
+    H + '(msg:"X"; threshold:type limit, track by_dst, count 5, seconds 1; sid:1;)': 45,
+    H + '(msg:"X"; threshold:type threshold, track by_src, count 5, seconds 1; sid:1;)':
+        45,
+    H + '(msg:"X"; threshold:type threshold, track by_dst, count five, seconds 1; sid:1;)':
+        45,
+    H + '(msg:"X"; threshold:type threshold, track by_dst, count 5; sid:1;)': 45,
+    H + '(msg:"X"; threshold: type threshold, track by_dst, count 0, seconds 1; sid:1;)':
+        45,
+    H + '(msg:"X"; sid:abc;)': 39,
+    'alert tcp any -> any any (msg:"a"; sid:5;)\n'
+    'alert tcp any -> any any (msg:"b"; sid:5;)\n': 0,
+}
+
+
+@pytest.mark.parametrize("text,offset", MALFORMED.items(), ids=list(MALFORMED))
+def test_malformed_rule_offset(text, offset):
+    with pytest.raises(ParseError) as err:
+        load_ruleset(text)
+    assert err.value.offset == offset
+
+
+# well-formed spellings -> the rule each must parse to
+ACCEPTED = {
+    '  alert\ttcp  any  any  ->  10.0.0.2  9000  (  msg  :  "a"  ;  flags  :  S  ;  '
+    'sid  :  5  ;  )  ': tcp_rule("a", 5, dst_ip="10.0.0.2", dst_port=9000,
+                                  flags_req=TcpFlags.SYN),
+    H + '(msg:"a; b"; sid:6;)': tcp_rule("a; b", 6),
+    'alert tcp 10.0.0.1. 40001 -> any any (msg:"c"; sid:7;)':
+        tcp_rule("c", 7, src_ip="10.0.0.1", src_port=40001),
+    H + '(msg:"d"; sid 8;)': tcp_rule("d", 8),
+    H + '(msg:"e"; sid9)': tcp_rule("e", 9),
+    H + '(msg:"f"; threshold: seconds 3, count 2, track by_dst, type threshold; sid:10;)':
+        tcp_rule("f", 10, threshold=Threshold(count=2, seconds=3)),
+}
+
+
+@pytest.mark.parametrize("text,expected", ACCEPTED.items(), ids=list(ACCEPTED))
+def test_parse_accepted_spelling(text, expected):
+    assert parse_rule(text) == expected
+
+
+@pytest.mark.parametrize("text,offset", [
+    (H + '(msg:"X"; sid:1; sid:2;)', 42),
+    (H + '(msg:"X"; sid:1; sid2;)', 42),
+    (H + '(msg:"X"; msg:"Y"; sid:1;)', 35),
+    (H + '(msg:"X"; flags:S; flags:A; sid:1;)', 44),
+])
+def test_repeated_option_rejected_at_second(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_rule(text)
+    assert err.value.offset == offset
+    assert "repeated" in err.value.reason
+
+
+def test_flags_or_threshold_may_end_the_option_list():
+    assert parse_rule(H + '(msg:"X"; sid:1; flags:S)') == \
+        tcp_rule("X", 1, flags_req=TcpFlags.SYN)
+    assert parse_rule(H + '(msg:"X"; sid:1; threshold:type threshold, track by_dst, '
+                      'count 2, seconds 3)') == \
+        tcp_rule("X", 1, threshold=Threshold(count=2, seconds=3))
 
 
 def test_load_ruleset_comments_and_duplicates():

@@ -178,7 +178,7 @@ def test_miss_escalates_and_holds_until_release():
 
 def test_hold_expires_after_timeout():
     eng = Engine(1)
-    sw = Switch(eng, miss_hold_timeout_us=1_000_000)
+    sw = Switch(eng)
     sink = []
     sw.attach(Link(eng, "p", LinkModel(0), sink.append))
     sw.process(seg())
