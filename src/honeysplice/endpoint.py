@@ -82,7 +82,7 @@ class TcpEndpoint:
 
     # -- segment construction -------------------------------------------------
 
-    def _make(self, flags: TcpFlags, seq: int, payload: bytes = b"") -> TcpSegment:
+    def _make(self, flags: int, seq: int, payload: bytes = b"") -> TcpSegment:
         return TcpSegment(src=self.local, dst=self.remote, sport=self.lport,
                           dport=self.rport, seq=seq, ack=self.rcv_nxt,
                           flags=flags, payload=payload)

@@ -97,7 +97,7 @@ class IdsRule:
     dst_ip: Optional[str]
     dst_port: Optional[int]
     msg: str
-    flags_req: Optional[TcpFlags]
+    flags_req: Optional[int]
     threshold: Optional[Threshold]
     sid: int
 
@@ -119,7 +119,7 @@ def _found(text: str, at: int) -> str:
     return repr(re.match(r"[\w.-]+|.?", text[at:])[0] or "end of rule")
 
 
-def _flags(value: str, at: int) -> TcpFlags:
+def _flags(value: str, at: int) -> int:
     spec = value.strip()
     if not re.fullmatch(r"[.+ ]*(?:[SAFRP][.+ ]*)+", spec, re.I):
         raise ParseError(at, f"bad flags spec {spec!r}: want letters of SAFRP")
@@ -192,7 +192,9 @@ def load_ruleset(text: str) -> list[IdsRule]:
         try:
             rule = parse_rule(stripped)
         except ParseError as exc:
-            raise ParseError(exc.offset, f"line {lineno}: {exc.reason}") from None
+            # offsets count from the start of the line, leading blanks included
+            indent = len(line) - len(line.lstrip())
+            raise ParseError(indent + exc.offset, f"line {lineno}: {exc.reason}") from None
         if rule.sid in sids:
             raise ParseError(0, f"line {lineno}: duplicate sid {rule.sid}")
         sids.add(rule.sid)

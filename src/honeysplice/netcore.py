@@ -1,5 +1,10 @@
-"""Simulated TCP/IP primitives: host addresses, segments, and 32-bit
-sequence arithmetic.
+"""Simulated TCP/IP primitives: host addresses, segments, TCP flags and
+32-bit sequence arithmetic.
+
+TCP flags are plain int bits (``TcpFlags.SYN`` is 1, ``ACK`` 2, ...): a
+segment's ``flags`` is their ``|``, tested with ``&``. They are not enum
+members, because an enum flag builds a new member on every ``|`` and ``&``,
+and segments test their flags several times each on the way through.
 
 Sequence numbers are plain ints carried modulo 2**32. All wrap-aware
 arithmetic goes through ``seq_add`` / ``seq_sub`` / ``seq_lt`` so the rest
@@ -12,22 +17,22 @@ mismatch between a server and its clone would be fingerprintable).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 SEQ_MOD = 2**32
 SEQ_HALF = 2**31
 
 
-class TcpFlags(enum.Flag):
-    """TCP header flags. Segments carry any subset; test with ``&``."""
+class TcpFlags:
+    """TCP header flags as int bits. A segment carries any ``|`` of them;
+    test one with ``&``."""
 
     NONE = 0
-    SYN = enum.auto()
-    ACK = enum.auto()
-    FIN = enum.auto()
-    RST = enum.auto()
-    PSH = enum.auto()
+    SYN = 1
+    ACK = 2
+    FIN = 4
+    RST = 8
+    PSH = 16
 
 
 def seq_add(s: int, delta: int) -> int:
@@ -80,7 +85,7 @@ class TcpSegment:
     dport: int
     seq: int
     ack: int
-    flags: TcpFlags
+    flags: int
     payload: bytes = b""
 
     def __post_init__(self) -> None:

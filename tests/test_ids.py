@@ -194,6 +194,9 @@ MALFORMED = {
     H + '(msg:"X"; threshold: type threshold, track by_dst, count 0, seconds 1; sid:1;)':
         45,
     H + '(msg:"X"; sid:abc;)': 39,
+    # offsets count from the start of the line, leading blanks included
+    '   alert udp any -> any any (msg:"X"; sid:1;)': 9,
+    '\t' + H + '(msg:"X"; sid:abc;)': 40,
     'alert tcp any -> any any (msg:"a"; sid:5;)\n'
     'alert tcp any -> any any (msg:"b"; sid:5;)\n': 0,
 }

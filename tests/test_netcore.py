@@ -7,6 +7,8 @@ Python ints (the oracle below) before being frozen into the asserts.
 import pytest
 from hypothesis import given, strategies as st
 
+from honeysplice.endpoint import TcpEndpoint, fixed_iss
+from honeysplice.ids import parse_rule
 from honeysplice.netcore import (
     SEQ_MOD,
     HostAddr,
@@ -130,6 +132,35 @@ def test_segment_normalizes_seq():
     seg = TcpSegment(A, B, 1, 2, seq=SEQ_MOD + 5, ack=-1, flags=TcpFlags.ACK)
     assert seg.seq == 5
     assert seg.ack == SEQ_MOD - 1
+
+
+# -- flag encoding ---------------------------------------------------------------
+
+
+def test_flags_are_distinct_int_bits():
+    bits = [TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST, TcpFlags.PSH]
+    assert all(type(b) is int for b in bits)
+    assert bits == [1, 2, 4, 8, 16]
+    assert TcpFlags.NONE == 0
+
+
+def test_endpoint_segments_carry_int_flags():
+    client = TcpEndpoint(A, 40001, B, 9000, fixed_iss(100))
+    server = TcpEndpoint(B, 9000, A, 40001, fixed_iss(7000))
+    syn = client.open()
+    synack, _ = server.on_segment(syn)
+    ack, _ = client.on_segment(synack[0])
+    server.on_segment(ack[0])
+    data = client.app_send(b"x")
+    for seg in (syn, synack[0], ack[0], data):
+        assert type(seg.flags) is int
+    assert data.flags == TcpFlags.PSH | TcpFlags.ACK
+
+
+def test_ids_flags_option_parses_to_int_bits():
+    rule = parse_rule('alert tcp any -> any any (msg:"X"; flags:P.A.; sid:1;)')
+    assert rule.flags_req == TcpFlags.PSH | TcpFlags.ACK == 18
+    assert type(rule.flags_req) is int
 
 
 def test_host_addr_identity():
