@@ -89,8 +89,25 @@ def cmd_summarize(args) -> int:
     trigger = None
     meta_path = trace_dir / "meta.json"
     if meta_path.exists():
-        trigger = json.loads(meta_path.read_text(encoding="utf-8")).get("trigger_index")
-    traces = read_attacker_csv(csv_path)
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError("trace-dir", f"meta.json is not JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError("trace-dir", "meta.json is not a JSON object")
+        trigger = meta.get("trigger_index")
+        # bool is an int subclass, but true/false is no packet index
+        if trigger is not None and type(trigger) is not int:
+            raise ConfigError("trace-dir", "meta.json trigger_index must be an "
+                                           f"integer or null, not {trigger!r}")
+    try:
+        traces = read_attacker_csv(csv_path)
+    except KeyError as exc:
+        raise ConfigError("trace-dir", f"attacker_trace.csv has no column {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("trace-dir", f"attacker_trace.csv: {exc}") from exc
+    if not traces:
+        raise ConfigError("trace-dir", "attacker_trace.csv holds no records")
     summary = summarize(traces, trigger)
     write_summary_csv(summary, trace_dir / "summary.csv")
     _print_summary(summary)

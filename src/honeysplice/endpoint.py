@@ -83,9 +83,8 @@ class TcpEndpoint:
     # -- segment construction -------------------------------------------------
 
     def _make(self, flags: int, seq: int, payload: bytes = b"") -> TcpSegment:
-        return TcpSegment(src=self.local, dst=self.remote, sport=self.lport,
-                          dport=self.rport, seq=seq, ack=self.rcv_nxt,
-                          flags=flags, payload=payload)
+        return TcpSegment(self.local, self.remote, self.lport, self.rport,
+                          seq, self.rcv_nxt, flags, payload)
 
     def _ack_now(self) -> TcpSegment:
         return self._make(TcpFlags.ACK, self.snd_nxt)

@@ -208,16 +208,16 @@ class EchoHost(Host):
         if not isinstance(pkt, EchoPacket):
             return
         if pkt.kind == "req":
-            reply = EchoPacket(src=self.addr, dst=pkt.src, sport=pkt.dport,
-                               dport=pkt.sport, kind="resp", flow_id=pkt.flow_id)
+            reply = EchoPacket(self.addr, pkt.src, pkt.dport, pkt.sport,
+                               "resp", pkt.flow_id)
             self.transmit(reply)
 
     def run_ping(self, target: HostAddr, sport: int, dport: int,
                  flow_id: str, start_at: int, interval_us: int,
                  stop_at: int) -> None:
         def tick() -> None:
-            self.transmit(EchoPacket(src=self.addr, dst=target, sport=sport,
-                                     dport=dport, kind="req", flow_id=flow_id))
+            self.transmit(EchoPacket(self.addr, target, sport, dport, "req",
+                                     flow_id))
             nxt = self.engine.now + interval_us
             if nxt <= stop_at:
                 self.engine.schedule(tick, nxt)

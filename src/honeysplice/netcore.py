@@ -6,6 +6,15 @@ segment's ``flags`` is their ``|``, tested with ``&``. They are not enum
 members, because an enum flag builds a new member on every ``|`` and ``&``,
 and segments test their flags several times each on the way through.
 
+Packets (``TcpSegment`` here, ``simnet.EchoPacket``) are slotted
+dataclasses but not frozen: a frozen dataclass sets every field through
+``object.__setattr__``, which made building a segment several times dearer
+than the rest of its trip through the stack. Each class has a hand-written
+``__init__`` that assigns every field exactly once instead. They are
+write-once by contract: nothing assigns a field after construction (a
+rewrite builds a new packet), and a test that runs the shipped scenarios
+with a guard on ``__setattr__`` pins that.
+
 Sequence numbers are plain ints carried modulo 2**32. All wrap-aware
 arithmetic goes through ``seq_add`` / ``seq_sub`` / ``seq_lt`` so the rest
 of the stack never has to think about wraparound.
@@ -71,12 +80,19 @@ class HostAddr:
     mac: str
 
 
-@dataclass(frozen=True, slots=True)
+_SYN_FIN = TcpFlags.SYN | TcpFlags.FIN
+
+
+@dataclass(slots=True)
 class TcpSegment:
     """One simulated TCP/IP segment.
 
     ``seq``/``ack`` are normalized modulo 2**32 on construction. A segment
     never carries both SYN and FIN.
+
+    Not frozen, because freezing made construction the dearest step on the
+    per-segment path. Write-once by contract: never assign a field of a
+    built segment; build a new one (see ``vswitch.Rewrite.apply``).
     """
 
     src: HostAddr
@@ -88,11 +104,18 @@ class TcpSegment:
     flags: int
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if (self.flags & TcpFlags.SYN) and (self.flags & TcpFlags.FIN):
+    def __init__(self, src: HostAddr, dst: HostAddr, sport: int, dport: int,
+                 seq: int, ack: int, flags: int, payload: bytes = b"") -> None:
+        if flags & _SYN_FIN == _SYN_FIN:
             raise ValueError("segment cannot carry both SYN and FIN")
-        object.__setattr__(self, "seq", self.seq % SEQ_MOD)
-        object.__setattr__(self, "ack", self.ack % SEQ_MOD)
+        self.src = src
+        self.dst = dst
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq % SEQ_MOD
+        self.ack = ack % SEQ_MOD
+        self.flags = flags
+        self.payload = payload
 
     @property
     def is_data(self) -> bool:

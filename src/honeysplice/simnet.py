@@ -86,12 +86,13 @@ class BackgroundLoadSpec:
         return self.n_hosts * self.procs_per_host
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EchoPacket:
     """ICMP-echo-like request/response pair member; carries no TCP state.
 
     ``sport`` doubles as the echo identifier so each background flow has a
-    distinct match key at the switch.
+    distinct match key at the switch. Write-once by contract, like
+    ``netcore.TcpSegment`` (see the ``netcore`` docstring).
     """
 
     src: HostAddr
@@ -100,6 +101,15 @@ class EchoPacket:
     dport: int
     kind: str  # "req" | "resp"
     flow_id: str
+
+    def __init__(self, src: HostAddr, dst: HostAddr, sport: int, dport: int,
+                 kind: str, flow_id: str) -> None:
+        self.src = src
+        self.dst = dst
+        self.sport = sport
+        self.dport = dport
+        self.kind = kind
+        self.flow_id = flow_id
 
 
 class Engine:

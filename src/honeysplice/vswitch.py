@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping, Optional, Union
 
-from .netcore import ConnKey, HostAddr, TcpSegment, seq_add
+from .netcore import ConnKey, HostAddr, TcpSegment
 from .simnet import Engine, Link
 
 
@@ -59,17 +59,20 @@ class Rewrite:
     new_dst: Optional[HostAddr] = None
 
     def apply(self, pkt):
-        changes = {}
-        if isinstance(pkt, TcpSegment):
-            if self.seq_delta:
-                changes["seq"] = seq_add(pkt.seq, self.seq_delta)
-            if self.ack_delta:
-                changes["ack"] = seq_add(pkt.ack, self.ack_delta)
-        if self.new_src is not None:
-            changes["src"] = self.new_src
-        if self.new_dst is not None:
-            changes["dst"] = self.new_dst
-        return replace(pkt, **changes) if changes else pkt
+        """The rewritten packet: a new one, or ``pkt`` itself when this
+        rewrite changes nothing it carries."""
+        is_tcp = isinstance(pkt, TcpSegment)
+        if (self.new_src is None and self.new_dst is None
+                and not (is_tcp and (self.seq_delta or self.ack_delta))):
+            return pkt
+        src = pkt.src if self.new_src is None else self.new_src
+        dst = pkt.dst if self.new_dst is None else self.new_dst
+        if is_tcp:
+            # the constructor wraps seq and ack modulo 2**32
+            return TcpSegment(src, dst, pkt.sport, pkt.dport,
+                              pkt.seq + self.seq_delta, pkt.ack + self.ack_delta,
+                              pkt.flags, pkt.payload)
+        return replace(pkt, src=src, dst=dst)
 
 
 @dataclass(frozen=True, slots=True)

@@ -449,6 +449,33 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert (out_dir / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("csv_text, meta, message", [
+    ("rep,packet_index,send_us,recv_us,rtt_us\n", None, "holds no records"),
+    ("rep,packet_index,send_us,recv_us\n1,1,0,4000\n", None, "no column 'rtt_us'"),
+    ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,x\n", None,
+     "attacker_trace.csv: invalid literal"),
+    ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,4000\n",
+     '{"trigger_index": "100"}', "trigger_index must be an integer or null"),
+    ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,4000\n",
+     '{"trigger_index": true}', "trigger_index must be an integer or null"),
+    ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,4000\n",
+     '{"trigger_index": 1', "meta.json is not JSON"),
+    ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,4000\n",
+     "[100]", "meta.json is not a JSON object"),
+], ids=["header-only", "missing-column", "non-integer-cell", "string-trigger",
+        "bool-trigger", "meta-not-json", "meta-not-object"])
+def test_cli_summarize_unreadable_trace_dir_is_config_error(tmp_path, capsys, csv_text,
+                                                            meta, message):
+    (tmp_path / "attacker_trace.csv").write_text(csv_text, encoding="utf-8")
+    if meta is not None:
+        (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
+    assert cli_main(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trace-dir: ")
+    assert message in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_cli_check_ok(tmp_path):
     scenario_path = tmp_path / "mini.json"
     scenario_path.write_text(json.dumps(minimal_doc(repetitions=2)),

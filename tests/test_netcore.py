@@ -4,10 +4,13 @@ Expected values for the wraparound cases were computed with unbounded
 Python ints (the oracle below) before being frozen into the asserts.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from honeysplice.endpoint import TcpEndpoint, fixed_iss
+from honeysplice.harness import builtin_scenario_path, load_scenario, run_experiment
 from honeysplice.ids import parse_rule
 from honeysplice.netcore import (
     SEQ_MOD,
@@ -19,6 +22,8 @@ from honeysplice.netcore import (
     seq_add,
     seq_lt,
 )
+from honeysplice.simnet import EchoPacket
+from honeysplice.vswitch import Rewrite
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 B = HostAddr("10.0.0.2", "02:00:00:00:00:02")
@@ -132,6 +137,58 @@ def test_segment_normalizes_seq():
     seg = TcpSegment(A, B, 1, 2, seq=SEQ_MOD + 5, ack=-1, flags=TcpFlags.ACK)
     assert seg.seq == 5
     assert seg.ack == SEQ_MOD - 1
+
+
+# -- write-once packets ---------------------------------------------------------
+
+
+def _write_once(obj, name, value):
+    # a slot that already holds a value must not be assigned again
+    try:
+        getattr(obj, name)
+    except AttributeError:
+        object.__setattr__(obj, name, value)
+    else:
+        raise AttributeError(f"{type(obj).__name__}.{name} assigned after construction")
+
+
+@pytest.fixture
+def write_once(monkeypatch):
+    monkeypatch.setattr(TcpSegment, "__setattr__", _write_once)
+    monkeypatch.setattr(EchoPacket, "__setattr__", _write_once)
+
+
+@pytest.mark.parametrize("name", ["e1_redirect", "e2_saturated",
+                                  "e3_copy_on_demand", "e4_restore"])
+def test_shipped_scenarios_never_reassign_packet_fields(write_once, name):
+    scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=1)
+    assert len(run_experiment(scenario)) == 1
+
+
+def test_write_once_guard_catches_reassignment(write_once):
+    seg = TcpSegment(A, B, 1, 2, seq=3, ack=4, flags=TcpFlags.ACK)
+    with pytest.raises(AttributeError, match="seq assigned after construction"):
+        seg.seq = 9
+    assert seg.seq == 3
+    pkt = EchoPacket(A, B, 1, 7, "req", "f")
+    with pytest.raises(AttributeError, match="kind assigned after construction"):
+        pkt.kind = "resp"
+
+
+def test_rewrite_builds_a_new_segment_and_leaves_the_input():
+    honey = HostAddr("10.0.0.9", "02:00:00:00:00:09")
+    seg = TcpSegment(A, B, 40001, 9000, seq=SEQ_MOD - 2, ack=10,
+                     flags=TcpFlags.PSH | TcpFlags.ACK, payload=b"req")
+    before = repr(seg)
+    out = Rewrite(seq_delta=5, ack_delta=-20, new_dst=honey).apply(seg)
+    assert out == TcpSegment(A, honey, 40001, 9000, seq=3, ack=SEQ_MOD - 10,
+                             flags=TcpFlags.PSH | TcpFlags.ACK, payload=b"req")
+    assert repr(seg) == before
+    assert Rewrite().apply(seg) is seg
+    echo = EchoPacket(A, B, 1, 7, "req", "f")
+    assert Rewrite(seq_delta=5).apply(echo) is echo
+    assert Rewrite(new_src=honey).apply(echo) == EchoPacket(honey, B, 1, 7, "req", "f")
+    assert echo.src == A
 
 
 # -- flag encoding ---------------------------------------------------------------
