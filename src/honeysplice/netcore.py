@@ -8,8 +8,8 @@ and segments test their flags several times each on the way through.
 
 Packets (``TcpSegment`` here, ``simnet.EchoPacket``) are slotted
 dataclasses but not frozen: a frozen dataclass sets every field through
-``object.__setattr__``, which made building a segment several times dearer
-than the rest of its trip through the stack. Each class has a hand-written
+``object.__setattr__``, which made building a packet the largest single
+cost on its way through the stack. Each class has a hand-written
 ``__init__`` that assigns every field exactly once instead. They are
 write-once by contract: nothing assigns a field after construction (a
 rewrite builds a new packet), and a test that runs the shipped scenarios
