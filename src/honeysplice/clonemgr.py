@@ -67,7 +67,6 @@ class CloneManager:
         self._failure_p = failure_p
         self._pre = pre_instantiated
         self._rng = engine.stream("clonemgr")
-        self.clones_created = 0
 
     def request_clone(self, spec: VictimSpec,
                       on_ready: Callable[[object, int], None]) -> int:
@@ -83,7 +82,6 @@ class CloneManager:
             host = self._pre
             on_ready(host, 0)
             return 0
-        self.clones_created += 1
 
         def ready() -> None:
             on_ready(self._make_host(spec), self.latency_us)

@@ -40,6 +40,12 @@ lets in-flight honey responses drain. A clone that fails to instantiate
 fails open: the contained connection is spliced straight back onto the
 victim with nothing to replay.
 
+Neither entry point raises. An alert the controller cannot act on -- on
+the attacker's SYN, on the server's direction, or on a connection already
+migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED,
+or while one is already armed, as ``restore_ignored``. Neither changes
+anything.
+
 Every replay window is a range of the attacker's stream positions. At
 containment the record notes ``victim_pos``, the position the victim has
 consumed: the triggering segment's seq while ``on_alert`` runs (that
@@ -78,16 +84,9 @@ from .vswitch import Buffer, Output, Rewrite, Switch
 from .ids import Alert
 
 
-class AlertForUnknownConnection(Exception):
-    """Alert names a five-tuple the controller has never tracked."""
-
-
-class InvalidPhase(Exception):
-    """Migration operation not legal in the record's current phase."""
-
-
 class RestoreFailed(Exception):
-    """The original server refused the restore connection."""
+    """A server answered a forged SYN without a SYN-ACK, so the splice
+    has no handshake to build on."""
 
 
 PHASE_IDLE = "IDLE"
@@ -245,13 +244,14 @@ class Controller:
     # -- migration --------------------------------------------------------------
 
     def on_alert(self, alert: Alert) -> None:
-        """Start the migration for the alerted connection."""
+        """Start the migration for the alerted connection. An alert on no
+        established attacker connection (a SYN, the server's direction) or
+        on one already migrating is logged as ``alert_ignored``."""
         key = alert.conn
         record = self.records.get(key)
-        if record is None or record.victim_isn is None:
-            raise AlertForUnknownConnection(key)
-        if record.phase != PHASE_IDLE:
-            self.log("alert_ignored", conn=key, phase=record.phase, sid=alert.sid)
+        if record is None or record.victim_isn is None or record.phase != PHASE_IDLE:
+            phase = record.phase if record is not None else PHASE_IDLE
+            self.log("alert_ignored", conn=key, phase=phase, sid=alert.sid)
             return
         self.log("alert", conn=key, sid=alert.sid, ordinal=alert.ordinal)
         record.transition(PHASE_CLONING, self.engine.now)
@@ -388,40 +388,26 @@ class Controller:
 
     # -- reverse migration -------------------------------------------------------
 
-    def on_restore_alert(self, alert: Alert) -> None:
-        """Restore on a detector's request. Outside REDIRECTED (a clone still
-        booting, or a failed clone already restored by fail-open) there is
-        nothing to restore: the alert is logged and ignored."""
-        record = self.records.get(alert.conn)
-        if record is None or record.phase != PHASE_REDIRECTED:
-            phase = record.phase if record is not None else PHASE_IDLE
-            self.log("restore_ignored", conn=alert.conn, phase=phase)
-            return
-        self.restore_original(alert.conn)
-
     def restore_original(self, key: ConnKey) -> None:
         """Arm the return of a redirected connection to the original server.
 
         The splice itself runs after ``restore_grace_us`` so in-flight honey
-        responses drain through the rewrite rules first.
+        responses drain through the rewrite rules first. Outside REDIRECTED
+        (a clone still booting, or a failed clone already restored by
+        fail-open), or with a restore already armed, there is nothing to
+        restore: the request is logged as ``restore_ignored``.
         """
         record = self.records.get(key)
-        if record is None or record.phase != PHASE_REDIRECTED:
+        if record is None or record.phase != PHASE_REDIRECTED or record.restore_armed:
             phase = record.phase if record is not None else PHASE_IDLE
-            raise InvalidPhase(f"restore in phase {phase}")
-        if record.restore_armed:
-            raise InvalidPhase("restore already armed")
+            self.log("restore_ignored", conn=key, phase=phase)
+            return
         record.restore_armed = True
         self.log("restore_armed", conn=key)
         self.engine.schedule_in(lambda: self._restore_splice(record),
                                 self.restore_grace_us)
 
     def _restore_splice(self, record: MigrationRecord) -> None:
-        key = record.key
         victim = self.server_hosts[record.server_addr.ip]
-        if not victim.accepting:
-            self.log("restore_failed", conn=key)
-            record.restore_armed = False
-            raise RestoreFailed(f"victim {victim.name} not accepting")
         record.victim_isn = self._splice(record, victim, record.victim_pos,
                                          record.attacker_snd_nxt, PHASE_RESTORED)

@@ -338,7 +338,7 @@ class Simulation:
                 if alert.sid == migrate_sid:
                     self.controller.on_alert(alert)
                 elif alert.sid == RESTORE_WATCH_SID:
-                    self.controller.on_restore_alert(alert)
+                    self.controller.restore_original(alert.conn)
 
             self.ids.subscribe(route)
 

@@ -58,14 +58,13 @@ class ServerHost(Host):
         self.app = app
         self._iss_policy = iss_policy
         self.conns: dict[tuple[str, int], TcpEndpoint] = {}
-        self.accepting = True
 
     def _endpoint_for(self, seg: TcpSegment) -> Optional[TcpEndpoint]:
         key = (seg.src.ip, seg.sport)
         conn = self.conns.get(key)
         is_syn = bool(seg.flags & TcpFlags.SYN) and not (seg.flags & TcpFlags.ACK)
         if conn is None or (is_syn and conn.state is ConnState.CLOSED_FINAL):
-            if not is_syn or not self.accepting:
+            if not is_syn:
                 return conn
             conn = TcpEndpoint(self.addr, self.listen_port, seg.src, seg.sport,
                                self._iss_policy)
@@ -81,11 +80,8 @@ class ServerHost(Host):
         emitted, delivered = conn.on_segment(seg)
         if delivered and conn.state is ConnState.ESTABLISHED:
             # one data segment == one application request; the response's
-            # piggybacked ack supersedes the endpoint's pure ack
-            response = self.app.respond(delivered)
-            emitted = [e for e in emitted if e.is_data or not (e.flags & TcpFlags.ACK)
-                       or e.flags & (TcpFlags.SYN | TcpFlags.FIN | TcpFlags.RST)]
-            emitted.append(conn.app_send(response))
+            # piggybacked ack supersedes the endpoint's one pure ack
+            return [conn.app_send(self.app.respond(delivered))]
         return emitted
 
     def deliver(self, pkt) -> None:

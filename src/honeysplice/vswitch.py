@@ -137,11 +137,6 @@ class Switch:
             self.process(pkt, mirror=False)
         return len(pkts)
 
-    def queue_len(self, queue_id: Hashable) -> int:
-        if queue_id not in self._buffers:
-            raise UnknownQueue(queue_id)
-        return len(self._buffers[queue_id])
-
     # -- data path ---------------------------------------------------------------
 
     def process(self, pkt, mirror: bool = True) -> None:

@@ -47,7 +47,7 @@ def test_clone_ready_after_exact_latency():
         SPEC, lambda host, lat: ready.append((engine.now, host, lat))), 1000)
     engine.run_until(100_000)
     assert ready == [(31_000, "honey-1", 30_000)]
-    assert mgr.clones_created == 1
+    assert made == [SPEC]
 
 
 def test_zero_latency_clone_same_tick():

@@ -6,14 +6,10 @@ its own fixed ISN; delta expectations below were computed with the
 modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
 
-import pytest
-
 from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
 from honeysplice.controller import (
-    AlertForUnknownConnection,
     Controller,
-    InvalidPhase,
-    RestoreFailed,
+    PHASE_IDLE,
     PHASE_REDIRECTED,
     PHASE_RESTORED,
 )
@@ -83,7 +79,7 @@ class Mini:
 
         def route(alert):
             if alert.sid == 2:
-                self.controller.on_restore_alert(alert)
+                self.controller.restore_original(alert.conn)
             else:
                 self.controller.on_alert(alert)
 
@@ -249,10 +245,14 @@ def test_victim_segment_missing_after_distinct_splice_keeps_splice_rule():
 def test_alert_for_unknown_connection():
     mini = Mini(trigger_n=None, total=2)
     seg = TcpSegment(ATT, VIC, 1, 2, seq=0, ack=0, flags=TcpFlags.ACK)
-    alert = Alert(sid=1, msg="X", segment=seg,
-                  conn=("1.2.3.4", 1, "5.6.7.8", 2), ts_us=0, ordinal=1)
-    with pytest.raises(AlertForUnknownConnection):
-        mini.controller.on_alert(alert)
+    unknown = ("1.2.3.4", 1, "5.6.7.8", 2)
+    alert = Alert(sid=1, msg="X", segment=seg, conn=unknown, ts_us=0, ordinal=1)
+    mini.controller.on_alert(alert)
+    assert [ev.fields for ev in mini.controller.events] == [
+        {"conn": unknown, "phase": PHASE_IDLE, "sid": 1}]
+    assert mini.controller.records == {}
+    mini.run()
+    assert mini.attacker.complete and not mini.attacker.violations
 
 
 def test_duplicate_alert_ignored():
@@ -351,23 +351,20 @@ def test_restore_recomputes_deltas_against_new_isn():
 
 def test_restore_in_idle_phase_invalid():
     mini = Mini(trigger_n=None, total=2)
-    with pytest.raises(InvalidPhase):
-        mini.controller.restore_original(CONN)
+    mini.controller.restore_original(CONN)
+    assert [ev.fields for ev in mini.events("restore_ignored")] == [
+        {"conn": CONN, "phase": PHASE_IDLE}]
+    assert not mini.events("restore_armed")
 
 
 def test_restore_twice_invalid():
     mini = Mini(trigger_n=3, total=10)
     mini.run()
     mini.controller.restore_original(CONN)
-    with pytest.raises(InvalidPhase):
-        mini.controller.restore_original(CONN)
-
-
-def test_restore_refused_by_victim():
-    mini = Mini(trigger_n=3, total=6)
-    mini.run()
-    mini.victim.accepting = False
     mini.controller.restore_original(CONN)
-    with pytest.raises(RestoreFailed):
-        mini.engine.run_until(mini.engine.now + 100_000)
-    assert len(mini.events("restore_failed")) == 1
+    assert [ev.fields for ev in mini.events("restore_ignored")] == [
+        {"conn": CONN, "phase": PHASE_REDIRECTED}]
+    assert len(mini.events("restore_armed")) == 1
+    mini.engine.run_until(mini.engine.now + 100_000)
+    assert mini.controller.records[CONN].phase == PHASE_RESTORED
+    assert len(mini.events("restored")) == 1

@@ -245,32 +245,47 @@ def test_restore_alert_after_fail_open_is_ignored():
             bytes(oracle.attacker.received_stream)
 
 
-KNOB_RULE = ('alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; flags:{flags}; '
-             'threshold:type threshold, track by_dst, count 3, seconds 120; sid:7;)\n')
+KNOB_THRESHOLD = ('alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; flags:{}; '
+                  'threshold:type threshold, track by_dst, count 3, seconds 120; '
+                  'sid:7;)\n')
+# rules that also match segments the controller cannot act on -- the
+# attacker's SYN, the server's direction -- whose alerts it must ignore
+IGNORED_ALERT_RULES = {
+    "flags:S": 'alert tcp any -> 10.0.0.2 any (msg:"M"; flags:S; sid:7;)\n',
+    "server-dir": 'alert tcp 10.0.0.2 any -> any any (msg:"M"; sid:7;)\n',
+    "any-any": 'alert tcp any -> any any (msg:"M"; sid:7;)\n',
+}
+KNOB_RULES = {"flags:A": KNOB_THRESHOLD.format("A"),
+              "flags:P.A.": KNOB_THRESHOLD.format("P.A."), **IGNORED_ALERT_RULES}
 
 
 @pytest.mark.parametrize("restore_at", [None, 9])
 @pytest.mark.parametrize("failure_p", [0, 1])
 @pytest.mark.parametrize("containment", ["immediate", "on_clone_ready"])
-@pytest.mark.parametrize("trigger", ["nth 4", "flags:A", "flags:P.A."])
+@pytest.mark.parametrize("trigger", ["nth 4", *KNOB_RULES])
 def test_knob_space_runs_clean_and_equals_oracle(tmp_path, trigger, containment,
                                                  failure_p, restore_at):
     # a payload-less trigger (the 3rd flags:A match is a pure ACK) must
     # still replay every pre-alert request
-    doc = minimal_doc(total_packets=12, seed=5, containment=containment,
-                      clone={"on_demand": False, "failure_p": failure_p},
-                      restore_at=restore_at)
-    if trigger == "nth 4":
-        doc["trigger"] = {"kind": "nth_packet", "n": 4}
-    else:
-        (tmp_path / "m.rules").write_text(
-            KNOB_RULE.format(flags=trigger.split(":")[1]), encoding="utf-8")
-        doc.update(trigger={"kind": "rule", "sid": 7}, ruleset="m.rules")
-    scenario = scenario_from_dict(doc, base_dir=tmp_path)
-    sim = run_single(scenario, 1)
-    oracle = run_single(scenario, 1, migration=False)
-    assert not sim.trace(1).violations
-    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
+    if trigger != "nth 4":
+        (tmp_path / "m.rules").write_text(KNOB_RULES[trigger], encoding="utf-8")
+    for honey_addr_mode in ("same", "distinct"):
+        doc = minimal_doc(total_packets=12, seed=5, containment=containment,
+                          clone={"on_demand": False, "failure_p": failure_p},
+                          restore_at=restore_at, honey_addr_mode=honey_addr_mode)
+        if trigger == "nth 4":
+            doc["trigger"] = {"kind": "nth_packet", "n": 4}
+        else:
+            doc.update(trigger={"kind": "rule", "sid": 7}, ruleset="m.rules")
+        scenario = scenario_from_dict(doc, base_dir=tmp_path)
+        sim = run_single(scenario, 1)
+        oracle = run_single(scenario, 1, migration=False)
+        assert not sim.trace(1).violations
+        assert bytes(sim.attacker.received_stream) == \
+            bytes(oracle.attacker.received_stream)
+        ignored = {ev.fields["phase"] for ev in sim.controller.events
+                   if ev.kind == "alert_ignored"}
+        assert ("IDLE" in ignored) == (trigger in IGNORED_ALERT_RULES)
 
 
 # -- background load ---------------------------------------------------------------------
