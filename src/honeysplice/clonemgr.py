@@ -66,7 +66,8 @@ class CloneManager:
         self._make_host = make_host
         self._failure_p = failure_p
         self._pre = pre_instantiated
-        self._rng = engine.stream("clonemgr")
+        # only a manager that can fail draws, so only it needs a stream
+        self._rng = engine.stream("clonemgr") if failure_p > 0 else None
 
     def request_clone(self, spec: VictimSpec,
                       on_ready: Callable[[object, int], None]) -> int:

@@ -161,6 +161,8 @@ class Controller:
 
         self.records: dict[ConnKey, MigrationRecord] = {}
         self.port_map: dict[str, int] = {}
+        # port -> the flow rule forwarding out of it, shared by every flow
+        self._forward: dict[int, tuple[Output]] = {}
         self.server_hosts: dict[str, ServerHost] = {}
         self._busy_until = 0
         # seq of the alert's trigger segment while on_alert runs, else None
@@ -174,6 +176,7 @@ class Controller:
 
     def register_port(self, ip: str, port: int) -> None:
         self.port_map[ip] = port
+        self._forward[port] = (Output(port),)
 
     def register_server(self, host: ServerHost) -> None:
         self.server_hosts[host.addr.ip] = host
@@ -231,12 +234,12 @@ class Controller:
                 self.switch.drop_held(hold_id)
                 self.log("packet_in_unroutable", conn=key)
                 return
-            self.switch.install_rule(key, (Output(dst_port),))
+            self.switch.install_rule(key, self._forward[dst_port])
             rkey = (key[2], key[3], key[0], key[1])
             # a victim segment still in flight when a distinct-address
             # splice removed its rule misses; keep the splice's rule
             if rkey not in rules:
-                self.switch.install_rule(rkey, (Output(src_port),))
+                self.switch.install_rule(rkey, self._forward[src_port])
             self.log("flow_rules", conn=key)
         self.log("packet_in", conn=key)
         self.switch.release_held(hold_id)

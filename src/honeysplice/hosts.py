@@ -11,6 +11,7 @@ plane.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
@@ -95,8 +96,18 @@ class ServerHost(Host):
         return self._handle(seg)
 
 
+# payloads kept by make_request: above the shipped sessions' 120 requests,
+# so every repetition of one shares them
+REQUEST_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=REQUEST_CACHE_SIZE)
 def make_request(index: int, size: int) -> bytes:
-    """Deterministic request payload k of a session, exactly ``size`` bytes."""
+    """Deterministic request payload k of a session, exactly ``size`` bytes.
+
+    A pure function of its arguments, cached: the payloads are immutable
+    bytes, so every repetition of a run sends the same objects.
+    """
     stamp = b"r%06d-" % index
     reps = size // len(stamp) + 1
     return (stamp * reps)[:size]

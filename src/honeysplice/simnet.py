@@ -11,10 +11,11 @@ entity to a scenario never perturbs another entity's draws.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import random
 import zlib
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .netcore import HostAddr
@@ -141,9 +142,9 @@ class Engine:
         """
         if at < self.now:
             raise SchedulingInPast(f"schedule at {at} < now {self.now}")
-        self._order += 1
-        heapq.heappush(self._queue, (at, self._order, fn))
-        return self._order
+        self._order = order = self._order + 1
+        heappush(self._queue, (at, order, fn))
+        return order
 
     def schedule_in(self, fn: Callable[[], None], delay: int) -> int:
         return self.schedule(fn, self.now + delay)
@@ -157,7 +158,7 @@ class Engine:
         queue = self._queue
         dispatched = 0
         while queue and queue[0][0] <= t_end:
-            t, _, fn = heapq.heappop(queue)
+            t, _, fn = heappop(queue)
             self.now = t
             fn()
             dispatched += 1
@@ -167,36 +168,40 @@ class Engine:
 class Link:
     """Unidirectional delay line delivering packets to a fixed target.
 
-    With ``jitter=None`` every delivery takes exactly ``base_delay_us``;
-    packets on one link never reorder (delay draws are per-link but FIFO
-    order is preserved by equal-time insertion ordering only when delays
-    are equal, which holds for all no-jitter links; jittered scenarios
-    only make statistical claims).
+    Without jitter every delivery takes exactly ``base_delay_us``, so the
+    link is FIFO: equal-time events run in insertion order. With jitter
+    each send draws its own delay from the link's stream ``link:<name>``,
+    and packets on the link may reorder.
     """
 
-    __slots__ = ("_engine", "_model", "_deliver", "_rng", "name")
+    __slots__ = ("_engine", "_model", "_deliver", "_rng", "_delay", "name")
 
     def __init__(self, engine: Engine, name: str, model: LinkModel,
                  deliver: Callable[[object], None]):
         self._engine = engine
         self._model = model
         self._deliver = deliver
-        self._rng = engine.stream(f"link:{name}")
+        # None when every delivery takes the base delay; a link without
+        # jitter makes no draws, so it needs no stream
+        self._delay: Optional[int] = None
+        self._rng: Optional[random.Random] = None
+        if model.jitter is None:
+            self._delay = model.base_delay_us
+        else:
+            self._rng = engine.stream(f"link:{name}")
         self.name = name
 
     def send(self, pkt) -> None:
-        delay = self._model.delay(self._rng)
-        self._engine.schedule(_Delivery(self._deliver, pkt), self._engine.now + delay)
+        engine = self._engine
+        delay = self._delay
+        if delay is None:
+            delay = self._model.delay(self._rng)
+        engine.schedule(_Delivery(self._deliver, pkt), engine.now + delay)
 
 
-class _Delivery:
-    """Callable event wrapper; cheaper and clearer than a per-send closure."""
+class _Delivery(functools.partial):
+    """One link delivery as an engine event: calling it with no arguments
+    runs ``deliver(pkt)``. A ``partial`` subclass, so building and calling
+    one runs no Python frame."""
 
-    __slots__ = ("_fn", "_pkt")
-
-    def __init__(self, fn, pkt):
-        self._fn = fn
-        self._pkt = pkt
-
-    def __call__(self) -> None:
-        self._fn(self._pkt)
+    __slots__ = ()

@@ -17,7 +17,15 @@ switch:
 On a table miss the packet is held (not dropped) and escalated; the
 controller is expected to install rules and release it. A hold timeout
 (``MISS_HOLD_TIMEOUT_US``, one simulated second) guards against a dead
-controller.
+controller. Each hold records its deadline, miss time plus the timeout.
+One sweep event per switch expires holds: a miss arms it when none is
+pending, it fires at the oldest pending deadline, drops every hold whose
+deadline has come and re-arms at the oldest one left. ``release_held``
+and ``drop_held`` at or after a hold's deadline find it expired, and count
+it, even if the sweep has not run yet: a release in the same µs as the
+deadline loses. That is the order a timer event per hold would give, since
+it is queued at the miss, before any event that could release the hold.
+So ``stats["hold_expired"]`` is exact between events.
 
 Packets re-entering via ``release_buffer``/``release_held`` are *not*
 mirrored again: the taps saw them on first entry.
@@ -92,8 +100,10 @@ class Switch:
         self._next_port = 1
         self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
         self._buffers: dict[Hashable, list] = {}
-        self._held: dict[int, object] = {}
+        # hold id -> (packet, deadline), in miss order, so in deadline order
+        self._held: dict[int, tuple[object, int]] = {}
         self._next_hold = 1
+        self._sweep_armed = False
         self.mirror_taps: list[Callable[[object], None]] = []
         self.packet_in_handler: Optional[Callable[[object, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
@@ -163,26 +173,53 @@ class Switch:
         self.stats["miss"] += 1
         hold_id = self._next_hold
         self._next_hold += 1
-        self._held[hold_id] = pkt
-        self._engine.schedule_in(lambda h=hold_id: self._expire_hold(h),
-                                 MISS_HOLD_TIMEOUT_US)
+        deadline = self._engine.now + MISS_HOLD_TIMEOUT_US
+        self._held[hold_id] = (pkt, deadline)
+        if not self._sweep_armed:
+            # no sweep pending means no hold pending: this one is the oldest
+            self._sweep_armed = True
+            self._engine.schedule(self._sweep_holds, deadline)
         if self.packet_in_handler is not None:
             self.packet_in_handler(pkt, hold_id)
 
-    def _expire_hold(self, hold_id: int) -> None:
-        if self._held.pop(hold_id, None) is not None:
+    def _sweep_holds(self) -> None:
+        """Expire every hold whose deadline has come; re-arm at the oldest
+        deadline left."""
+        now = self._engine.now
+        expired = []
+        for hold_id, (_, deadline) in self._held.items():
+            if deadline > now:
+                self._engine.schedule(self._sweep_holds, deadline)
+                break
+            expired.append(hold_id)
+        else:
+            self._sweep_armed = False
+        for hold_id in expired:
+            del self._held[hold_id]
+        self.stats["hold_expired"] += len(expired)
+
+    def _take_held(self, hold_id: int):
+        """Remove a hold and return its packet; None when the hold is gone
+        or its deadline has come (then it counts as expired)."""
+        entry = self._held.pop(hold_id, None)
+        if entry is None:
+            return None
+        pkt, deadline = entry
+        if self._engine.now >= deadline:
             self.stats["hold_expired"] += 1
+            return None
+        return pkt
 
     def release_held(self, hold_id: int) -> bool:
         """Re-process a held miss packet (post rule install)."""
-        pkt = self._held.pop(hold_id, None)
+        pkt = self._take_held(hold_id)
         if pkt is None:
             return False
         self.process(pkt, mirror=False)
         return True
 
     def drop_held(self, hold_id: int) -> bool:
-        return self._held.pop(hold_id, None) is not None
+        return self._take_held(hold_id) is not None
 
     def send_out(self, port: int, pkt) -> None:
         """Direct transmit on a port (controller-originated packets)."""

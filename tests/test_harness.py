@@ -27,6 +27,7 @@ from honeysplice.harness import (
     write_controller_csv,
 )
 from honeysplice.cli import main as cli_main
+from honeysplice.hosts import REQUEST_CACHE_SIZE, make_request
 
 from random_scenarios import random_scenario
 from honeysplice.controller import ControllerEvent
@@ -286,6 +287,23 @@ def test_knob_space_runs_clean_and_equals_oracle(tmp_path, trigger, containment,
         ignored = {ev.fields["phase"] for ev in sim.controller.events
                    if ev.kind == "alert_ignored"}
         assert ("IDLE" in ignored) == (trigger in IGNORED_ALERT_RULES)
+
+
+def test_request_payloads_are_cached_and_shared_across_reps():
+    assert make_request(7, 64) is make_request(7, 64)
+    assert make_request.cache_info().maxsize == REQUEST_CACHE_SIZE > 0
+    # random sizes: each rep draws other (index, size) keys from one cache
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       request_size_random=True)
+    for rep in (1, 2, 3):
+        sim = run_single(scenario, rep)
+        oracle = run_single(scenario, rep, migration=False)
+        assert not sim.trace(rep).violations
+        assert [make_request.__wrapped__(i, len(p))
+                for i, p in enumerate(sim.attacker.sent_requests, 1)] == \
+            sim.attacker.sent_requests
+        assert bytes(sim.attacker.received_stream) == \
+            bytes(oracle.attacker.received_stream)
 
 
 # -- background load ---------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Event engine determinism, link delay exactness, RNG stream splitting."""
 
+import random
+
 import pytest
 
+from honeysplice import simnet
 from honeysplice.simnet import (
     BackgroundLoadSpec,
     Distribution,
@@ -146,6 +149,42 @@ def test_link_exact_delay_without_jitter():
     # delivered_time - sent_time == base_delay, exactly, for every packet
     for tag, t in deliveries:
         assert t - sent_at[tag] == 1000
+
+
+def test_link_send_queues_one_delivery_through_schedule(monkeypatch):
+    # what the benchmark tracer relies on to bill deliveries to simnet
+    queued = []
+    schedule = Engine.schedule
+
+    def spy(engine, fn, at):
+        queued.append((fn, at))
+        return schedule(engine, fn, at)
+
+    monkeypatch.setattr(Engine, "schedule", spy)
+    eng = Engine(1)
+    delivered = []
+    link = Link(eng, "l0", LinkModel(base_delay_us=250), delivered.append)
+    link.send("pkt")
+    assert len(queued) == 1
+    fn, at = queued[0]
+    assert isinstance(fn, simnet._Delivery)
+    assert at == 250
+    fn()
+    assert delivered == ["pkt"]
+
+
+def test_jittered_link_draws_from_its_named_stream():
+    model = LinkModel(1000, Distribution("uniform", -300, 300))
+    eng = Engine(7)
+    arrivals = []
+    link = Link(eng, "l0", model, lambda p: arrivals.append((eng.now, p)))
+    for i in range(6):
+        link.send(i)
+    eng.run_until(10_000)
+    ref = random.Random(derive_seed(7, "link:l0"))
+    assert sorted(arrivals) == sorted((model.delay(ref), i) for i in range(6))
+    # the link consumed exactly those draws from the engine's stream
+    assert eng.stream("link:l0").random() == ref.random()
 
 
 def test_background_spec_flow_count():

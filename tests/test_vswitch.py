@@ -3,10 +3,12 @@ mirroring, packet-in holds, buffering, and seq/ack rewriting (checked
 against the modular-arithmetic oracle)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
 from honeysplice.simnet import Engine, Link, LinkModel
 from honeysplice.vswitch import (
+    MISS_HOLD_TIMEOUT_US,
     Buffer,
     Output,
     Rewrite,
@@ -186,6 +188,144 @@ def test_hold_expires_after_timeout():
     assert sw.stats["hold_expired"] == 1
     # too late: the packet is gone
     assert sw.release_held(1) is False
+
+
+def test_one_sweep_expires_every_hold_of_a_burst():
+    eng = Engine(1)
+    sw = Switch(eng)
+    for sport in range(50):
+        sw.process(seg(sport=sport))
+    # one sweep event, not one timer per miss
+    assert eng.run_until(2_000_000) == 1
+    assert sw.stats["hold_expired"] == 50
+
+
+class OneEventPerHold(Switch):
+    """Reference hold expiry: one timer event per miss, queued at the miss,
+    as the switch did before its single sweep."""
+
+    def _escalate(self, pkt) -> None:
+        self.stats["miss"] += 1
+        hold_id = self._next_hold
+        self._next_hold += 1
+        self._held[hold_id] = pkt
+        self._engine.schedule_in(lambda h=hold_id: self._expire_hold(h),
+                                 MISS_HOLD_TIMEOUT_US)
+        if self.packet_in_handler is not None:
+            self.packet_in_handler(pkt, hold_id)
+
+    def _expire_hold(self, hold_id: int) -> None:
+        if self._held.pop(hold_id, None) is not None:
+            self.stats["hold_expired"] += 1
+
+    def release_held(self, hold_id: int) -> bool:
+        pkt = self._held.pop(hold_id, None)
+        if pkt is None:
+            return False
+        self.process(pkt, mirror=False)
+        return True
+
+    def drop_held(self, hold_id: int) -> bool:
+        return self._held.pop(hold_id, None) is not None
+
+
+class HoldBench:
+    """One switch with one output port; every miss gets its forwarding
+    rule at once, so a released packet is forwarded."""
+
+    def __init__(self, switch_cls):
+        self.engine = Engine(1)
+        self.switch = switch_cls(self.engine)
+        self.forwarded = []
+        self.switch.attach(Link(self.engine, "out", LinkModel(0),
+                                lambda p: self.forwarded.append(p.sport)))
+        self.holds = []
+        self.switch.packet_in_handler = lambda pkt, hold: self.holds.append(hold)
+        self.timed = []  # (time, op, hold, result) of the timed calls
+
+    def miss(self, sport):
+        self.switch.process(seg(sport=sport))
+        self.switch.install_rule(exact_match(sport=sport), (Output(1),))
+
+    def advance(self, t):
+        # the marker event puts both clocks at t, though the two switches
+        # dispatch different numbers of events on the way
+        self.engine.schedule(lambda: None, t)
+        self.engine.run_until(t)
+
+    def call_at(self, t, op, hold):
+        def call():
+            self.timed.append((self.engine.now, op, hold,
+                               getattr(self.switch, op)(hold)))
+        self.engine.schedule(call, t)
+
+    def state(self):
+        return (self.engine.now, self.switch.stats, self.holds, self.forwarded,
+                self.timed)
+
+
+# A step names holds by a number taken modulo the holds so far, so steps
+# are drawn independently of the state they run in. Times are at or after
+# the clock: ``wait`` advances by an offset, the others go to a hold's
+# deadline plus -1, 0 or 1 µs.
+HOLD_STEPS = st.one_of(
+    st.tuples(st.just("miss")),
+    st.tuples(st.just("wait"), st.integers(0, MISS_HOLD_TIMEOUT_US // 2)),
+    st.tuples(st.sampled_from(["release_held", "drop_held"]), st.integers(0, 63)),
+    st.tuples(st.sampled_from(["to_deadline", "release_held at", "drop_held at"]),
+              st.integers(0, 63), st.integers(-1, 1)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(HOLD_STEPS, max_size=40))
+def test_hold_sweep_matches_one_expiry_event_per_hold(steps):
+    ref, new = HoldBench(OneEventPerHold), HoldBench(Switch)
+    deadlines = []  # index: hold id - 1
+    for step in steps:
+        now = new.engine.now
+        kind = step[0]
+        if kind == "miss":
+            for bench in (ref, new):
+                bench.miss(sport=len(deadlines))
+            deadlines.append(now + MISS_HOLD_TIMEOUT_US)
+        elif kind == "wait":
+            for bench in (ref, new):
+                bench.advance(now + step[1])
+        elif kind in ("release_held", "drop_held"):
+            # the id past the last miss is unknown to both
+            hold = step[1] % (len(deadlines) + 1) + 1
+            assert getattr(ref.switch, kind)(hold) == getattr(new.switch, kind)(hold)
+        elif deadlines:
+            hold = step[1] % len(deadlines) + 1
+            t = max(now, deadlines[hold - 1] + step[2])
+            for bench in (ref, new):
+                if kind == "to_deadline":
+                    bench.advance(t)
+                else:
+                    # a call from an event queued after the hold's miss, as
+                    # every controller release is; at the deadline it loses
+                    bench.call_at(t, kind.split()[0], hold)
+        assert ref.state() == new.state()
+    end = max(deadlines, default=0) + 1
+    for bench in (ref, new):
+        bench.advance(max(end, bench.engine.now))
+    assert ref.state() == new.state()
+
+
+def test_release_at_the_deadline_loses_before_the_sweep_runs():
+    bench = HoldBench(Switch)
+    bench.miss(sport=1)
+    bench.advance(10)
+    bench.miss(sport=2)
+    deadline = 10 + MISS_HOLD_TIMEOUT_US
+    # queued now, so it runs before the sweep that the first hold's
+    # expiry re-arms for this deadline
+    bench.call_at(deadline, "release_held", 2)
+    bench.advance(deadline)
+    assert bench.timed == [(deadline, "release_held", 2, False)]
+    assert bench.switch.stats["hold_expired"] == 2
+    assert bench.forwarded == []
 
 
 # -- buffering ------------------------------------------------------------------------------
