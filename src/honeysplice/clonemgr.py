@@ -14,10 +14,9 @@ only their ordering is contractual.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .netcore import HostAddr
+from .hosts import ServerHost
 from .simnet import Engine
 
 
@@ -40,27 +39,19 @@ CLONE_LATENCY_US: dict[StrategyKind, int] = {
 }
 
 
-@dataclass(frozen=True)
-class VictimSpec:
-    """What a clone must replicate: presented identity, app, open ports."""
-
-    addr: HostAddr
-    app_id: str
-    open_ports: tuple[int, ...]
-
-
 class CloneManager:
     """Instantiates honey servers on demand (or hands out a pre-built one).
 
-    ``make_host`` is supplied by the topology layer and must attach the
-    new honey host to the switch. At most one clone is in flight per
-    connection; the controller's phase machine enforces that.
+    ``make_host`` is supplied by the topology layer: it builds a copy of
+    the victim host it is handed and attaches it to the switch. At most
+    one clone is in flight per connection; the controller's phase machine
+    enforces that.
     """
 
     def __init__(self, engine: Engine, latency_us: int,
-                 make_host: Callable[[VictimSpec], object],
+                 make_host: Callable[[ServerHost], ServerHost],
                  failure_p: float = 0.0,
-                 pre_instantiated: Optional[object] = None):
+                 pre_instantiated: Optional[ServerHost] = None):
         self._engine = engine
         self.latency_us = latency_us
         self._make_host = make_host
@@ -69,23 +60,21 @@ class CloneManager:
         # only a manager that can fail draws, so only it needs a stream
         self._rng = engine.stream("clonemgr") if failure_p > 0 else None
 
-    def request_clone(self, spec: VictimSpec,
-                      on_ready: Callable[[object, int], None]) -> int:
-        """Start instantiation; ``on_ready(host, latency_us)`` fires when the
-        clone is operational. Returns the latency in µs.
+    def request_clone(self, victim: ServerHost,
+                      on_ready: Callable[[ServerHost, int], None]) -> None:
+        """Start cloning ``victim``; ``on_ready(host, latency_us)`` fires when
+        the clone is operational.
 
         A pre-instantiated honey server is handed over synchronously with
         zero latency (the redirection-only deployments).
         """
         if self._failure_p > 0 and self._rng.random() < self._failure_p:
-            raise CloneFailed(f"instantiation failed for {spec.app_id}")
+            raise CloneFailed(f"instantiation failed for {victim.app.app_id}")
         if self._pre is not None:
-            host = self._pre
-            on_ready(host, 0)
-            return 0
+            on_ready(self._pre, 0)
+            return
 
         def ready() -> None:
-            on_ready(self._make_host(spec), self.latency_us)
+            on_ready(self._make_host(victim), self.latency_us)
 
         self._engine.schedule_in(ready, self.latency_us)
-        return self.latency_us

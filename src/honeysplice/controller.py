@@ -13,7 +13,7 @@ Redirection, on an alert for an established connection:
      reaches the victim), and a forged RST tears down the victim-side
      endpoint only; the attacker-facing direction is never reset, so the
      attacker sees no change;
-  2. clone -- a honey server with the victim's app identity is requested;
+  2. clone -- a copy of the victim host is requested;
   3. splice -- once the clone is up, the controller forges a three-way
      handshake with it while impersonating the attacker, replays the
      recorded pre-alert payloads so the clone's application state matches
@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .clonemgr import CloneFailed, CloneManager, VictimSpec
+from .clonemgr import CloneFailed, CloneManager
 from .hosts import ServerHost
 from .netcore import (
     ConnKey,
@@ -129,7 +129,6 @@ class MigrationRecord:
     last_ack: int = 0
     payloads: list[tuple[int, bytes]] = field(default_factory=list)
     victim_isn: Optional[int] = None
-    honey_isn: Optional[int] = None
     seq_delta: int = 0
     ack_delta: int = 0
     phase: str = PHASE_IDLE
@@ -268,12 +267,10 @@ class Controller:
             if self.containment == "immediate":
                 self._contain(record)
             victim = self.server_hosts[record.server_addr.ip]
-            spec = VictimSpec(addr=victim.addr, app_id=victim.app.app_id,
-                              open_ports=(victim.listen_port,))
             self.log("clone_requested", conn=key)
             try:
                 self.clonemgr.request_clone(
-                    spec, lambda host, lat: self._on_clone_ready(record, host, lat))
+                    victim, lambda host, lat: self._on_clone_ready(record, host, lat))
             except CloneFailed:
                 self._clone_failed(record)
         finally:
@@ -304,9 +301,8 @@ class Controller:
             self._contain(record)
         record.transition(PHASE_SPLICING, self.engine.now)
         self.log("splice_started", conn=record.key)
-        record.honey_isn = self._splice(
-            record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
-            PHASE_REDIRECTED)
+        self._splice(record, host, seq_add(record.attacker_iss, 1),
+                     record.victim_pos, PHASE_REDIRECTED)
 
     def _clone_failed(self, record: MigrationRecord) -> None:
         """Fail open: hand a contained connection straight back to the
@@ -324,11 +320,10 @@ class Controller:
     # -- the splice (shared by migration, restore and fail-open) ----------------
 
     def _splice(self, record: MigrationRecord, server: ServerHost,
-                replay_from: int, replay_upto: int, final_phase: str) -> int:
+                replay_from: int, replay_upto: int, final_phase: str) -> None:
         """Forge a handshake with ``server`` as the attacker, replay the
         logged payloads whose seq lies in [replay_from, replay_upto) (mod
-        2**32), rewrite by the new stream offset and release the buffer.
-        Returns the server's ISN."""
+        2**32), rewrite by the new stream offset and release the buffer."""
         key = record.key
         window = seq_sub(replay_upto, replay_from)
         entries = [(seq, payload) for seq, payload in record.payloads
@@ -341,8 +336,7 @@ class Controller:
         replies = server.deliver_oob(syn)
         if not replies or not (replies[0].flags & TcpFlags.SYN):
             raise RestoreFailed(f"server {server.name} refused forged handshake")
-        server_isn = replies[0].seq
-        server_snd_nxt = seq_add(server_isn, 1)
+        server_snd_nxt = seq_add(replies[0].seq, 1)
         ack = TcpSegment(src=record.attacker_addr, dst=server.addr,
                          sport=key[1], dport=key[3],
                          seq=replay_from, ack=server_snd_nxt,
@@ -387,7 +381,6 @@ class Controller:
         released = self.switch.release_buffer(key)
         self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
                  conn=key, released=released)
-        return server_isn
 
     # -- reverse migration -------------------------------------------------------
 
@@ -412,5 +405,5 @@ class Controller:
 
     def _restore_splice(self, record: MigrationRecord) -> None:
         victim = self.server_hosts[record.server_addr.ip]
-        record.victim_isn = self._splice(record, victim, record.victim_pos,
-                                         record.attacker_snd_nxt, PHASE_RESTORED)
+        self._splice(record, victim, record.victim_pos, record.attacker_snd_nxt,
+                     PHASE_RESTORED)

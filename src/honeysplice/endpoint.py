@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from .netcore import (
     SEQ_MOD,
@@ -218,24 +218,15 @@ class ServerApp:
     server it copies (once its request history has been replayed).
     """
 
-    def __init__(self, app_id: str,
-                 response_fn: Optional[Callable[[bytes, int], bytes]] = None):
+    def __init__(self, app_id: str):
         self.app_id = app_id
-        self._fn = response_fn or counter_echo(app_id)
+        self._prefix = app_id.encode("utf-8")
         self.request_count = 0
         self.request_log: list[bytes] = []
 
     def respond(self, request: bytes) -> bytes:
+        """Echo the request tagged with the app id and a running count."""
         self.request_count += 1
-        self.request_log.append(bytes(request))
-        return self._fn(bytes(request), self.request_count)
-
-
-def counter_echo(app_id: str) -> Callable[[bytes, int], bytes]:
-    """Default app behavior: echo the request tagged with a running count."""
-    prefix = app_id.encode("utf-8")
-
-    def fn(request: bytes, count: int) -> bytes:
-        return prefix + b"#%06d|" % count + request
-
-    return fn
+        request = bytes(request)
+        self.request_log.append(request)
+        return self._prefix + b"#%06d|" % self.request_count + request

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
+from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
 from .controller import Controller, ControllerEvent
 from .endpoint import ServerApp, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
-from .ids import Ids, ParseError, load_ruleset_file
+from .ids import Ids, IdsRule, ParseError, load_ruleset_file
 from .netcore import HostAddr
 from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel, derive_seed
 from .vswitch import Switch
@@ -58,7 +58,7 @@ class InvariantViolation(Exception):
     """A repetition violated a stealth or completeness invariant."""
 
 
-_PATH = "path"  # parser marker: a file name, resolved against the scenario's directory
+_RULES = "rules"  # parser marker: a rules file, resolved against the scenario's directory
 
 
 def _flag(value) -> bool:
@@ -100,7 +100,7 @@ class Scenario:
     trigger_kind: str = _opt("trigger.kind", "nth_packet", str)  # "nth_packet" | "rule"
     trigger_n: int = _opt("trigger.n", 0, int)
     trigger_sid: int = _opt("trigger.sid", 0, int)
-    ruleset: Optional[str] = _opt("ruleset", None, _PATH)     # absolute path once loaded
+    ruleset: Optional[tuple[IdsRule, ...]] = _opt("ruleset", None, _RULES)  # parsed at load
     request_size: int = _opt("request.size", 32, int)
     request_size_random: bool = _opt("request.random_size", False, _flag)
     request_interval_us: int = _opt("request.interval_us", 10_000, int)
@@ -127,8 +127,10 @@ class Scenario:
                 raise ConfigError("trigger.n",
                                   f"must be in 1..total_packets ({self.total_packets})")
         elif self.trigger_kind == "rule":
-            if not self.ruleset:
+            if self.ruleset is None:
                 raise ConfigError("ruleset", "required for a rule trigger")
+            if self.trigger_sid not in {rule.sid for rule in self.ruleset}:
+                raise ConfigError("trigger.sid", f"no rule with sid {self.trigger_sid}")
         else:
             raise ConfigError("trigger.kind", f"unknown kind {self.trigger_kind!r}")
         if self.restore_at is not None:
@@ -192,9 +194,10 @@ def _flatten(doc, prefix: str = "") -> dict:
 def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None) -> Scenario:
     """Build a Scenario from a parsed document, as declared by its fields.
 
-    Relative paths resolve against ``base_dir`` (default: the working
-    directory). Unknown keys, malformed values, failed validation and
-    unreadable referenced files raise ConfigError naming the key.
+    The ruleset file, relative to ``base_dir`` (default: the working
+    directory), is read and parsed here, once. Unknown keys, malformed
+    values, an unreadable ruleset and failed validation raise ConfigError
+    naming the key.
     """
     base_dir = base_dir or Path.cwd()
     flat = _flatten(doc)
@@ -205,25 +208,14 @@ def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None) -> Scenario:
             continue
         parse = f.metadata["parse"]
         try:
-            values[f.name] = (str((base_dir / raw).resolve()) if parse is _PATH
-                              else parse(raw))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            values[f.name] = (tuple(load_ruleset_file(str((base_dir / raw).resolve())))
+                              if parse is _RULES else parse(raw))
+        except (KeyError, TypeError, ValueError, AttributeError, OSError,
+                ParseError) as exc:
             raise ConfigError(key, str(exc)) from None
     scenario = Scenario(**values)
     scenario.validate()
-    _check_files(scenario)
     return scenario
-
-
-def _check_files(scenario: Scenario) -> None:
-    """Load the files a scenario names, so a bad one fails before any run."""
-    if scenario.ruleset is not None:
-        try:
-            sids = {rule.sid for rule in load_ruleset_file(scenario.ruleset)}
-        except (OSError, ValueError, ParseError) as exc:
-            raise ConfigError("ruleset", str(exc)) from None
-        if scenario.trigger_kind == "rule" and scenario.trigger_sid not in sids:
-            raise ConfigError("trigger.sid", f"no rule with sid {scenario.trigger_sid}")
 
 
 def load_scenario(path) -> Scenario:
@@ -300,20 +292,17 @@ class Simulation:
 
         self.honey: Optional[ServerHost] = None
 
-        def make_honey(spec):
-            addr = spec.addr if scenario.honey_addr_mode == "same" \
+        def make_honey(victim: ServerHost) -> ServerHost:
+            addr = victim.addr if scenario.honey_addr_mode == "same" \
                 else HONEY_DISTINCT_ADDR
-            host = ServerHost(self.engine, "honey", addr, spec.open_ports[0],
-                              ServerApp(spec.app_id), iss_policy("honey"))
+            host = ServerHost(self.engine, "honey", addr, victim.listen_port,
+                              ServerApp(victim.app.app_id), iss_policy("honey"))
             host.attach(self.switch, link_model)
             self.honey = host
             return host
 
         latency_us = CLONE_LATENCY_US[scenario.clone_strategy]
-        pre = None
-        if not scenario.clone_on_demand:
-            pre = make_honey(VictimSpec(addr=VICTIM_ADDR, app_id=APP_ID,
-                                        open_ports=(SERVER_PORT,)))
+        pre = None if scenario.clone_on_demand else make_honey(self.victim)
         self.controller.clonemgr = CloneManager(
             self.engine, latency_us, make_honey,
             failure_p=scenario.clone_failure_p, pre_instantiated=pre)
@@ -324,8 +313,7 @@ class Simulation:
                                               sid=MIGRATE_WATCH_SID, msg="MIGRATE",
                                               dst_ip=VICTIM_ADDR.ip)
             else:
-                rules = load_ruleset_file(scenario.ruleset)
-                self.ids.load_rules(rules)
+                self.ids.load_rules(scenario.ruleset)
             if scenario.restore_at is not None:
                 self.ids.add_nth_packet_watch(scenario.restore_at,
                                               sid=RESTORE_WATCH_SID, msg="RESTORE",
@@ -342,14 +330,13 @@ class Simulation:
 
             self.ids.subscribe(route)
 
-        self.background_flows: list[str] = []
         attacker_start = 200_000 if scenario.background else 10_000
         self.horizon = (attacker_start + 50_000
                         + (scenario.total_packets + 2) * scenario.request_interval_us
                         + latency_us * 3
                         + scenario.restore_grace_us + 100_000)
         if scenario.background:
-            self.background_flows = spawn_background_load(
+            spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,
                 register_host=lambda h: self.controller.register_port(h.addr.ip, h.port),
                 horizon_us=self.horizon)

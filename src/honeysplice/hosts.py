@@ -30,12 +30,11 @@ class Host:
         self.uplink: Optional[Link] = None
         self.port: int = 0
 
-    def attach(self, switch: Switch, model: LinkModel) -> int:
+    def attach(self, switch: Switch, model: LinkModel) -> None:
         """Wire host<->switch links (one per direction) and take a port."""
         self.uplink = Link(self.engine, f"{self.name}:up", model, switch.process)
         downlink = Link(self.engine, f"{self.name}:down", model, self.deliver)
         self.port = switch.attach(downlink)
-        return self.port
 
     def transmit(self, pkt) -> None:
         self.uplink.send(pkt)
@@ -215,16 +214,12 @@ class EchoHost(Host):
         if not isinstance(pkt, EchoPacket):
             return
         if pkt.kind == "req":
-            reply = EchoPacket(self.addr, pkt.src, pkt.dport, pkt.sport,
-                               "resp", pkt.flow_id)
-            self.transmit(reply)
+            self.transmit(EchoPacket(self.addr, pkt.src, pkt.dport, pkt.sport, "resp"))
 
     def run_ping(self, target: HostAddr, sport: int, dport: int,
-                 flow_id: str, start_at: int, interval_us: int,
-                 stop_at: int) -> None:
+                 start_at: int, interval_us: int, stop_at: int) -> None:
         def tick() -> None:
-            self.transmit(EchoPacket(self.addr, target, sport, dport, "req",
-                                     flow_id))
+            self.transmit(EchoPacket(self.addr, target, sport, dport, "req"))
             nxt = self.engine.now + interval_us
             if nxt <= stop_at:
                 self.engine.schedule(tick, nxt)
@@ -235,7 +230,7 @@ class EchoHost(Host):
 def spawn_background_load(engine: Engine, switch: Switch,
                           spec: BackgroundLoadSpec, link_model: LinkModel,
                           register_host: Callable[[Host], None],
-                          horizon_us: int) -> list[str]:
+                          horizon_us: int) -> None:
     """Create n_hosts x procs_per_host periodic echo flows.
 
     Every flow gets a unique source port, so its first request always
@@ -251,7 +246,6 @@ def spawn_background_load(engine: Engine, switch: Switch,
         register_host(host)
         hosts.append(host)
 
-    flow_ids: list[str] = []
     flow_index = 0
     for i, host in enumerate(hosts):
         for p in range(spec.procs_per_host):
@@ -259,10 +253,7 @@ def spawn_background_load(engine: Engine, switch: Switch,
                 target = hosts[(i + 1 + p % (spec.n_hosts - 1)) % spec.n_hosts]
             else:
                 target = host
-            flow_id = f"bg-{i}-{p}"
             host.run_ping(target.addr, sport=10_000 + flow_index, dport=7,
-                          flow_id=flow_id, start_at=flow_index * 71,
+                          start_at=flow_index * 71,
                           interval_us=spec.msg_interval_us, stop_at=horizon_us)
-            flow_ids.append(flow_id)
             flow_index += 1
-    return flow_ids

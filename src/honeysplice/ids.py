@@ -26,7 +26,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .netcore import ConnKey, TcpFlags, TcpSegment, five_tuple
 
@@ -110,7 +110,6 @@ class Alert:
     msg: str
     segment: TcpSegment
     conn: ConnKey
-    ts_us: int
     ordinal: int
 
 
@@ -249,7 +248,7 @@ class Ids:
         self._matches: dict[tuple[int, str], tuple[int, list[int]]] = {}
         self.alerts: list[Alert] = []
 
-    def load_rules(self, rules: list[IdsRule]) -> None:
+    def load_rules(self, rules: Iterable[IdsRule]) -> None:
         self.rules.extend(rules)
 
     def add_nth_packet_watch(self, n: int, sid: int, msg: str = "NTH_PACKET",
@@ -281,8 +280,7 @@ class Ids:
                 fires = len(times) >= rule.threshold.count
             self._matches[key] = (count + 1, [] if fires else times)
             if fires:
-                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg), now,
-                                   count + 1))
+                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg), count + 1))
 
         if seg.is_data and (seg.flags & (TcpFlags.PSH | TcpFlags.ACK)) \
                 == (TcpFlags.PSH | TcpFlags.ACK):
@@ -293,7 +291,7 @@ class Ids:
                 count = watch.counts.get(conn, 0) + 1
                 watch.counts[conn] = count
                 if count == watch.n:  # counts only grow: once per connection
-                    fired.append(Alert(watch.sid, watch.msg, seg, conn, now, count))
+                    fired.append(Alert(watch.sid, watch.msg, seg, conn, count))
 
         for alert in fired:
             self.alerts.append(alert)

@@ -63,11 +63,6 @@ class LinkModel:
     base_delay_us: int = 1000
     jitter: Optional[Distribution] = None
 
-    def delay(self, rng: random.Random) -> int:
-        if self.jitter is None:
-            return self.base_delay_us
-        return max(0, self.base_delay_us + self.jitter.sample(rng))
-
 
 @dataclass(frozen=True, slots=True)
 class BackgroundLoadSpec:
@@ -101,16 +96,14 @@ class EchoPacket:
     sport: int
     dport: int
     kind: str  # "req" | "resp"
-    flow_id: str
 
     def __init__(self, src: HostAddr, dst: HostAddr, sport: int, dport: int,
-                 kind: str, flow_id: str) -> None:
+                 kind: str) -> None:
         self.src = src
         self.dst = dst
         self.sport = sport
         self.dport = dport
         self.kind = kind
-        self.flow_id = flow_id
 
 
 class Engine:
@@ -195,7 +188,8 @@ class Link:
         engine = self._engine
         delay = self._delay
         if delay is None:
-            delay = self._model.delay(self._rng)
+            model = self._model
+            delay = max(0, model.base_delay_us + model.jitter.sample(self._rng))
         engine.schedule(_Delivery(self._deliver, pkt), engine.now + delay)
 
 

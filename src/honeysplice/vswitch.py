@@ -10,7 +10,7 @@ switch:
    rules, and the subsequent lookup sees the updated table, so a tap
    reacting to a packet can decide that same packet's fate;
 2. lookup of the packet's connection key;
-3. the key's actions run in order: REWRITE transforms the packet,
+3. the key's actions run in order: REWRITE transforms a TCP segment,
    OUTPUT forwards the current form out a port, BUFFER parks it in a
    named queue.
 
@@ -33,7 +33,7 @@ mirrored again: the taps saw them on first entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping, Optional, Union
 
@@ -59,28 +59,25 @@ class Output:
 
 @dataclass(frozen=True, slots=True)
 class Rewrite:
-    """Shift seq/ack modulo 2**32 and optionally rewrite addresses."""
+    """Shift a TCP segment's seq/ack modulo 2**32 and optionally rewrite
+    its addresses. Only spliced connections carry one."""
 
     seq_delta: int = 0
     ack_delta: int = 0
     new_src: Optional[HostAddr] = None
     new_dst: Optional[HostAddr] = None
 
-    def apply(self, pkt):
-        """The rewritten packet: a new one, or ``pkt`` itself when this
-        rewrite changes nothing it carries."""
-        is_tcp = isinstance(pkt, TcpSegment)
+    def apply(self, seg: TcpSegment) -> TcpSegment:
+        """The rewritten segment: a new one, or ``seg`` itself when this
+        rewrite changes nothing."""
         if (self.new_src is None and self.new_dst is None
-                and not (is_tcp and (self.seq_delta or self.ack_delta))):
-            return pkt
-        src = pkt.src if self.new_src is None else self.new_src
-        dst = pkt.dst if self.new_dst is None else self.new_dst
-        if is_tcp:
-            # the constructor wraps seq and ack modulo 2**32
-            return TcpSegment(src, dst, pkt.sport, pkt.dport,
-                              pkt.seq + self.seq_delta, pkt.ack + self.ack_delta,
-                              pkt.flags, pkt.payload)
-        return replace(pkt, src=src, dst=dst)
+                and not (self.seq_delta or self.ack_delta)):
+            return seg
+        src = seg.src if self.new_src is None else self.new_src
+        dst = seg.dst if self.new_dst is None else self.new_dst
+        # the constructor wraps seq and ack modulo 2**32
+        return TcpSegment(src, dst, seg.sport, seg.dport, seg.seq + self.seq_delta,
+                          seg.ack + self.ack_delta, seg.flags, seg.payload)
 
 
 @dataclass(frozen=True, slots=True)

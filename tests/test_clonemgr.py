@@ -7,13 +7,14 @@ from honeysplice.clonemgr import (
     CloneFailed,
     CloneManager,
     StrategyKind,
-    VictimSpec,
 )
+from honeysplice.endpoint import ServerApp, fixed_iss
+from honeysplice.hosts import ServerHost
 from honeysplice.netcore import HostAddr
 from honeysplice.simnet import Engine
 
 VIC = HostAddr("10.0.0.2", "02:00:00:00:00:02")
-SPEC = VictimSpec(addr=VIC, app_id="svc", open_ports=(9000,))
+VICTIM = ServerHost(Engine(0), "victim", VIC, 9000, ServerApp("svc"), fixed_iss(1))
 
 
 def test_default_table_latency_ordering():
@@ -31,8 +32,8 @@ def make_manager(latency_us=30_000, failure_p=0.0, pre=None):
     engine = Engine(7)
     made = []
 
-    def make_host(spec):
-        made.append(spec)
+    def make_host(victim):
+        made.append(victim)
         return f"honey-{len(made)}"
 
     mgr = CloneManager(engine, latency_us, make_host, failure_p=failure_p,
@@ -44,17 +45,17 @@ def test_clone_ready_after_exact_latency():
     engine, mgr, made = make_manager(latency_us=30_000)
     ready = []
     engine.schedule(lambda: mgr.request_clone(
-        SPEC, lambda host, lat: ready.append((engine.now, host, lat))), 1000)
+        VICTIM, lambda host, lat: ready.append((engine.now, host, lat))), 1000)
     engine.run_until(100_000)
     assert ready == [(31_000, "honey-1", 30_000)]
-    assert made == [SPEC]
+    assert made == [VICTIM]  # make_host is handed the victim host itself
 
 
 def test_zero_latency_clone_same_tick():
     engine, mgr, _ = make_manager(latency_us=0)
     ready = []
     engine.schedule(lambda: mgr.request_clone(
-        SPEC, lambda host, lat: ready.append(engine.now)), 500)
+        VICTIM, lambda host, lat: ready.append(engine.now)), 500)
     engine.run_until(1_000)
     assert ready == [500]
 
@@ -62,7 +63,7 @@ def test_zero_latency_clone_same_tick():
 def test_pre_instantiated_is_synchronous():
     engine, mgr, made = make_manager(pre="prebuilt")
     ready = []
-    mgr.request_clone(SPEC, lambda host, lat: ready.append((host, lat)))
+    mgr.request_clone(VICTIM, lambda host, lat: ready.append((host, lat)))
     assert ready == [("prebuilt", 0)]
     assert made == []  # factory never invoked
 
@@ -70,4 +71,4 @@ def test_pre_instantiated_is_synchronous():
 def test_failure_probability_one():
     engine, mgr, _ = make_manager(failure_p=1.0)
     with pytest.raises(CloneFailed):
-        mgr.request_clone(SPEC, lambda host, lat: None)
+        mgr.request_clone(VICTIM, lambda host, lat: None)

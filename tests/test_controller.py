@@ -6,7 +6,7 @@ its own fixed ISN; delta expectations below were computed with the
 modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
 
-from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind, VictimSpec
+from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
 from honeysplice.controller import (
     Controller,
     PHASE_IDLE,
@@ -56,16 +56,17 @@ class Mini:
 
         self.honey = None
 
-        def make_honey(spec):
-            host = ServerHost(self.engine, "honey", honey_addr or spec.addr,
-                              9000, ServerApp(spec.app_id), fixed_iss(honey_iss))
+        def make_honey(victim):
+            host = ServerHost(self.engine, "honey", honey_addr or victim.addr,
+                              victim.listen_port, ServerApp(victim.app.app_id),
+                              fixed_iss(honey_iss))
             host.attach(self.switch, link)
             self.honey = host
             return host
 
         pre = None
         if pre_instantiated:
-            pre = make_honey(VictimSpec(addr=VIC, app_id="svc", open_ports=(9000,)))
+            pre = make_honey(self.victim)
         self.controller.clonemgr = CloneManager(
             self.engine, clone_latency_us, make_honey, failure_p=failure_p,
             pre_instantiated=pre)
@@ -115,6 +116,34 @@ def test_oracle_run_without_trigger_is_flat():
     assert set(rtts.values()) == {4000}
 
 
+def test_segment_from_unregistered_address_is_dropped():
+    mini = Mini(trigger_n=None, total=2)
+    mini.run()
+    stranger = HostAddr("10.0.0.77", "02:00:00:00:00:77")
+    key = (stranger.ip, 5555, VIC.ip, 9000)
+    mini.switch.process(TcpSegment(stranger, VIC, 5555, 9000, seq=1, ack=0,
+                                   flags=TcpFlags.SYN))
+    mini.engine.run_until(mini.engine.now + 2_000_000)  # past the hold timeout
+    assert [ev.fields for ev in mini.events("packet_in_unroutable")] == [{"conn": key}]
+    assert key not in mini.switch.rules()
+    assert (stranger.ip, 5555) not in mini.victim.conns
+    assert mini.switch.stats["hold_expired"] == 0
+
+
+def test_miss_on_a_migrated_connection_is_dropped():
+    mini = Mini(trigger_n=5, total=10)
+    mini.run()
+    requests = mini.victim.app.request_count, mini.honey.app.request_count
+    mini.switch.remove_rule(CONN)
+    mini.switch.process(TcpSegment(ATT, VIC, 40001, 9000, seq=0, ack=0,
+                                   flags=TcpFlags.ACK))
+    mini.engine.run_until(mini.engine.now + 2_000_000)  # past the hold timeout
+    assert [ev.fields for ev in mini.events("anomaly_drop")] == [{"conn": CONN}]
+    assert CONN not in mini.switch.rules()  # no forwarding rule over the splice
+    assert (mini.victim.app.request_count, mini.honey.app.request_count) == requests
+    assert mini.switch.stats["hold_expired"] == 0
+
+
 def test_rtts_keyed_by_the_request_each_response_acks():
     engine = Engine(5)
     attacker = AttackerHost(engine, "attacker", ATT, VIC, 9000, 40001,
@@ -162,7 +191,7 @@ def test_splice_deltas_from_isns():
     mini.run()
     record = mini.controller.records[CONN]
     assert record.victim_isn == 7000
-    assert record.honey_isn == 9000
+    assert mini.honey.conns[(ATT.ip, 40001)].iss == 9000
     assert record.seq_delta == 2000
     assert record.ack_delta == (2**32 - 2000)
     assert (record.seq_delta + record.ack_delta) % 2**32 == 0
@@ -246,7 +275,7 @@ def test_alert_for_unknown_connection():
     mini = Mini(trigger_n=None, total=2)
     seg = TcpSegment(ATT, VIC, 1, 2, seq=0, ack=0, flags=TcpFlags.ACK)
     unknown = ("1.2.3.4", 1, "5.6.7.8", 2)
-    alert = Alert(sid=1, msg="X", segment=seg, conn=unknown, ts_us=0, ordinal=1)
+    alert = Alert(sid=1, msg="X", segment=seg, conn=unknown, ordinal=1)
     mini.controller.on_alert(alert)
     assert [ev.fields for ev in mini.controller.events] == [
         {"conn": unknown, "phase": PHASE_IDLE, "sid": 1}]
@@ -259,8 +288,7 @@ def test_duplicate_alert_ignored():
     mini = Mini(trigger_n=5, total=10)
     mini.run()
     seg = TcpSegment(ATT, VIC, 40001, 9000, seq=0, ack=0, flags=TcpFlags.ACK)
-    dup = Alert(sid=1, msg="MIGRATE", segment=seg, conn=CONN,
-                ts_us=mini.engine.now, ordinal=6)
+    dup = Alert(sid=1, msg="MIGRATE", segment=seg, conn=CONN, ordinal=6)
     mini.controller.on_alert(dup)  # no exception
     assert len(mini.events("alert_ignored")) == 1
     assert mini.controller.records[CONN].phase == PHASE_REDIRECTED

@@ -17,7 +17,6 @@ from honeysplice.endpoint import (
     InvalidState,
     ServerApp,
     TcpEndpoint,
-    counter_echo,
     fixed_iss,
     random_iss,
 )
@@ -254,7 +253,8 @@ def test_different_app_ids_differ():
     assert ServerApp("one").respond(b"q") != ServerApp("two").respond(b"q")
 
 
-def test_counter_echo_embeds_count():
-    fn = counter_echo("svc")
-    assert fn(b"req", 1) != fn(b"req", 2)
-    assert fn(b"req", 7) == fn(b"req", 7)
+def test_respond_tags_app_id_and_count():
+    app = ServerApp("svc")
+    assert app.respond(b"req") == b"svc#000001|req"
+    assert app.respond(b"req") == b"svc#000002|req"
+    assert app.request_log == [b"req", b"req"]

@@ -12,9 +12,11 @@ import pytest
 
 from honeysplice.harness import (
     ConfigError,
+    InvariantViolation,
     LatencyTrace,
     PacketRecord,
     Scenario,
+    Simulation,
     builtin_scenario_path,
     export_run,
     load_scenario,
@@ -142,6 +144,11 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": 0}},
      "background.msg_interval_us"),
     ({"iss_policy": {"kind": "random"}}, "iss_policy"),
+    ({"total_packets": 0}, "total_packets"),
+    ({"trigger": {"kind": "every_packet"}}, "trigger.kind"),
+    ({"containment": "never"}, "containment"),
+    ({"honey_addr_mode": "nat"}, "honey_addr_mode"),
+    ({"clone": {"failure_p": 1.5}}, "clone.failure_p"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -169,6 +176,36 @@ def test_bad_referenced_file_names_the_key(tmp_path, files, overrides, key):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(minimal_doc(**overrides), base_dir=tmp_path)
     assert str(err.value).startswith(f"{key}: ")
+
+
+@pytest.fixture
+def rule_scenario(tmp_path):
+    (tmp_path / "m.rules").write_text(RULES, encoding="utf-8")
+    doc = minimal_doc(trigger={"kind": "rule", "sid": 7}, ruleset="m.rules")
+    return scenario_from_dict(doc, base_dir=tmp_path)
+
+
+def test_rule_trigger_sid_is_checked_by_validate(rule_scenario):
+    rule_scenario.validate()
+    with pytest.raises(ConfigError) as err:
+        replace(rule_scenario, trigger_sid=8).validate()
+    assert str(err.value) == "trigger.sid: no rule with sid 8"
+
+
+@pytest.mark.parametrize("edit", ["deleted", "rewritten"])
+def test_ruleset_is_parsed_once_at_load(tmp_path, rule_scenario, edit):
+    rules = tmp_path / "m.rules"
+    if edit == "deleted":
+        rules.unlink()
+    else:
+        rules.write_text("alert tcp nonsense\n", encoding="utf-8")
+    for rep in (1, 2):
+        sim = run_single(rule_scenario, rep)
+        # the loaded rule matches every segment toward the victim, so the
+        # handshake's last ACK migrates: the victim never serves a request
+        assert sim.victim.app.request_count == 0
+        assert sim.honey.app.request_count == 10
+        assert not sim.trace(rep).violations
 
 
 def test_readme_documents_every_scenario_key():
@@ -313,10 +350,16 @@ def test_background_small_scale():
     scenario = scenario_from_dict(minimal_doc(
         background={"n_hosts": 3, "procs_per_host": 4, "msg_interval_us": 100_000}))
     sim = run_single(scenario, 1)
-    assert len(sim.background_flows) == 12
+    assert echo_flows(sim) == 12
     packet_ins = sum(1 for ev in sim.controller.events if ev.kind == "packet_in")
     assert packet_ins >= 12 + 1  # every flow misses once, plus the attacker SYN
     assert not sim.trace(1).violations
+
+
+def echo_flows(sim):
+    """Distinct echo request keys (dport 7) that reached the controller."""
+    return len({ev.fields["conn"] for ev in sim.controller.events
+                if ev.kind == "packet_in" and ev.fields["conn"][3] == 7})
 
 
 @pytest.mark.parametrize("n_hosts,procs,expected", [(1, 1, 1), (0, 70, 0)])
@@ -324,7 +367,7 @@ def test_background_degenerate_counts(n_hosts, procs, expected):
     doc = minimal_doc(background={"n_hosts": n_hosts, "procs_per_host": procs,
                                   "msg_interval_us": 100_000})
     sim = run_single(scenario_from_dict(doc), 1)
-    assert len(sim.background_flows) == expected
+    assert echo_flows(sim) == expected
 
 
 # -- summarize ----------------------------------------------------------------------------
@@ -507,6 +550,53 @@ def test_cli_summarize_unreadable_trace_dir_is_config_error(tmp_path, capsys, cs
     assert err.startswith("config error: trace-dir: ")
     assert message in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.fixture
+def lost_response(monkeypatch):
+    """Every repetition ends without the attacker's record of response 3."""
+    run = Simulation.run
+
+    def losing_run(sim):
+        run(sim)
+        del sim.attacker.recv_ts[3]
+
+    monkeypatch.setattr(Simulation, "run", losing_run)
+
+
+def test_incomplete_packet_is_a_violation(lost_response):
+    scenario = scenario_from_dict(minimal_doc(repetitions=2))
+    with pytest.raises(InvariantViolation,
+                       match=r"^t rep 1: packet 3 incomplete \(send=\d+, recv=None\)$"):
+        run_experiment(scenario)
+    traces = run_experiment(scenario, strict=False)
+    assert [t.rep for t in traces] == [1, 2]
+    for trace in traces:
+        (violation,) = trace.violations
+        assert violation.startswith("packet 3 incomplete")
+        assert [r.index for r in trace.records] == [1, 2, *range(4, 11)]
+
+
+def test_cli_check_reports_violations(tmp_path, capsys, lost_response):
+    scenario_path = tmp_path / "mini.json"
+    scenario_path.write_text(json.dumps(minimal_doc(repetitions=2)),
+                             encoding="utf-8")
+    assert cli_main(["check", str(scenario_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines[1:]] == [
+        "rep 1: VIOLATION packet 3 incomplete",
+        "rep 2: VIOLATION packet 3 incomplete",
+        "FAIL: 2 violation(s)"]
+
+
+def test_cli_run_violation_exit_code(tmp_path, capsys, lost_response):
+    scenario_path = tmp_path / "mini.json"
+    scenario_path.write_text(json.dumps(minimal_doc()), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", str(scenario_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "invariant violation: t rep 1: packet 3 incomplete")
+    assert not out_dir.exists()
 
 
 def test_cli_check_ok(tmp_path):

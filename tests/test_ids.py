@@ -302,7 +302,7 @@ def test_non_matching_segments_ignored():
     assert ids.observe(data_seg(dst=C), 0) == []
     assert ids.observe(data_seg(flags=TcpFlags.ACK), 0) == []
     from honeysplice.simnet import EchoPacket
-    ids.tap(EchoPacket(src=A, dst=B, sport=1, dport=7, kind="req", flow_id="f"))
+    ids.tap(EchoPacket(src=A, dst=B, sport=1, dport=7, kind="req"))
     assert ids.alerts == []
 
 

@@ -182,7 +182,8 @@ def test_jittered_link_draws_from_its_named_stream():
         link.send(i)
     eng.run_until(10_000)
     ref = random.Random(derive_seed(7, "link:l0"))
-    assert sorted(arrivals) == sorted((model.delay(ref), i) for i in range(6))
+    assert sorted(arrivals) == sorted(
+        (max(0, 1000 + model.jitter.sample(ref)), i) for i in range(6))
     # the link consumed exactly those draws from the engine's stream
     assert eng.stream("link:l0").random() == ref.random()
 
