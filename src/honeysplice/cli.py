@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    InvariantViolation,
     Scenario,
     builtin_scenario_path,
     export_run,
@@ -70,7 +69,7 @@ def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed, args.reps)
     print(f"running {scenario.name}: {scenario.repetitions} repetition(s), "
           f"seed {scenario.seed}")
-    traces = run_experiment(scenario)
+    traces = run_experiment(scenario, strict=False)
     out_dir = args.out or f"out/{scenario.name}"
     files = export_run(scenario, traces, out_dir)
     trigger = scenario.trigger_n if scenario.trigger_kind == "nth_packet" else None
@@ -78,6 +77,13 @@ def cmd_run(args) -> int:
     print(f"wrote {files['attacker']}")
     print(f"wrote {files['controller']}")
     print(f"wrote {files['summary']}")
+    # every repetition ran and was exported, so a failing run leaves its
+    # traces to inspect
+    violations = [f"invariant violation: {scenario.name} rep {trace.rep}: {v}"
+                  for trace in traces for v in trace.violations]
+    if violations:
+        print("\n".join(violations), file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -160,9 +166,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

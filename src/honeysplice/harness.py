@@ -126,6 +126,9 @@ class Scenario:
             if not 1 <= self.trigger_n <= self.total_packets:
                 raise ConfigError("trigger.n",
                                   f"must be in 1..total_packets ({self.total_packets})")
+            # only a rule trigger loads the rules into the IDS
+            if self.ruleset is not None:
+                raise ConfigError("ruleset", "only read by a rule trigger")
         elif self.trigger_kind == "rule":
             if self.ruleset is None:
                 raise ConfigError("ruleset", "required for a rule trigger")
@@ -255,7 +258,12 @@ class LatencyTrace:
 
 
 class Simulation:
-    """One wired repetition: topology, detection, controller, attacker."""
+    """One wired repetition: topology, detection, controller, attacker.
+
+    Its wiring holds reference cycles: dropped unclosed, it lives until the
+    cyclic collector runs; after ``close`` it is freed with its last
+    reference. ``run_experiment`` closes each repetition after its trace.
+    """
 
     def __init__(self, scenario: Scenario, seed: int, migration: bool = True):
         self.scenario = scenario
@@ -345,6 +353,20 @@ class Simulation:
     def run(self) -> None:
         self.engine.run_until(self.horizon)
 
+    def close(self) -> None:
+        """Drop the wiring ``__init__`` built, each part of a reference
+        cycle: pending events, the switch's ports, taps and packet-in
+        handler, the IDS sinks (``route`` holds the simulation) and the
+        clone manager (``make_honey`` does too). The simulation cannot run
+        again; its hosts' and controller's records stay readable.
+        """
+        self.engine._queue.clear()
+        self.switch._ports.clear()
+        self.switch.mirror_taps.clear()
+        self.switch.packet_in_handler = None
+        self.ids._sinks.clear()
+        self.controller.clonemgr = None
+
     def trace(self, rep: int) -> LatencyTrace:
         records = []
         problems = list(self.attacker.violations)
@@ -370,11 +392,16 @@ def run_single(scenario: Scenario, rep: int = 1, migration: bool = True) -> Simu
 
 def run_experiment(scenario: Scenario, migration: bool = True,
                    strict: bool = True) -> list[LatencyTrace]:
-    """Run all repetitions; stealth and completeness checked on every one."""
+    """Run all repetitions; stealth and completeness checked on every one.
+
+    Each repetition is closed right after its trace, so it is freed before
+    the next is built, on the strict raise too: a run holds only traces.
+    """
     traces = []
     for rep in range(1, scenario.repetitions + 1):
         sim = run_single(scenario, rep, migration=migration)
         trace = sim.trace(rep)
+        sim.close()
         if strict and trace.violations:
             raise InvariantViolation(
                 f"{scenario.name} rep {rep}: " + "; ".join(trace.violations[:5]))

@@ -12,6 +12,7 @@ plane.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
@@ -218,13 +219,29 @@ class EchoHost(Host):
 
     def run_ping(self, target: HostAddr, sport: int, dport: int,
                  start_at: int, interval_us: int, stop_at: int) -> None:
-        def tick() -> None:
-            self.transmit(EchoPacket(self.addr, target, sport, dport, "req"))
-            nxt = self.engine.now + interval_us
-            if nxt <= stop_at:
-                self.engine.schedule(tick, nxt)
+        flow = PingFlow(self, target, sport, dport, interval_us, stop_at)
+        self.engine.schedule(flow.tick, start_at)
 
-        self.engine.schedule(tick, start_at)
+
+@dataclass(slots=True)
+class PingFlow:
+    """One periodic echo flow. Only its pending event holds it, so a
+    flow whose event is dropped is freed by reference counting (a
+    closure that reschedules itself would hold itself, and its host)."""
+
+    host: EchoHost
+    target: HostAddr
+    sport: int
+    dport: int
+    interval_us: int
+    stop_at: int
+
+    def tick(self) -> None:
+        host = self.host
+        host.transmit(EchoPacket(host.addr, self.target, self.sport, self.dport, "req"))
+        nxt = host.engine.now + self.interval_us
+        if nxt <= self.stop_at:
+            host.engine.schedule(self.tick, nxt)
 
 
 def spawn_background_load(engine: Engine, switch: Switch,

@@ -1,15 +1,18 @@
 """Scenario loading/validation, aggregation, CSV export, CLI surface."""
 
+import gc
 import hashlib
 import json
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from honeysplice import harness
 from honeysplice.harness import (
     ConfigError,
     InvariantViolation,
@@ -149,6 +152,9 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"containment": "never"}, "containment"),
     ({"honey_addr_mode": "nat"}, "honey_addr_mode"),
     ({"clone": {"failure_p": 1.5}}, "clone.failure_p"),
+    # an absolute path, so the rules parse and validate() is what rejects them
+    ({"ruleset": str(builtin_scenario_path("e1_redirect").parent / "migrate.rules")},
+     "ruleset"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -577,6 +583,58 @@ def test_incomplete_packet_is_a_violation(lost_response):
         assert [r.index for r in trace.records] == [1, 2, *range(4, 11)]
 
 
+# -- reclamation -------------------------------------------------------------------
+
+
+@pytest.fixture
+def rep_refs(monkeypatch):
+    """Weak references to each repetition's simulation, engine, switch and
+    controller, taken with the cyclic collector off for the whole test."""
+    refs = []
+    run = harness.run_single
+
+    def recording_run_single(*args, **kwargs):
+        sim = run(*args, **kwargs)
+        refs.extend(weakref.ref(obj)
+                    for obj in (sim, sim.engine, sim.switch, sim.controller))
+        return sim
+
+    monkeypatch.setattr(harness, "run_single", recording_run_single)
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+RECLAIM_CASES = {
+    "background": {"background": {"n_hosts": 2, "procs_per_host": 2,
+                                  "msg_interval_us": 20_000}},
+    "on-demand": {"clone": {"on_demand": True}, "containment": "on_clone_ready"},
+    "restore": {"restore_at": 8},
+    "rule-trigger": {"trigger": {"kind": "rule", "sid": 7}, "ruleset": "m.rules"},
+    "fail-open": {"clone": {"failure_p": 1}},
+    "distinct": {"honey_addr_mode": "distinct"},
+}
+
+
+@pytest.mark.parametrize("overrides", RECLAIM_CASES.values(), ids=RECLAIM_CASES)
+def test_run_experiment_frees_each_repetition(tmp_path, rep_refs, overrides):
+    (tmp_path / "m.rules").write_text(RULES, encoding="utf-8")
+    doc = minimal_doc(repetitions=2, **overrides)
+    traces = run_experiment(scenario_from_dict(doc, base_dir=tmp_path))
+    assert [t.rep for t in traces] == [1, 2]
+    assert len(rep_refs) == 8
+    assert [ref() for ref in rep_refs] == [None] * 8
+
+
+def test_strict_raise_frees_the_failing_repetition(rep_refs, lost_response):
+    with pytest.raises(InvariantViolation):
+        run_experiment(scenario_from_dict(minimal_doc(repetitions=2)))
+    assert len(rep_refs) == 4
+    assert [ref() for ref in rep_refs] == [None] * 4
+
+
 def test_cli_check_reports_violations(tmp_path, capsys, lost_response):
     scenario_path = tmp_path / "mini.json"
     scenario_path.write_text(json.dumps(minimal_doc(repetitions=2)),
@@ -596,7 +654,12 @@ def test_cli_run_violation_exit_code(tmp_path, capsys, lost_response):
     assert cli_main(["run", str(scenario_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith(
         "invariant violation: t rep 1: packet 3 incomplete")
-    assert not out_dir.exists()
+    # the failing run is still exported, without the lost response
+    for name in ("attacker_trace.csv", "controller_events.csv", "summary.csv",
+                 "meta.json"):
+        assert (out_dir / name).exists()
+    rows = read_attacker_csv(out_dir / "attacker_trace.csv")
+    assert [r.index for r in rows[0].records] == [1, 2, *range(4, 11)]
 
 
 def test_cli_check_ok(tmp_path):
