@@ -223,7 +223,7 @@ class EchoHost(Host):
         self.engine.schedule(flow.tick, start_at)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PingFlow:
     """One periodic echo flow. Only its pending event holds it, so a
     flow whose event is dropped is freed by reference counting (a
