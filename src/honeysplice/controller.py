@@ -186,9 +186,7 @@ class Controller:
 
     # -- connection bookkeeping (mirror tap; runs before rule lookup) ---------
 
-    def ledger_tap(self, pkt) -> None:
-        if not isinstance(pkt, TcpSegment):
-            return
+    def ledger_tap(self, pkt: TcpSegment) -> None:
         key = five_tuple(pkt)
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
             self.records[key] = MigrationRecord(
@@ -349,7 +347,7 @@ class Controller:
                              seq=seq, ack=server_snd_nxt,
                              flags=TcpFlags.PSH | TcpFlags.ACK, payload=payload)
             for emitted in server.deliver_oob(seg):
-                if emitted.is_data:
+                if emitted.payload:
                     # response already delivered to the attacker by the
                     # previous incumbent; consume it, track the position
                     server_snd_nxt = seq_add(emitted.seq, len(emitted.payload))

@@ -6,6 +6,12 @@ duplicate tolerance (a replayed splice can re-present segments), FIN/RST
 teardown. No retransmission timers, windows, or congestion control:
 links are lossless and ordered.
 
+Receiving uses header prediction (Jacobson, 1990): in ESTABLISHED, a data
+segment without FIN at ``rcv_nxt`` is delivered whole; duplicates, gaps,
+overlaps and FIN take the full path. The ACK of delivered data is the
+caller's: it sends ``ack_now()`` or piggybacks the ack on its response
+(``app_send`` acks ``rcv_nxt``; RFC 1122 4.2.3.2).
+
 States: CLOSED -> SYN_SENT | SYN_RCVD -> ESTABLISHED -> FIN_WAIT /
 CLOSE_WAIT -> CLOSED_FINAL. RST jumps straight to CLOSED_FINAL.
 """
@@ -86,7 +92,8 @@ class TcpEndpoint:
         return TcpSegment(self.local, self.remote, self.lport, self.rport,
                           seq, self.rcv_nxt, flags, payload)
 
-    def _ack_now(self) -> TcpSegment:
+    def ack_now(self) -> TcpSegment:
+        """A pure ACK of everything received so far."""
         return self._make(TcpFlags.ACK, self.snd_nxt)
 
     # -- operations ------------------------------------------------------------
@@ -133,15 +140,25 @@ class TcpEndpoint:
     def on_segment(self, seg: TcpSegment) -> tuple[list[TcpSegment], bytes]:
         """Process one inbound segment.
 
-        Returns (segments to emit, application bytes delivered). Protocol
-        anomalies are states, not exceptions: out-of-window data is
-        re-acked and dropped, RST silences the connection.
+        Returns (segments to emit, application bytes delivered). With
+        delivered bytes it returns no segment: their ACK is the caller's.
+        Protocol anomalies are states, not exceptions: out-of-window data
+        is re-acked and dropped, RST silences the connection.
         """
-        if seg.flags & TcpFlags.RST:
+        flags = seg.flags
+        if flags & TcpFlags.RST:
             self.state = ConnState.CLOSED_FINAL
             return [], b""
 
         st = self.state
+        if st is ConnState.ESTABLISHED:
+            payload = seg.payload
+            if payload and seg.seq == self.rcv_nxt and not flags & TcpFlags.FIN:
+                # header prediction: the next in-order segment
+                self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
+                return [], payload
+            return self._on_established_segment(seg)
+
         if st is ConnState.CLOSED:
             if (seg.flags & TcpFlags.SYN) and not (seg.flags & TcpFlags.ACK):
                 # passive open: answer SYN with SYN-ACK
@@ -160,18 +177,18 @@ class TcpEndpoint:
                     and seg.ack == self.snd_nxt:
                 self.rcv_nxt = seq_add(seg.seq, 1)
                 self.state = ConnState.ESTABLISHED
-                return [self._ack_now()], b""
+                return [self.ack_now()], b""
             return [], b""
 
         if st is ConnState.SYN_RCVD:
             if (seg.flags & TcpFlags.ACK) and seg.ack == self.snd_nxt:
                 self.state = ConnState.ESTABLISHED
-                if seg.is_data or (seg.flags & TcpFlags.FIN):
+                if seg.payload or (seg.flags & TcpFlags.FIN):
                     return self._on_established_segment(seg)
                 return [], b""
             return [], b""
 
-        if st in (ConnState.ESTABLISHED, ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):
+        if st in (ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):
             return self._on_established_segment(seg)
 
         return [], b""
@@ -180,14 +197,14 @@ class TcpEndpoint:
         delivered = b""
         advanced = False
 
-        if seg.is_data:
+        if seg.payload:
             end = seg_end(seg)
             if seq_leq(end, self.rcv_nxt):
                 # pure duplicate (e.g. re-presented by a splice replay): re-ack
-                return [self._ack_now()], b""
+                return [self.ack_now()], b""
             if seq_lt(self.rcv_nxt, seg.seq):
                 # gap ahead of us; ack what we have, deliver nothing
-                return [self._ack_now()], b""
+                return [self.ack_now()], b""
             # in order (possibly overlapping the left edge)
             offset = seq_sub(self.rcv_nxt, seg.seq)
             delivered = seg.payload[offset:]
@@ -204,8 +221,10 @@ class TcpEndpoint:
                 elif self.state is ConnState.FIN_WAIT:
                     self.state = ConnState.CLOSED_FINAL
 
+        if delivered:
+            return [], delivered
         if advanced:
-            return [self._ack_now()], delivered
+            return [self.ack_now()], b""
         return [], b""
 
 

@@ -137,6 +137,8 @@ class Scenario:
         else:
             raise ConfigError("trigger.kind", f"unknown kind {self.trigger_kind!r}")
         if self.restore_at is not None:
+            if self.restore_at < 1:
+                raise ConfigError("restore_at", "must be >= 1")
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
             # restore splices after a grace period: it must outlast one attacker

@@ -79,10 +79,12 @@ class ServerHost(Host):
         if conn is None:
             return []
         emitted, delivered = conn.on_segment(seg)
-        if delivered and conn.state is ConnState.ESTABLISHED:
-            # one data segment == one application request; the response's
-            # piggybacked ack supersedes the endpoint's one pure ack
-            return [conn.app_send(self.app.respond(delivered))]
+        if delivered:
+            # the ack of delivered data is ours: one data segment == one
+            # application request, whose response carries the ack
+            if conn.state is ConnState.ESTABLISHED:
+                return [conn.app_send(self.app.respond(delivered))]
+            return [conn.ack_now()]
         return emitted
 
     def deliver(self, pkt) -> None:
@@ -180,7 +182,7 @@ class AttackerHost(Host):
                 self.violations.append(
                     f"t={self.engine.now} ack discontinuity: got {seg.ack}, "
                     f"snd_nxt {self.conn.snd_nxt}")
-            if seg.is_data and seg.seq != self.conn.rcv_nxt:
+            if seg.payload and seg.seq != self.conn.rcv_nxt:
                 self.violations.append(
                     f"t={self.engine.now} peer seq gap: got {seg.seq}, "
                     f"expected {self.conn.rcv_nxt}")
@@ -196,6 +198,7 @@ class AttackerHost(Host):
             # a server answers each request segment as it consumes it, so
             # the response acks exactly that request's end
             self.recv_ts[self._request_by_end[pkt.ack]] = self.engine.now
+            self.transmit(self.conn.ack_now())  # the endpoint leaves it to us
         for seg in emitted:
             self.transmit(seg)
         if not was_established and self.conn.state is ConnState.ESTABLISHED:

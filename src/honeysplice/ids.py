@@ -260,10 +260,9 @@ class Ids:
     def subscribe(self, sink: Callable[[Alert], None]) -> None:
         self._sinks.append(sink)
 
-    def tap(self, pkt) -> None:
+    def tap(self, seg: TcpSegment) -> None:
         """Mirror-tap entry point from the switch."""
-        if isinstance(pkt, TcpSegment):
-            self.observe(pkt, self._engine.now)
+        self.observe(seg, self._engine.now)
 
     def observe(self, seg: TcpSegment, now: int) -> list[Alert]:
         """Run all detectors against one segment; returns fired alerts."""
@@ -282,7 +281,7 @@ class Ids:
             if fires:
                 fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg), count + 1))
 
-        if seg.is_data and (seg.flags & (TcpFlags.PSH | TcpFlags.ACK)) \
+        if seg.payload and (seg.flags & (TcpFlags.PSH | TcpFlags.ACK)) \
                 == (TcpFlags.PSH | TcpFlags.ACK):
             conn = five_tuple(seg)
             for watch in self._watches:

@@ -117,10 +117,6 @@ class TcpSegment:
         self.flags = flags
         self.payload = payload
 
-    @property
-    def is_data(self) -> bool:
-        return len(self.payload) > 0
-
 
 def seg_span(seg: TcpSegment) -> int:
     """Sequence units the segment consumes: payload bytes, +1 per SYN/FIN."""

@@ -5,10 +5,10 @@ ip, dport) to one action list; installing actions for a key replaces
 whatever the key had. Processing order for every packet entering the
 switch:
 
-1. an unmodified copy is handed to the mirror taps (detection and
-   connection bookkeeping live there) -- taps may install or remove
-   rules, and the subsequent lookup sees the updated table, so a tap
-   reacting to a packet can decide that same packet's fate;
+1. a TCP segment is handed, unmodified, to the mirror taps (detection and
+   connection bookkeeping live there; echo packets skip them) -- taps may
+   install or remove rules, and the subsequent lookup sees the updated
+   table, so a tap reacting to a segment can decide that same segment's fate;
 2. lookup of the packet's connection key;
 3. the key's actions run in order: REWRITE transforms a TCP segment,
    OUTPUT forwards the current form out a port, BUFFER parks it in a
@@ -101,7 +101,7 @@ class Switch:
         self._held: dict[int, tuple[object, int]] = {}
         self._next_hold = 1
         self._sweep_armed = False
-        self.mirror_taps: list[Callable[[object], None]] = []
+        self.mirror_taps: list[Callable[[TcpSegment], None]] = []
         self.packet_in_handler: Optional[Callable[[object, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
 
@@ -148,7 +148,7 @@ class Switch:
 
     def process(self, pkt, mirror: bool = True) -> None:
         self.stats["processed"] += 1
-        if mirror:
+        if mirror and isinstance(pkt, TcpSegment):
             for tap in self.mirror_taps:
                 tap(pkt)
         actions = self._table.get((pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))

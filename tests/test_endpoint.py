@@ -20,7 +20,16 @@ from honeysplice.endpoint import (
     fixed_iss,
     random_iss,
 )
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
+from honeysplice.netcore import (
+    HostAddr,
+    TcpFlags,
+    TcpSegment,
+    seg_end,
+    seq_add,
+    seq_leq,
+    seq_lt,
+    seq_sub,
+)
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 B = HostAddr("10.0.0.2", "02:00:00:00:00:02")
@@ -137,9 +146,10 @@ def test_app_send_empty_rejected():
 def test_in_order_delivery_and_ack():
     client, server = handshake()
     seg = client.app_send(b"hello")
-    (ack,), delivered = server.on_segment(seg)
+    emitted, delivered = server.on_segment(seg)
     assert delivered == b"hello"
-    assert ack.ack == seq_add(seg.seq, 5)
+    assert emitted == []  # the ack of delivered data is the caller's
+    assert server.ack_now().ack == seq_add(seg.seq, 5)
 
 
 def test_duplicate_is_reacked_not_delivered():
@@ -230,6 +240,124 @@ def test_stream_integrity_with_duplicates(payloads, data):
     expected = reference_reassembler(
         [(seg.seq, seg.payload) for seg in script], client.iss)
     assert stream == expected == b"".join(payloads)
+
+
+# -- header prediction vs the full receive path ---------------------------------------------
+
+
+class AcksItsOwnDeliveries(TcpEndpoint):
+    """Reference receive path: every segment takes the full duplicate /
+    gap / overlap / FIN logic, and the endpoint returns the ACK of the
+    data it delivers itself, as it did before header prediction."""
+
+    def on_segment(self, seg):
+        if seg.flags & TcpFlags.RST:
+            self.state = ConnState.CLOSED_FINAL
+            return [], b""
+        st = self.state
+        if st is ConnState.CLOSED:
+            if (seg.flags & TcpFlags.SYN) and not (seg.flags & TcpFlags.ACK):
+                self.remote = seg.src
+                self.rport = seg.sport
+                self.iss = self._iss_policy()
+                self.rcv_nxt = seq_add(seg.seq, 1)
+                self.snd_nxt = seq_add(self.iss, 1)
+                self.state = ConnState.SYN_RCVD
+                return [self._make(TcpFlags.SYN | TcpFlags.ACK, self.iss)], b""
+            return [], b""
+        if st is ConnState.SYN_SENT:
+            if (seg.flags & TcpFlags.SYN) and (seg.flags & TcpFlags.ACK) \
+                    and seg.ack == self.snd_nxt:
+                self.rcv_nxt = seq_add(seg.seq, 1)
+                self.state = ConnState.ESTABLISHED
+                return [self._make(TcpFlags.ACK, self.snd_nxt)], b""
+            return [], b""
+        if st is ConnState.SYN_RCVD:
+            if (seg.flags & TcpFlags.ACK) and seg.ack == self.snd_nxt:
+                self.state = ConnState.ESTABLISHED
+                if len(seg.payload) > 0 or (seg.flags & TcpFlags.FIN):
+                    return self._established(seg)
+            return [], b""
+        if st in (ConnState.ESTABLISHED, ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):
+            return self._established(seg)
+        return [], b""
+
+    def _established(self, seg):
+        delivered = b""
+        advanced = False
+        if len(seg.payload) > 0:
+            end = seg_end(seg)
+            if seq_leq(end, self.rcv_nxt):
+                return [self._make(TcpFlags.ACK, self.snd_nxt)], b""
+            if seq_lt(self.rcv_nxt, seg.seq):
+                return [self._make(TcpFlags.ACK, self.snd_nxt)], b""
+            offset = seq_sub(self.rcv_nxt, seg.seq)
+            delivered = seg.payload[offset:]
+            self.rcv_nxt = seq_add(self.rcv_nxt, len(delivered))
+            advanced = True
+        if seg.flags & TcpFlags.FIN:
+            fin_seq = seq_add(seg.seq, len(seg.payload))
+            if fin_seq == self.rcv_nxt:
+                self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+                advanced = True
+                if self.state is ConnState.ESTABLISHED:
+                    self.state = ConnState.CLOSE_WAIT
+                elif self.state is ConnState.FIN_WAIT:
+                    self.state = ConnState.CLOSED_FINAL
+        if advanced:
+            return [self._make(TcpFlags.ACK, self.snd_nxt)], delivered
+        return [], b""
+
+
+PA = TcpFlags.PSH | TcpFlags.ACK
+# mostly plain data, so most sessions stay ESTABLISHED for a while
+FLAGS = [PA] * 8 + [TcpFlags.ACK, PA | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.FIN,
+                    PA | TcpFlags.SYN, TcpFlags.NONE, PA | TcpFlags.RST]
+
+# one inbound segment: its seq relative to the receiver's rcv_nxt (0 most
+# often: the predicted case), payload length and flags; flags "close"
+# stand for the receiver's own FIN instead
+SEGMENT = st.tuples(st.just(0) | st.integers(-12, 12), st.integers(0, 12),
+                    st.sampled_from(FLAGS + ["close"]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(client_iss=st.integers(2**32 - 200, 2**32 - 1) | st.integers(0, 2**32 - 1),
+       handshake_data=st.integers(0, 8),
+       handshake_fin=st.sampled_from([False] * 4 + [True]),
+       script=st.lists(SEGMENT, max_size=40))
+def test_header_prediction_matches_the_full_receive_path(
+        client_iss, handshake_data, handshake_fin, script):
+    """Over a stream that crosses the 2**32 wrap, with exact and partial
+    duplicates, gaps, FIN and data on the handshake ACK, the endpoint plus
+    the ACK its caller owes for delivered data gives the same segments,
+    bytes, rcv_nxt and state as the full receive path."""
+    ep = TcpEndpoint(B, 9000, A, 40001, fixed_iss(7000))
+    ref = AcksItsOwnDeliveries(B, 9000, A, 40001, fixed_iss(7000))
+    start = seq_add(client_iss, 1)
+
+    def inbound(seq, length, flags):
+        pos = seq_sub(seq, start)
+        payload = bytes((pos + i) % 251 for i in range(length))
+        return TcpSegment(A, B, 40001, 9000, seq, ref.snd_nxt, flags, payload)
+
+    def step(seg):
+        want = ref.on_segment(seg)
+        emitted, delivered = ep.on_segment(seg)
+        if delivered:
+            assert emitted == []
+            emitted = [ep.ack_now()]  # what the caller sends
+        assert (emitted, delivered) == want
+        assert (ep.rcv_nxt, ep.snd_nxt, ep.state) == (ref.rcv_nxt, ref.snd_nxt, ref.state)
+
+    step(TcpSegment(A, B, 40001, 9000, client_iss, 0, TcpFlags.SYN))
+    step(inbound(start, handshake_data,
+                 TcpFlags.ACK | (TcpFlags.FIN if handshake_fin else 0)))
+    for offset, length, flags in script:
+        if flags != "close":
+            step(inbound(seq_add(ref.rcv_nxt, offset), length, flags))
+        elif ref.state is ConnState.ESTABLISHED:
+            assert ep.close() == ref.close()
 
 
 # -- server app / clone determinism ------------------------------------------------------

@@ -155,6 +155,10 @@ def test_invalid_json_is_config_error(tmp_path):
     # an absolute path, so the rules parse and validate() is what rejects them
     ({"ruleset": str(builtin_scenario_path("e1_redirect").parent / "migrate.rules")},
      "ruleset"),
+    # beside a rule trigger nothing else bounds restore_at from below
+    *[({"ruleset": str(builtin_scenario_path("e1_redirect").parent / "migrate.rules"),
+        "trigger": {"kind": "rule", "sid": 1000001}, "restore_at": n}, "restore_at")
+      for n in (0, -3)],
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)

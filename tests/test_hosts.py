@@ -1,0 +1,71 @@
+"""Hosts around the endpoint: who sends the ACK for the data an endpoint
+delivers. The endpoint leaves it to its caller, so a server carries it on
+the response it builds and the attacker transmits a pure ACK."""
+
+from honeysplice.endpoint import ConnState, ServerApp, TcpEndpoint, fixed_iss
+from honeysplice.hosts import AttackerHost, ServerHost
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
+from honeysplice.simnet import Engine
+
+ATT = HostAddr("10.0.0.1", "02:00:00:00:00:01")
+SRV = HostAddr("10.0.0.2", "02:00:00:00:00:02")
+
+
+def connected_server():
+    """A server host and a client endpoint past the handshake, driven out
+    of band."""
+    server = ServerHost(Engine(1), "srv", SRV, 9000, ServerApp("svc"), fixed_iss(7000))
+    client = TcpEndpoint(ATT, 40001, SRV, 9000, fixed_iss(100))
+    (synack,) = server.deliver_oob(client.open())
+    (ack,), _ = client.on_segment(synack)
+    assert server.deliver_oob(ack) == []
+    return server, client
+
+
+def test_server_answering_a_request_builds_one_segment(monkeypatch):
+    server, client = connected_server()
+    request = client.app_send(b"hello")
+    built = []
+    init = TcpSegment.__init__
+
+    def counted(seg, *args, **kwargs):
+        built.append(seg)
+        init(seg, *args, **kwargs)
+
+    monkeypatch.setattr(TcpSegment, "__init__", counted)
+    (response,) = server.deliver_oob(request)
+    assert built == [response]
+    assert response.payload == b"svc#000001|hello"
+    assert response.ack == seq_add(request.seq, 5)  # the request's ack rides on it
+
+
+def test_server_acks_data_that_ends_the_stream():
+    # data with FIN moves to CLOSE_WAIT: no response, so a pure ACK
+    server, client = connected_server()
+    seg = TcpSegment(ATT, SRV, 40001, 9000, client.snd_nxt, client.rcv_nxt,
+                     TcpFlags.PSH | TcpFlags.ACK | TcpFlags.FIN, b"bye")
+    (ack,) = server.deliver_oob(seg)
+    assert (ack.flags, ack.payload, ack.ack) == (TcpFlags.ACK, b"", seq_add(seg.seq, 4))
+    assert server.conns[(ATT.ip, 40001)].state is ConnState.CLOSE_WAIT
+    assert server.app.request_count == 0
+
+
+def test_attacker_acks_each_response_it_delivers():
+    engine = Engine(5)
+    attacker = AttackerHost(engine, "attacker", ATT, SRV, 9000, 40001,
+                            fixed_iss(100), total_requests=1, interval_us=10)
+    sent = []
+    attacker.transmit = sent.append
+    attacker.start(0)
+    engine.run_until(0)
+    attacker.deliver(TcpSegment(SRV, ATT, 9000, 40001, seq=500, ack=101,
+                                flags=TcpFlags.SYN | TcpFlags.ACK))
+    engine.run_until(100)
+    (request,) = sent[2:]
+    attacker.deliver(TcpSegment(SRV, ATT, 9000, 40001, seq=501,
+                                ack=seq_add(request.seq, len(request.payload)),
+                                flags=TcpFlags.PSH | TcpFlags.ACK, payload=b"resp"))
+    (ack,) = sent[3:]
+    assert (ack.flags, ack.payload, ack.seq, ack.ack) == \
+        (TcpFlags.ACK, b"", attacker.conn.snd_nxt, 505)
+    assert attacker.complete and attacker.violations == []

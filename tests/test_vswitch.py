@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
-from honeysplice.simnet import Engine, Link, LinkModel
+from honeysplice.simnet import EchoPacket, Engine, Link, LinkModel
 from honeysplice.vswitch import (
     MISS_HOLD_TIMEOUT_US,
     Buffer,
@@ -99,6 +99,20 @@ def test_mirror_sees_every_segment_exactly_once_pre_rewrite():
     assert mirrored == [s]               # the unmodified original
     assert mirrored[0].seq == 1000
     assert sinks[0][0].seq == 1500       # forwarded copy was rewritten
+
+
+def test_mirror_taps_see_tcp_segments_only():
+    # echo load is forwarded but never handed to the taps
+    eng, sw, sinks = make_switch()
+    mirrored = []
+    sw.mirror_taps.append(mirrored.append)
+    echo = EchoPacket(src=A, dst=B, sport=40001, dport=9000, kind="req")
+    sw.install_rule(exact_match(), (Output(1),))
+    sw.process(echo)
+    sw.process(seg(b"x"))
+    eng.run_until(10)
+    assert sinks[0][0] is echo
+    assert [type(p) for p in mirrored] == [TcpSegment]
 
 
 def test_buffered_release_is_not_mirrored_again():
