@@ -254,8 +254,8 @@ class AcksItsOwnDeliveries(TcpEndpoint):
         if seg.flags & TcpFlags.RST:
             self.state = ConnState.CLOSED_FINAL
             return [], b""
-        st = self.state
-        if st is ConnState.CLOSED:
+        state = self.state
+        if state is ConnState.CLOSED:
             if (seg.flags & TcpFlags.SYN) and not (seg.flags & TcpFlags.ACK):
                 self.remote = seg.src
                 self.rport = seg.sport
@@ -265,20 +265,20 @@ class AcksItsOwnDeliveries(TcpEndpoint):
                 self.state = ConnState.SYN_RCVD
                 return [self._make(TcpFlags.SYN | TcpFlags.ACK, self.iss)], b""
             return [], b""
-        if st is ConnState.SYN_SENT:
+        if state is ConnState.SYN_SENT:
             if (seg.flags & TcpFlags.SYN) and (seg.flags & TcpFlags.ACK) \
                     and seg.ack == self.snd_nxt:
                 self.rcv_nxt = seq_add(seg.seq, 1)
                 self.state = ConnState.ESTABLISHED
                 return [self._make(TcpFlags.ACK, self.snd_nxt)], b""
             return [], b""
-        if st is ConnState.SYN_RCVD:
+        if state is ConnState.SYN_RCVD:
             if (seg.flags & TcpFlags.ACK) and seg.ack == self.snd_nxt:
                 self.state = ConnState.ESTABLISHED
                 if len(seg.payload) > 0 or (seg.flags & TcpFlags.FIN):
                     return self._established(seg)
             return [], b""
-        if st in (ConnState.ESTABLISHED, ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):
+        if state in (ConnState.ESTABLISHED, ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):
             return self._established(seg)
         return [], b""
 
