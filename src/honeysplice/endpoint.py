@@ -6,11 +6,11 @@ duplicate tolerance (a replayed splice can re-present segments), FIN/RST
 teardown. No retransmission timers, windows, or congestion control:
 links are lossless and ordered.
 
-Receiving uses header prediction (Jacobson, 1990): in ESTABLISHED, a data
-segment without FIN at ``rcv_nxt`` is delivered whole; duplicates, gaps,
-overlaps and FIN take the full path. The ACK of delivered data is the
-caller's: it sends ``ack_now()`` or piggybacks the ack on its response
-(``app_send`` acks ``rcv_nxt``; RFC 1122 4.2.3.2).
+Receiving uses header prediction (Jacobson, 1990): in ESTABLISHED, a pure ACK
+returns at once and a data segment without FIN at ``rcv_nxt`` is delivered
+whole; duplicates, gaps, overlaps and FIN take the full path. The ACK of
+delivered data is the caller's: it sends ``ack_now()`` or piggybacks the ack
+on its response (``app_send`` acks ``rcv_nxt``; RFC 1122 4.2.3.2).
 
 States: CLOSED -> SYN_SENT | SYN_RCVD -> ESTABLISHED -> FIN_WAIT /
 CLOSE_WAIT -> CLOSED_FINAL. RST jumps straight to CLOSED_FINAL.
@@ -152,11 +152,14 @@ class TcpEndpoint:
 
         st = self.state
         if st is ConnState.ESTABLISHED:
-            payload = seg.payload
-            if payload and seg.seq == self.rcv_nxt and not flags & TcpFlags.FIN:
-                # header prediction: the next in-order segment
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
-                return [], payload
+            if not flags & TcpFlags.FIN:
+                payload = seg.payload
+                if not payload:  # a pure ACK: nothing to deliver or answer
+                    return [], b""
+                if seg.seq == self.rcv_nxt:
+                    # header prediction: the next in-order segment
+                    self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
+                    return [], payload
             return self._on_established_segment(seg)
 
         if st is ConnState.CLOSED:

@@ -362,7 +362,7 @@ class Simulation:
         clone manager (``make_honey`` does too). The simulation cannot run
         again; its hosts' and controller's records stay readable.
         """
-        self.engine._queue.clear()
+        self.engine.clear()
         self.switch._ports.clear()
         self.switch.mirror_taps.clear()
         self.switch.packet_in_handler = None

@@ -4,6 +4,11 @@ Time is integer microseconds (float time would make event ordering
 platform-dependent). Events fire in (time, insertion order), so a run is
 a pure function of the scenario and the root seed.
 
+Pending events sit on a heap or, when due exactly the base delay of the first
+link without jitter ahead, in a FIFO lane (a one-bucket calendar queue; Brown,
+1988). As the clock never goes back and insertion order grows, the lane stays
+in (time, insertion order); dispatch merges its head with the heap's top.
+
 Randomness is split into named sub-streams derived from the root seed
 (crc32 of the stream tag xor the seed, the usual trick), so adding one
 entity to a scenario never perturbs another entity's draws.
@@ -14,6 +19,7 @@ from __future__ import annotations
 import functools
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
@@ -109,14 +115,16 @@ class EchoPacket:
 class Engine:
     """Single-threaded event loop with a monotone integer-µs clock.
 
-    One Engine per simulation instance; independent instances (one per
-    repetition) share nothing.
+    Pending events wait on a heap or in the constant-delay lane. One Engine
+    per simulation instance; instances (one per repetition) share nothing.
     """
 
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self._seed = seed & 0xFFFFFFFF
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
+        self._lane: deque[tuple[int, int, Callable[[], None]]] = deque()
+        self._lane_delay: Optional[int] = None  # set by the first fixed Link
         self._order = 0
         self._streams: dict[str, random.Random] = {}
 
@@ -136,7 +144,10 @@ class Engine:
         if at < self.now:
             raise SchedulingInPast(f"schedule at {at} < now {self.now}")
         self._order = order = self._order + 1
-        heappush(self._queue, (at, order, fn))
+        if at - self.now == self._lane_delay:
+            self._lane.append((at, order, fn))
+        else:
+            heappush(self._queue, (at, order, fn))
         return order
 
     def schedule_in(self, fn: Callable[[], None], delay: int) -> int:
@@ -149,22 +160,36 @@ class Engine:
         ``t_end`` when the queue drains early).
         """
         queue = self._queue
+        lane = self._lane
         dispatched = 0
-        while queue and queue[0][0] <= t_end:
-            t, _, fn = heappop(queue)
+        while True:
+            if lane and (not queue or lane[0] < queue[0]):
+                if lane[0][0] > t_end:
+                    break
+                t, _, fn = lane.popleft()
+            elif queue and queue[0][0] <= t_end:
+                t, _, fn = heappop(queue)
+            else:
+                break
             self.now = t
             fn()
             dispatched += 1
         return dispatched
+
+    def clear(self) -> None:
+        """Drop every pending event, from the heap and the lane alike."""
+        self._queue.clear()
+        self._lane.clear()
 
 
 class Link:
     """Unidirectional delay line delivering packets to a fixed target.
 
     Without jitter every delivery takes exactly ``base_delay_us``, so the
-    link is FIFO: equal-time events run in insertion order. With jitter
-    each send draws its own delay from the link's stream ``link:<name>``,
-    and packets on the link may reorder.
+    link is FIFO: equal-time events run in insertion order, and the first
+    such link sets the delay of the engine's lane. With jitter each send
+    draws its own delay from the link's stream ``link:<name>``, and packets
+    on the link may reorder.
     """
 
     __slots__ = ("_engine", "_model", "_deliver", "_rng", "_delay", "name")
@@ -180,6 +205,8 @@ class Link:
         self._rng: Optional[random.Random] = None
         if model.jitter is None:
             self._delay = model.base_delay_us
+            if engine._lane_delay is None:
+                engine._lane_delay = model.base_delay_us
         else:
             self._rng = engine.stream(f"link:{name}")
         self.name = name

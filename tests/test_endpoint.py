@@ -9,7 +9,7 @@ whatever portion of each segment lies at the cursor.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from honeysplice.endpoint import (
     ConnState,
@@ -315,10 +315,12 @@ FLAGS = [PA] * 8 + [TcpFlags.ACK, PA | TcpFlags.FIN, TcpFlags.ACK | TcpFlags.FIN
                     PA | TcpFlags.SYN, TcpFlags.NONE, PA | TcpFlags.RST]
 
 # one inbound segment: its seq relative to the receiver's rcv_nxt (0 most
-# often: the predicted case), payload length and flags; flags "close"
-# stand for the receiver's own FIN instead
+# often: the predicted case), payload length, flags, and its ack relative
+# to the receiver's snd_nxt (stale, current or advanced); flags "close"
+# stand for the receiver's own FIN instead, "ack" for a pure ACK
 SEGMENT = st.tuples(st.just(0) | st.integers(-12, 12), st.integers(0, 12),
-                    st.sampled_from(FLAGS + ["close"]))
+                    st.sampled_from(FLAGS + ["close", "ack", "ack"]),
+                    st.sampled_from([0, 0, -1, 1, -3000, 3000]))
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -326,20 +328,25 @@ SEGMENT = st.tuples(st.just(0) | st.integers(-12, 12), st.integers(0, 12),
        handshake_data=st.integers(0, 8),
        handshake_fin=st.sampled_from([False] * 4 + [True]),
        script=st.lists(SEGMENT, max_size=40))
+@example(client_iss=2**32 - 1, handshake_data=0, handshake_fin=False,
+         script=[(0, 0, "ack", -1), (0, 0, "ack", 0), (0, 0, "ack", 1),
+                 (0, 4, PA, 0), (0, 0, "ack", -3000), (0, 0, "ack", 3000)])
 def test_header_prediction_matches_the_full_receive_path(
         client_iss, handshake_data, handshake_fin, script):
     """Over a stream that crosses the 2**32 wrap, with exact and partial
-    duplicates, gaps, FIN and data on the handshake ACK, the endpoint plus
-    the ACK its caller owes for delivered data gives the same segments,
-    bytes, rcv_nxt and state as the full receive path."""
+    duplicates, gaps, FIN, data on the handshake ACK and pure ACKs with a
+    stale, current or advanced ack, the endpoint plus the ACK its caller
+    owes for delivered data gives the same segments, bytes, rcv_nxt and
+    state as the full receive path."""
     ep = TcpEndpoint(B, 9000, A, 40001, fixed_iss(7000))
     ref = AcksItsOwnDeliveries(B, 9000, A, 40001, fixed_iss(7000))
     start = seq_add(client_iss, 1)
 
-    def inbound(seq, length, flags):
+    def inbound(seq, length, flags, ack_offset=0):
         pos = seq_sub(seq, start)
         payload = bytes((pos + i) % 251 for i in range(length))
-        return TcpSegment(A, B, 40001, 9000, seq, ref.snd_nxt, flags, payload)
+        return TcpSegment(A, B, 40001, 9000, seq, seq_add(ref.snd_nxt, ack_offset),
+                          flags, payload)
 
     def step(seg):
         want = ref.on_segment(seg)
@@ -353,9 +360,11 @@ def test_header_prediction_matches_the_full_receive_path(
     step(TcpSegment(A, B, 40001, 9000, client_iss, 0, TcpFlags.SYN))
     step(inbound(start, handshake_data,
                  TcpFlags.ACK | (TcpFlags.FIN if handshake_fin else 0)))
-    for offset, length, flags in script:
+    for offset, length, flags, ack_offset in script:
+        if flags == "ack":
+            length, flags = 0, TcpFlags.ACK
         if flags != "close":
-            step(inbound(seq_add(ref.rcv_nxt, offset), length, flags))
+            step(inbound(seq_add(ref.rcv_nxt, offset), length, flags, ack_offset))
         elif ref.state is ConnState.ESTABLISHED:
             assert ep.close() == ref.close()
 

@@ -614,6 +614,9 @@ def rep_refs(monkeypatch):
 RECLAIM_CASES = {
     "background": {"background": {"n_hosts": 2, "procs_per_host": 2,
                                   "msg_interval_us": 20_000}},
+    # echo packets are still on the links when the horizon ends the run
+    "in-flight": {"background": {"n_hosts": 2, "procs_per_host": 2,
+                                 "msg_interval_us": 3_000}},
     "on-demand": {"clone": {"on_demand": True}, "containment": "on_clone_ready"},
     "restore": {"restore_at": 8},
     "rule-trigger": {"trigger": {"kind": "rule", "sid": 7}, "ruleset": "m.rules"},

@@ -1,8 +1,10 @@
 """Event engine determinism, link delay exactness, RNG stream splitting."""
 
 import random
+from heapq import heappop, heappush
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from honeysplice import simnet
 from honeysplice.simnet import (
@@ -79,6 +81,110 @@ def test_events_scheduled_during_run_fire_in_order():
     eng.schedule(lambda: fired.append("later"), 12)
     eng.run_until(20)
     assert fired == ["outer", "inner", "later"]
+
+
+def test_lane_and_heap_events_at_one_time_run_in_insertion_order():
+    eng = Engine(seed=1)
+    fired = []
+    eng.schedule(lambda: fired.append("heap 1"), 100)  # before the lane exists
+    link = Link(eng, "l0", LinkModel(base_delay_us=100), fired.append)
+    link.send("lane 2")
+    eng.schedule(lambda: fired.append("lane 3"), 100)
+    eng.schedule(lambda: eng.schedule(lambda: fired.append("heap 4"), 100), 50)
+    assert (len(eng._queue), len(eng._lane)) == (2, 2)
+    assert eng.run_until(100) == 5
+    assert fired == ["heap 1", "lane 2", "lane 3", "heap 4"]
+
+
+class HeapOnlyEngine(Engine):
+    """Reference: every event on one heap, dispatched by (time, order)."""
+
+    def schedule(self, fn, at):
+        if at < self.now:
+            raise SchedulingInPast(f"schedule at {at} < now {self.now}")
+        self._order += 1
+        heappush(self._queue, (at, self._order, fn))
+        return self._order
+
+    def run_until(self, t_end):
+        dispatched = 0
+        while self._queue and self._queue[0][0] <= t_end:
+            self.now, _, fn = heappop(self._queue)
+            fn()
+            dispatched += 1
+        return dispatched
+
+
+def drive(engine_cls, links, starts, reactions, chunks):
+    """Run one drawn world; returns each dispatch as (event, time) and each
+    ``run_until`` chunk's count and clock."""
+    eng = engine_cls(seed=3)
+    log, made = [], [0]
+    lane_delay = next((delay for delay, jitter in links if not jitter), 0)
+
+    def fire(label):
+        log.append((label, eng.now))
+        if len(log) <= 200:  # bounds the world's growth
+            for action in reactions[len(log) % len(reactions)]:
+                act(*action)
+
+    def act(kind, arg):
+        made[0] += 1
+        if kind == "send":
+            wires[arg % len(wires)].send(made[0])
+        else:
+            delay = {"now": 0, "lane": lane_delay}.get(kind, arg)
+            eng.schedule(lambda label=made[0]: fire(label), eng.now + delay)
+
+    wires = []
+    for i, (delay, jitter) in enumerate(links):
+        wires.append(Link(eng, f"l{i}", LinkModel(
+            delay, Distribution("uniform", -30, 30) if jitter else None), fire))
+        act(*starts[i % len(starts)])  # events queued while links are built
+    for action in starts:
+        act(*action)
+    chunk_results, t_end = [], 0
+    for step in chunks + [10**6]:
+        t_end += step
+        chunk_results.append((eng.run_until(t_end), eng.now))
+    return log, chunk_results
+
+
+ACTION = st.tuples(st.sampled_from(["send", "send", "now", "lane", "at"]),
+                   st.integers(0, 60))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(links=st.lists(st.tuples(st.sampled_from([0, 10, 25, 40]), st.booleans()),
+                      min_size=1, max_size=4),
+       starts=st.lists(ACTION, min_size=1, max_size=6),
+       reactions=st.lists(st.lists(ACTION, max_size=2), min_size=1, max_size=6),
+       chunks=st.lists(st.integers(0, 60), max_size=8))
+@example(links=[(25, False), (10, False), (40, True)],
+         starts=[("send", 0), ("send", 1), ("send", 2), ("lane", 0), ("at", 15)],
+         reactions=[[("send", 1), ("lane", 0)], [("now", 0), ("send", 0)], [("at", 15)]],
+         chunks=[10, 15, 0, 33])
+@example(links=[(0, False), (25, False)],
+         starts=[("send", 0), ("send", 1), ("now", 0), ("at", 25)],
+         reactions=[[("send", 0), ("send", 1)], [("lane", 0), ("at", 7)], []],
+         chunks=[0, 25, 1])
+def test_engine_dispatches_like_a_single_heap(links, starts, reactions, chunks):
+    """Links with and without jitter (the first fixed one claims the lane;
+    another fixed delay uses the heap), callbacks that schedule at now, one
+    lane delay ahead and elsewhere, and ``run_until`` stopping partway: the
+    dispatch order and every chunk's count equal a heap-only engine's."""
+    got = drive(Engine, links, starts, reactions, chunks)
+    want = drive(HeapOnlyEngine, links, starts, reactions, chunks)
+    assert got == want
+
+
+def test_clear_drops_heap_and_lane_events():
+    eng = Engine(seed=1)
+    link = Link(eng, "l0", LinkModel(base_delay_us=10), lambda p: None)
+    link.send("pkt")
+    eng.schedule(lambda: None, 5)
+    eng.clear()
+    assert eng.run_until(10**6) == 0
 
 
 def test_determinism_same_seed_same_draw_sequence():
