@@ -1,5 +1,6 @@
 """Event engine determinism, link delay exactness, RNG stream splitting."""
 
+import itertools
 import random
 from heapq import heappop, heappush
 
@@ -119,7 +120,7 @@ def drive(engine_cls, links, starts, reactions, chunks):
     """Run one drawn world; returns each dispatch as (event, time) and each
     ``run_until`` chunk's count and clock."""
     eng = engine_cls(seed=3)
-    log, made = [], [0]
+    log, labels = [], itertools.count(1)
     lane_delay = next((delay for delay, jitter in links if not jitter), 0)
 
     def fire(label):
@@ -129,12 +130,12 @@ def drive(engine_cls, links, starts, reactions, chunks):
                 act(*action)
 
     def act(kind, arg):
-        made[0] += 1
+        label = next(labels)
         if kind == "send":
-            wires[arg % len(wires)].send(made[0])
+            wires[arg % len(wires)].send(label)
         else:
             delay = {"now": 0, "lane": lane_delay}.get(kind, arg)
-            eng.schedule(lambda label=made[0]: fire(label), eng.now + delay)
+            eng.schedule(lambda: fire(label), eng.now + delay)
 
     wires = []
     for i, (delay, jitter) in enumerate(links):
