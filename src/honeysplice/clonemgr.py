@@ -61,20 +61,16 @@ class CloneManager:
         self._rng = engine.stream("clonemgr") if failure_p > 0 else None
 
     def request_clone(self, victim: ServerHost,
-                      on_ready: Callable[[ServerHost, int], None]) -> None:
+                      on_ready: Callable[[ServerHost, int], None]) -> Optional[ServerHost]:
         """Start cloning ``victim``; ``on_ready(host, latency_us)`` fires when
         the clone is operational.
 
-        A pre-instantiated honey server is handed over synchronously with
-        zero latency (the redirection-only deployments).
+        A pre-instantiated honey server is returned instead, ready at once
+        (the redirection-only deployments), and ``on_ready`` never fires.
         """
         if self._failure_p > 0 and self._rng.random() < self._failure_p:
             raise CloneFailed(f"instantiation failed for {victim.app.app_id}")
-        if self._pre is not None:
-            on_ready(self._pre, 0)
-            return
-
-        def ready() -> None:
-            on_ready(self._make_host(victim), self.latency_us)
-
-        self._engine.schedule_in(ready, self.latency_us)
+        if self._pre is None:
+            self._engine.schedule_in(
+                lambda: on_ready(self._make_host(victim), self.latency_us), self.latency_us)
+        return self._pre

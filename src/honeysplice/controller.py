@@ -31,29 +31,32 @@ Containment timing is configurable: "immediate" contains at alert time
 (the victim never sees the triggering segment), "on_clone_ready" lets the
 victim keep serving until the clone is operational (no request ever waits
 on instantiation). With a pre-instantiated honey server both behave
-identically because the whole redirect completes within the alert event.
+identically: the clone manager returns it at once, so the whole redirect
+completes within the alert event.
 
 Restore (reverse migration) re-splices the connection onto a fresh
 victim-side connection with the same recipe -- forge, replay whatever the
-victim has not seen, recompute offsets -- after a short grace period that
-lets in-flight honey responses drain. A clone that fails to instantiate
-fails open: the contained connection is spliced straight back onto the
-victim with nothing to replay.
+victim has not seen, recompute offsets -- after a grace period that lets
+in-flight honey responses drain (the harness derives it from the link
+delay). A clone that fails to instantiate fails open: the contained
+connection is spliced straight back onto the victim with nothing to replay.
 
+A record's ``phase`` is its whole migration state: IDLE, CLONING,
+REDIRECTED, RESTORING (a restore waiting out its grace) and RESTORED.
 Neither entry point raises. An alert the controller cannot act on -- on
 the attacker's SYN, on the server's direction, or on a connection already
-migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED,
-or while one is already armed, as ``restore_ignored``. Neither changes
-anything.
+migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED
+as ``restore_ignored``. Neither changes anything.
 
 Every replay window is a range of the attacker's stream positions. At
 containment the record notes ``victim_pos``, the position the victim has
-consumed: the triggering segment's seq while ``on_alert`` runs (that
-segment is still mid-pipeline and never reaches the victim), the
-attacker's snd_nxt otherwise. Migration replays [ISS+1, victim_pos) into
-the clone, fail-open replays nothing, and restore replays [victim_pos,
-snd_nxt) into the victim; each forged handshake starts one before its
-window, so the first segment the server sees lands at its rcv_nxt.
+consumed: the triggering segment's seq when containing inside
+``on_alert`` (that segment is still mid-pipeline and never reaches the
+victim), the attacker's snd_nxt when an on-demand clone comes up.
+Migration replays [ISS+1, victim_pos) into the clone, fail-open replays
+nothing, and restore replays [victim_pos, snd_nxt) into the victim; each
+forged handshake starts one before its window, so the first segment the
+server sees lands at its rcv_nxt.
 
 Splice offsets are computed from stream *positions*, not ISNs: the
 server-to-attacker delta is (attacker's expected next peer seq) minus
@@ -91,8 +94,8 @@ class RestoreFailed(Exception):
 
 PHASE_IDLE = "IDLE"
 PHASE_CLONING = "CLONING"
-PHASE_SPLICING = "SPLICING"
 PHASE_REDIRECTED = "REDIRECTED"
+PHASE_RESTORING = "RESTORING"
 PHASE_RESTORED = "RESTORED"
 
 
@@ -115,9 +118,9 @@ class MigrationRecord:
     coordinates). ``reverse_key`` is the key of the rule that carries the
     serving server's segments back to the attacker. ``seq_delta`` is how
     far the serving endpoint's stream runs ahead of the attacker's view
-    (honey ISN - victim ISN right after migration); ``ack_delta`` is its
-    mod-2**32 negation. Rules apply ``seq_delta`` to attacker-to-server
-    acks and ``ack_delta`` to server-to-attacker seqs.
+    (honey ISN - victim ISN right after migration). Rules add it to
+    attacker-to-server acks and subtract it (mod 2**32) from
+    server-to-attacker seqs.
     """
 
     key: ConnKey
@@ -130,12 +133,10 @@ class MigrationRecord:
     payloads: list[tuple[int, bytes]] = field(default_factory=list)
     victim_isn: Optional[int] = None
     seq_delta: int = 0
-    ack_delta: int = 0
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
     # attacker stream position the victim has consumed; None until contained
     victim_pos: Optional[int] = None
-    restore_armed: bool = False
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase
@@ -149,8 +150,6 @@ class Controller:
     def __init__(self, engine: Engine, switch: Switch, *,
                  containment: str = "immediate", service_us: int = 50,
                  restore_grace_us: int = 5000):
-        if containment not in ("immediate", "on_clone_ready"):
-            raise ValueError(f"unknown containment mode {containment!r}")
         self.engine = engine
         self.switch = switch
         self.containment = containment
@@ -164,8 +163,6 @@ class Controller:
         self._forward: dict[int, tuple[Output]] = {}
         self.server_hosts: dict[str, ServerHost] = {}
         self._busy_until = 0
-        # seq of the alert's trigger segment while on_alert runs, else None
-        self._alert_seq: Optional[int] = None
         self.packet_in_count = 0
         self.events: list[ControllerEvent] = []
 
@@ -258,30 +255,30 @@ class Controller:
 
         # This call is inside the triggering segment's mirror tap, so the
         # segment is still in flight through the switch. Containing now
-        # ("immediate", or a clone handed over synchronously) keeps it from
-        # the victim: the victim has consumed the stream up to its seq.
-        self._alert_seq = alert.segment.seq
+        # ("immediate", or a pre-built clone) keeps it from the victim: the
+        # victim has consumed the stream up to its seq.
+        trigger_seq = alert.segment.seq
+        if self.containment == "immediate":
+            self._contain(record, trigger_seq)
+        victim = self.server_hosts[record.server_addr.ip]
+        self.log("clone_requested", conn=key)
         try:
-            if self.containment == "immediate":
-                self._contain(record)
-            victim = self.server_hosts[record.server_addr.ip]
-            self.log("clone_requested", conn=key)
-            try:
-                self.clonemgr.request_clone(
-                    victim, lambda host, lat: self._on_clone_ready(record, host, lat))
-            except CloneFailed:
-                self._clone_failed(record)
-        finally:
-            self._alert_seq = None
+            host = self.clonemgr.request_clone(
+                victim, lambda host, lat: self._on_clone_ready(
+                    record, host, lat, record.attacker_snd_nxt))
+        except CloneFailed:
+            self._clone_failed(record)
+            return
+        if host is not None:
+            self._on_clone_ready(record, host, 0, trigger_seq)
 
-    def _contain(self, record: MigrationRecord) -> None:
+    def _contain(self, record: MigrationRecord, victim_pos: int) -> None:
         """Protect the victim: buffer the attacker's direction, forge an RST
-        toward the victim only."""
+        toward the victim only, which has consumed up to ``victim_pos``."""
         key = record.key
         self.switch.create_queue(key)
         self.switch.install_rule(key, (Buffer(key),))
-        record.victim_pos = (record.attacker_snd_nxt if self._alert_seq is None
-                             else self._alert_seq)
+        record.victim_pos = victim_pos
         self.log("buffer_installed", conn=key)
 
         victim = self.server_hosts[record.server_addr.ip]
@@ -293,11 +290,10 @@ class Controller:
         self.log("victim_closed", conn=key)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
-                        latency_us: int) -> None:
+                        latency_us: int, victim_pos: int) -> None:
         self.log("clone_latency", us=latency_us, conn=record.key)
         if record.victim_pos is None:
-            self._contain(record)
-        record.transition(PHASE_SPLICING, self.engine.now)
+            self._contain(record, victim_pos)
         self.log("splice_started", conn=record.key)
         self._splice(record, host, seq_add(record.attacker_iss, 1),
                      record.victim_pos, PHASE_REDIRECTED)
@@ -311,7 +307,6 @@ class Controller:
             record.transition(PHASE_RESTORED, self.engine.now)
             return
         victim = self.server_hosts[record.server_addr.ip]
-        record.transition(PHASE_SPLICING, self.engine.now)
         self._splice(record, victim, record.victim_pos, record.victim_pos,
                      PHASE_RESTORED)
 
@@ -356,7 +351,6 @@ class Controller:
         # stream-position offsets: last_ack is the attacker's rcv_nxt in its
         # own (victim-anchored) coordinates
         record.seq_delta = seq_sub(server_snd_nxt, record.last_ack)
-        record.ack_delta = seq_sub(0, record.seq_delta)
 
         rkey = (server.addr.ip, key[3], key[0], key[1])
         if rkey != record.reverse_key:
@@ -370,7 +364,7 @@ class Controller:
                     new_dst=server.addr if distinct else None),
             Output(server.port)))
         self.switch.install_rule(rkey, (
-            Rewrite(seq_delta=record.ack_delta,
+            Rewrite(seq_delta=seq_sub(0, record.seq_delta),
                     new_src=record.server_addr if distinct else None),
             Output(self.port_map[record.attacker_addr.ip])))
         self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
@@ -385,23 +379,20 @@ class Controller:
     def restore_original(self, key: ConnKey) -> None:
         """Arm the return of a redirected connection to the original server.
 
-        The splice itself runs after ``restore_grace_us`` so in-flight honey
-        responses drain through the rewrite rules first. Outside REDIRECTED
-        (a clone still booting, or a failed clone already restored by
-        fail-open), or with a restore already armed, there is nothing to
+        The record is RESTORING while the splice waits ``restore_grace_us``
+        so in-flight honey responses drain through the rewrite rules first.
+        Outside REDIRECTED (a clone still booting, a restore already armed,
+        or a failed clone already restored by fail-open) there is nothing to
         restore: the request is logged as ``restore_ignored``.
         """
         record = self.records.get(key)
-        if record is None or record.phase != PHASE_REDIRECTED or record.restore_armed:
+        if record is None or record.phase != PHASE_REDIRECTED:
             phase = record.phase if record is not None else PHASE_IDLE
             self.log("restore_ignored", conn=key, phase=phase)
             return
-        record.restore_armed = True
+        record.transition(PHASE_RESTORING, self.engine.now)
         self.log("restore_armed", conn=key)
-        self.engine.schedule_in(lambda: self._restore_splice(record),
-                                self.restore_grace_us)
-
-    def _restore_splice(self, record: MigrationRecord) -> None:
         victim = self.server_hosts[record.server_addr.ip]
-        self._splice(record, victim, record.victim_pos, record.attacker_snd_nxt,
-                     PHASE_RESTORED)
+        self.engine.schedule_in(lambda: self._splice(
+            record, victim, record.victim_pos, record.attacker_snd_nxt, PHASE_RESTORED),
+            self.restore_grace_us)

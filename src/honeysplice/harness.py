@@ -61,23 +61,30 @@ class InvariantViolation(Exception):
 _RULES = "rules"  # parser marker: a rules file, resolved against the scenario's directory
 
 
-def _flag(value) -> bool:
-    """Parser for on/off keys: only JSON ``true``/``false`` are accepted."""
-    if not isinstance(value, bool):
-        raise TypeError(f"must be true or false, not {value!r}")
-    return value
+def _json(*types):
+    """Parser for a key whose JSON value must be of one of ``types`` exactly:
+    no ``true`` for 1, no ``1.5`` or ``"1"`` for an integer."""
+    def parse(value):
+        if type(value) not in types:
+            raise TypeError(f"must be {' or '.join(t.__name__ for t in types)}, "
+                            f"not {value!r}")
+        return value
+    return parse
+
+
+_int, _num, _str, _flag = _json(int), _json(int, float), _json(str), _json(bool)
 
 
 def _jitter(doc: dict) -> Optional[Distribution]:
     """Parser for ``link.jitter``: kind ``none`` (the default) means no jitter."""
     if doc.get("kind", "none") == "none":
         return None
-    return Distribution(**{k: v if k == "kind" else float(v) for k, v in doc.items()})
+    return Distribution(**{k: v if k == "kind" else float(_num(v)) for k, v in doc.items()})
 
 
 def _background(doc: dict) -> BackgroundLoadSpec:
     """Parser for ``background``: BackgroundLoadSpec's fields, as integers."""
-    return BackgroundLoadSpec(**{k: int(v) for k, v in doc.items()})
+    return BackgroundLoadSpec(**{k: _int(v) for k, v in doc.items()})
 
 
 def _opt(key: str, default, parse):
@@ -95,29 +102,28 @@ class Scenario:
     reads nothing else.
     """
 
-    name: str = _opt("name", "unnamed", str)
-    total_packets: int = _opt("total_packets", 0, int)  # validate() rejects 0
-    trigger_kind: str = _opt("trigger.kind", "nth_packet", str)  # "nth_packet" | "rule"
-    trigger_n: int = _opt("trigger.n", 0, int)
-    trigger_sid: int = _opt("trigger.sid", 0, int)
+    name: str = _opt("name", "unnamed", _str)
+    total_packets: int = _opt("total_packets", 0, _int)  # validate() rejects 0
+    trigger_kind: str = _opt("trigger.kind", "nth_packet", _str)  # "nth_packet" | "rule"
+    trigger_n: int = _opt("trigger.n", 0, _int)
+    trigger_sid: int = _opt("trigger.sid", 0, _int)
     ruleset: Optional[tuple[IdsRule, ...]] = _opt("ruleset", None, _RULES)  # parsed at load
-    request_size: int = _opt("request.size", 32, int)
+    request_size: int = _opt("request.size", 32, _int)
     request_size_random: bool = _opt("request.random_size", False, _flag)
-    request_interval_us: int = _opt("request.interval_us", 10_000, int)
-    link_base_delay_us: int = _opt("link.base_delay_us", 1_000, int)
+    request_interval_us: int = _opt("request.interval_us", 10_000, _int)
+    link_base_delay_us: int = _opt("link.base_delay_us", 1_000, _int)
     link_jitter: Optional[Distribution] = _opt("link.jitter", None, _jitter)
     background: Optional[BackgroundLoadSpec] = _opt("background", None, _background)
     clone_strategy: StrategyKind = _opt("clone.strategy", StrategyKind.VICTIM_IMAGE,
                                         StrategyKind)
     clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
-    clone_failure_p: float = _opt("clone.failure_p", 0.0, float)
-    containment: str = _opt("containment", "immediate", str)
-    restore_at: Optional[int] = _opt("restore_at", None, int)
-    restore_grace_us: int = _opt("restore_grace_us", 5_000, int)
-    honey_addr_mode: str = _opt("honey_addr_mode", "same", str)  # "same" | "distinct"
-    repetitions: int = _opt("repetitions", 1, int)
-    seed: int = _opt("seed", 1, int)
-    controller_service_us: int = _opt("controller_service_us", 50, int)
+    clone_failure_p: float = _opt("clone.failure_p", 0.0, _num)
+    containment: str = _opt("containment", "immediate", _str)
+    restore_at: Optional[int] = _opt("restore_at", None, _int)
+    honey_addr_mode: str = _opt("honey_addr_mode", "same", _str)  # "same" | "distinct"
+    repetitions: int = _opt("repetitions", 1, _int)
+    seed: int = _opt("seed", 1, _int)
+    controller_service_us: int = _opt("controller_service_us", 50, _int)
 
     def validate(self) -> None:
         if self.total_packets < 1:
@@ -141,16 +147,12 @@ class Scenario:
                 raise ConfigError("restore_at", "must be >= 1")
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
-            # restore splices after a grace period: it must outlast one attacker
-            # round trip (four link crossings), or the splice offset lags a
-            # response still in flight, and end before the next request arrives
-            if self.restore_grace_us <= 4 * self.link_base_delay_us:
-                raise ConfigError("restore_grace_us",
-                                  "must exceed one attacker round trip (4x link delay)")
-            if self.restore_grace_us + 2 * self.link_base_delay_us \
-                    >= self.request_interval_us:
-                raise ConfigError("restore_grace_us",
-                                  "grace window must fit inside the request interval")
+            # restore splices 4 link delays + 1 µs after its trigger (see
+            # Simulation); that wait must fit inside one request interval
+            # with two link crossings to spare
+            if self.request_interval_us <= 6 * self.link_base_delay_us + 1:
+                raise ConfigError("request.interval_us",
+                                  "with restore_at set, must exceed 6x link delay + 1")
         # lower bounds: a negative delay schedules an event in the past or
         # cuts the run short, and a zero echo interval reschedules itself at
         # the same µs forever
@@ -158,8 +160,7 @@ class Scenario:
                   ("request.interval_us", self.request_interval_us, 1),
                   ("repetitions", self.repetitions, 1),
                   ("link.base_delay_us", self.link_base_delay_us, 0),
-                  ("controller_service_us", self.controller_service_us, 0),
-                  ("restore_grace_us", self.restore_grace_us, 0)]
+                  ("controller_service_us", self.controller_service_us, 0)]
         if self.background is not None:
             bounds += [("background.n_hosts", self.background.n_hosts, 0),
                        ("background.procs_per_host", self.background.procs_per_host, 0),
@@ -277,7 +278,10 @@ class Simulation:
             self.engine, self.switch,
             containment=scenario.containment,
             service_us=scenario.controller_service_us,
-            restore_grace_us=scenario.restore_grace_us)
+            # one attacker round trip (four link crossings) and 1 µs: the
+            # attacker's ACK of the restore trigger's response has reached
+            # the switch when the restore splices
+            restore_grace_us=4 * scenario.link_base_delay_us + 1)
         self.switch.mirror_taps = [self.controller.ledger_tap, self.ids.tap]
 
         def iss_policy(tag: str):
@@ -343,8 +347,7 @@ class Simulation:
         attacker_start = 200_000 if scenario.background else 10_000
         self.horizon = (attacker_start + 50_000
                         + (scenario.total_packets + 2) * scenario.request_interval_us
-                        + latency_us * 3
-                        + scenario.restore_grace_us + 100_000)
+                        + latency_us * 3 + 105_000)
         if scenario.background:
             spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,

@@ -43,10 +43,11 @@ def make_manager(latency_us=30_000, failure_p=0.0, pre=None):
 
 def test_clone_ready_after_exact_latency():
     engine, mgr, made = make_manager(latency_us=30_000)
-    ready = []
-    engine.schedule(lambda: mgr.request_clone(
-        VICTIM, lambda host, lat: ready.append((engine.now, host, lat))), 1000)
+    ready, returned = [], []
+    engine.schedule(lambda: returned.append(mgr.request_clone(
+        VICTIM, lambda host, lat: ready.append((engine.now, host, lat)))), 1000)
     engine.run_until(100_000)
+    assert returned == [None]  # an on-demand clone comes only through on_ready
     assert ready == [(31_000, "honey-1", 30_000)]
     assert made == [VICTIM]  # make_host is handed the victim host itself
 
@@ -63,8 +64,11 @@ def test_zero_latency_clone_same_tick():
 def test_pre_instantiated_is_synchronous():
     engine, mgr, made = make_manager(pre="prebuilt")
     ready = []
-    mgr.request_clone(VICTIM, lambda host, lat: ready.append((host, lat)))
-    assert ready == [("prebuilt", 0)]
+    # the pre-built server is the call's result; on_ready never fires
+    assert mgr.request_clone(VICTIM, lambda host, lat: ready.append((host, lat))) \
+        == "prebuilt"
+    engine.run_until(1_000_000)
+    assert ready == []
     assert made == []  # factory never invoked
 
 

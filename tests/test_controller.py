@@ -12,11 +12,12 @@ from honeysplice.controller import (
     PHASE_IDLE,
     PHASE_REDIRECTED,
     PHASE_RESTORED,
+    PHASE_RESTORING,
 )
 from honeysplice.endpoint import ServerApp, fixed_iss
 from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.ids import Alert, Ids
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add, seq_sub
 from honeysplice.simnet import Engine, LinkModel
 from honeysplice.vswitch import Output, Rewrite, Switch
 
@@ -95,6 +96,12 @@ class Mini:
 
     def events(self, kind):
         return [ev for ev in self.controller.events if ev.kind == kind]
+
+    def reverse_delta(self):
+        """The seq delta of the rule carrying the serving server's segments
+        back to the attacker."""
+        record = self.controller.records[CONN]
+        return self.switch.rules()[record.reverse_key][0].seq_delta
 
 
 # -- reactive forwarding ----------------------------------------------------------
@@ -193,10 +200,9 @@ def test_splice_deltas_from_isns():
     assert record.victim_isn == 7000
     assert mini.honey.conns[(ATT.ip, 40001)].iss == 9000
     assert record.seq_delta == 2000
-    assert record.ack_delta == (2**32 - 2000)
-    assert (record.seq_delta + record.ack_delta) % 2**32 == 0
+    assert mini.reverse_delta() == (2**32 - 2000)
     # a honey segment at seq 9105 presents to the attacker as 7105
-    assert seq_add(9105, record.ack_delta) == 7105
+    assert seq_add(9105, mini.reverse_delta()) == 7105
     assert not mini.attacker.violations
 
 
@@ -205,7 +211,7 @@ def test_identity_rewrite_when_isns_equal():
                 trigger_n=5, total=10)
     mini.run()
     record = mini.controller.records[CONN]
-    assert record.seq_delta == 0 and record.ack_delta == 0
+    assert record.seq_delta == 0 and mini.reverse_delta() == 0
     assert not mini.attacker.violations
 
 
@@ -214,7 +220,7 @@ def test_delta_composition_is_identity():
     mini.run()
     record = mini.controller.records[CONN]
     for value in (0, 1, 2**31, 2**32 - 1, 987654321):
-        assert seq_add(seq_add(value, record.seq_delta), record.ack_delta) == value
+        assert seq_add(seq_add(value, record.seq_delta), mini.reverse_delta()) == value
     assert not mini.attacker.violations
 
 
@@ -223,9 +229,8 @@ def test_migration_phases_and_timestamps():
     mini.run()
     record = mini.controller.records[CONN]
     assert record.phase == PHASE_REDIRECTED
-    assert set(record.times) == {"CLONING", "SPLICING", "REDIRECTED"}
-    assert record.times["CLONING"] <= record.times["SPLICING"] \
-        <= record.times["REDIRECTED"]
+    assert set(record.times) == {"CLONING", "REDIRECTED"}
+    assert record.times["CLONING"] <= record.times["REDIRECTED"]
 
 
 def test_flow_rules_after_migration_and_restore_at_distinct_address():
@@ -253,7 +258,7 @@ def test_flow_rules_after_migration_and_restore_at_distinct_address():
     assert record.phase == PHASE_RESTORED
     assert mini.switch.rules() == {
         CONN: (Rewrite(ack_delta=record.seq_delta), Output(mini.victim.port)),
-        VIC_REV: (Rewrite(seq_delta=record.ack_delta), Output(att_port)),
+        VIC_REV: (Rewrite(seq_delta=seq_sub(0, record.seq_delta)), Output(att_port)),
     }
     assert mini.victim.app.request_log == mini.attacker.sent_requests
     assert not mini.attacker.violations
@@ -373,7 +378,7 @@ def test_restore_recomputes_deltas_against_new_isn():
     # pre-migration responses, so the delta is not honey-vs-victim anymore
     assert record.phase == PHASE_RESTORED
     for value in (0, 5, 2**32 - 1):
-        assert seq_add(seq_add(value, record.seq_delta), record.ack_delta) == value
+        assert seq_add(seq_add(value, record.seq_delta), mini.reverse_delta()) == value
     assert not mini.attacker.violations
 
 
@@ -391,8 +396,11 @@ def test_restore_twice_invalid():
     mini.controller.restore_original(CONN)
     mini.controller.restore_original(CONN)
     assert [ev.fields for ev in mini.events("restore_ignored")] == [
-        {"conn": CONN, "phase": PHASE_REDIRECTED}]
+        {"conn": CONN, "phase": PHASE_RESTORING}]
     assert len(mini.events("restore_armed")) == 1
+    record = mini.controller.records[CONN]
+    assert record.phase == PHASE_RESTORING
     mini.engine.run_until(mini.engine.now + 100_000)
-    assert mini.controller.records[CONN].phase == PHASE_RESTORED
+    assert record.phase == PHASE_RESTORED
+    assert record.times["RESTORED"] - record.times["RESTORING"] == 5000
     assert len(mini.events("restored")) == 1

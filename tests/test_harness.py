@@ -94,30 +94,58 @@ def test_bad_jitter_kind_rejected():
         scenario_from_dict(minimal_doc(link={"jitter": {"kind": "pareto"}}))
 
 
+GRACE_DELAYS = [0, 1, 500, 1000, 1500]
+
+
 def test_restore_grace_must_fit_interval():
-    with pytest.raises(ConfigError):
-        scenario_from_dict(minimal_doc(
-            restore_at=8, restore_grace_us=9500,
-            request={"interval_us": 10_000}))
+    # the derived grace, 4 link delays + 1 µs, and two more link crossings
+    # must fit in one request interval
+    for delay in GRACE_DELAYS:
+        def doc(interval, **overrides):
+            return minimal_doc(link={"base_delay_us": delay},
+                               request={"interval_us": interval}, **overrides)
+
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(doc(6 * delay + 1, restore_at=8))
+        assert str(err.value).startswith("request.interval_us: ")
+        scenario_from_dict(doc(6 * delay + 2, restore_at=8))
+        scenario_from_dict(doc(6 * delay + 1))  # no restore, no bound
 
 
-@pytest.mark.parametrize("grace", [2500, 3000, 4000])
-def test_restore_grace_within_one_round_trip_rejected(grace):
-    # link delay 1,000 us: one attacker round trip crosses four links
-    with pytest.raises(ConfigError) as err:
-        scenario_from_dict(minimal_doc(restore_at=7, restore_grace_us=grace))
-    assert str(err.value).startswith("restore_grace_us: ")
+def test_restore_bound_accepts_what_some_grace_value_allowed():
+    """With restore_at set, validate() accepts exactly the (delay, interval)
+    pairs for which some grace g >= 0 had 4 * delay < g and
+    g + 2 * delay < interval."""
+    base = Scenario(total_packets=10, trigger_n=5, restore_at=8)
+    for delay in range(0, 12):
+        for interval in range(1, 90):
+            some_grace = any(4 * delay < g and g + 2 * delay < interval
+                             for g in range(interval))
+            try:
+                replace(base, link_base_delay_us=delay,
+                        request_interval_us=interval).validate()
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == some_grace, (delay, interval)
 
 
 @pytest.mark.parametrize("honey_addr_mode", ["same", "distinct"])
-@pytest.mark.parametrize("grace", [4001, 4500])
-def test_restore_grace_past_one_round_trip_runs_clean(grace, honey_addr_mode):
-    scenario = scenario_from_dict(minimal_doc(restore_at=7, restore_grace_us=grace,
-                                              honey_addr_mode=honey_addr_mode))
+@pytest.mark.parametrize("interval", ["6d+2", 10_000])
+@pytest.mark.parametrize("delay", GRACE_DELAYS)
+def test_derived_restore_grace_runs_clean_and_equals_oracle(delay, interval,
+                                                            honey_addr_mode):
+    interval = 6 * delay + 2 if interval == "6d+2" else interval  # the tightest bound
+    scenario = scenario_from_dict(minimal_doc(
+        restore_at=7, honey_addr_mode=honey_addr_mode,
+        link={"base_delay_us": delay}, request={"interval_us": interval}))
     sim = run_single(scenario, 1)
     oracle = run_single(scenario, 1, migration=False)
     assert not sim.trace(1).violations
     assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
+    (record,) = sim.controller.records.values()
+    assert record.phase == "RESTORED"
+    assert record.times["RESTORED"] - record.times["RESTORING"] == 4 * delay + 1
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -139,7 +167,8 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"link": {"base_delay_us": -5}}, "link.base_delay_us"),
     ({"controller_service_us": -100}, "controller_service_us"),
     ({"miss_hold_timeout_us": 1_000_000}, "miss_hold_timeout_us"),
-    ({"restore_grace_us": -1}, "restore_grace_us"),
+    # the restore's grace is derived from the link delay, not a setting
+    ({"restore_grace_us": 5000}, "restore_grace_us"),
     ({"background": {"n_hosts": -1, "procs_per_host": 1}}, "background.n_hosts"),
     ({"background": {"n_hosts": 1, "procs_per_host": -1}}, "background.procs_per_host"),
     ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": -5}},
@@ -159,6 +188,15 @@ def test_invalid_json_is_config_error(tmp_path):
     *[({"ruleset": str(builtin_scenario_path("e1_redirect").parent / "migrate.rules"),
         "trigger": {"kind": "rule", "sid": 1000001}, "restore_at": n}, "restore_at")
       for n in (0, -3)],
+    # a JSON value of another type is no value of the key's: no coercion
+    ({"total_packets": "10"}, "total_packets"),
+    ({"total_packets": 10.7}, "total_packets"),
+    ({"link": {"base_delay_us": 999.9}}, "link.base_delay_us"),
+    ({"seed": True}, "seed"),
+    ({"name": 5}, "name"),
+    ({"clone": {"failure_p": "0.5"}}, "clone.failure_p"),
+    ({"background": {"n_hosts": 1.9, "procs_per_host": 1}}, "background"),
+    ({"link": {"jitter": {"kind": "uniform", "a": "1", "b": 2}}}, "link.jitter"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -169,6 +207,13 @@ def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_numbers_load_as_their_json_type():
+    scenario = scenario_from_dict(minimal_doc(
+        clone={"failure_p": 0}, link={"jitter": {"kind": "uniform", "a": 0, "b": 2.5}}))
+    assert scenario.clone_failure_p == 0
+    assert (scenario.link_jitter.a, scenario.link_jitter.b) == (0.0, 2.5)
 
 
 RULES = 'alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; sid:7;)\n'
@@ -479,7 +524,7 @@ EXPORT_SHA256 = {
         "dfb376256be85f24bcad727862e06dd7ece56b68579fc9ec48a716f53e8c7ca5"),
     "e4_restore": (
         "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
-        "65c6423a400d834d8a1c8be9801822102425d5a4f9ca2ad05cae62bed4ce60b5"),
+        "9859e61ca095c2374dd5398ff5db126f813da16eb46f40e5498be834bf6ed97c"),
 }
 
 
@@ -535,7 +580,20 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert (out_dir / "summary.csv").exists()
 
 
+def test_cli_run_seed_overrides_the_scenario(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "e1_redirect", "--seed", "5", "--reps", "2",
+                     "--out", str(out_dir)]) == 0
+    assert "seed 5" in capsys.readouterr().out
+    assert json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))["seed"] == 5
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       seed=5, repetitions=2)
+    files = export_run(scenario, run_experiment(scenario), tmp_path / "api")
+    assert (out_dir / "attacker_trace.csv").read_bytes() == files["attacker"].read_bytes()
+
+
 @pytest.mark.parametrize("csv_text, meta, message", [
+    (None, None, "no attacker_trace.csv under"),
     ("rep,packet_index,send_us,recv_us,rtt_us\n", None, "holds no records"),
     ("rep,packet_index,send_us,recv_us\n1,1,0,4000\n", None, "no column 'rtt_us'"),
     ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,x\n", None,
@@ -548,11 +606,12 @@ def test_cli_run_and_summarize(tmp_path, capsys):
      '{"trigger_index": 1', "meta.json is not JSON"),
     ("rep,packet_index,send_us,recv_us,rtt_us\n1,1,0,4000,4000\n",
      "[100]", "meta.json is not a JSON object"),
-], ids=["header-only", "missing-column", "non-integer-cell", "string-trigger",
+], ids=["no-trace-csv", "header-only", "missing-column", "non-integer-cell", "string-trigger",
         "bool-trigger", "meta-not-json", "meta-not-object"])
 def test_cli_summarize_unreadable_trace_dir_is_config_error(tmp_path, capsys, csv_text,
                                                             meta, message):
-    (tmp_path / "attacker_trace.csv").write_text(csv_text, encoding="utf-8")
+    if csv_text is not None:
+        (tmp_path / "attacker_trace.csv").write_text(csv_text, encoding="utf-8")
     if meta is not None:
         (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
     assert cli_main(["summarize", str(tmp_path)]) == 2
