@@ -11,8 +11,8 @@ Redirection, on an alert for an established connection:
   1. contain -- the attacker direction's rule becomes a BUFFER that
      quietly swallows everything the attacker sends (nothing further
      reaches the victim), and a forged RST tears down the victim-side
-     endpoint only; the attacker-facing direction is never reset, so the
-     attacker sees no change;
+     endpoint only, after it answers what reached it; the attacker-facing
+     direction is never reset, so the attacker sees no change;
   2. clone -- a copy of the victim host is requested;
   3. splice -- once the clone is up, the controller forges a three-way
      handshake with it while impersonating the attacker, replays the
@@ -27,34 +27,41 @@ Redirection, on an alert for an established connection:
      removed), the buffered segments are released through them, and the
      attacker-visible byte stream continues without a seam.
 
+The RST and every splice (migration, restore, fail-open) wait until the
+connection is quiet: the serving server has consumed every attacker byte
+the switch let through, and the attacker's latest ack at the switch covers
+the server's snd_nxt. Then nothing is in flight either way, and
+``last_ack`` is the attacker's rcv_nxt. Waiting moves sit in the record's
+``waiting`` list; ``ledger_tap`` runs them on the segment that quiets it.
+
 Containment timing is configurable: "immediate" contains at alert time
 (the victim never sees the triggering segment), "on_clone_ready" lets the
 victim keep serving until the clone is operational (no request ever waits
 on instantiation). With a pre-instantiated honey server both behave
-identically: the clone manager returns it at once, so the whole redirect
-completes within the alert event.
+identically: the clone manager returns it at once, so on a quiet
+connection the whole redirect completes within the alert event.
 
-Restore (reverse migration) re-splices the connection onto a fresh
-victim-side connection with the same recipe -- forge, replay whatever the
-victim has not seen, recompute offsets -- after a grace period that lets
-in-flight honey responses drain (the harness derives it from the link
-delay). A clone that fails to instantiate fails open: the contained
-connection is spliced straight back onto the victim with nothing to replay.
+Restore (reverse migration) buffers the attacker's direction from the
+restore trigger's seq and, once the honey server is quiet, re-splices the
+connection onto a fresh victim-side connection with the same recipe --
+forge, replay whatever the victim has not seen, recompute offsets. A clone
+that fails to instantiate fails open: the contained connection is spliced
+straight back onto the victim with nothing to replay.
 
 A record's ``phase`` is its whole migration state: IDLE, CLONING,
-REDIRECTED, RESTORING (a restore waiting out its grace) and RESTORED.
+REDIRECTED, RESTORING (a restore waiting for a quiet honey) and RESTORED.
 Neither entry point raises. An alert the controller cannot act on -- on
 the attacker's SYN, on the server's direction, or on a connection already
 migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED
 as ``restore_ignored``. Neither changes anything.
 
 Every replay window is a range of the attacker's stream positions. At
-containment the record notes ``victim_pos``, the position the victim has
-consumed: the triggering segment's seq when containing inside
+containment the record notes ``victim_pos``, where the switch starts
+buffering: the triggering segment's seq when containing inside
 ``on_alert`` (that segment is still mid-pipeline and never reaches the
 victim), the attacker's snd_nxt when an on-demand clone comes up.
-Migration replays [ISS+1, victim_pos) into the clone, fail-open replays
-nothing, and restore replays [victim_pos, snd_nxt) into the victim; each
+Migration replays [ISS+1, victim_pos) into the clone, fail-open nothing,
+and restore [victim_pos, restore trigger's seq) into the victim; each
 forged handshake starts one before its window, so the first segment the
 server sees lands at its rcv_nxt.
 
@@ -68,7 +75,7 @@ victim connection never sent the responses the honey server did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
 from .hosts import ServerHost
@@ -135,8 +142,11 @@ class MigrationRecord:
     seq_delta: int = 0
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
-    # attacker stream position the victim has consumed; None until contained
+    # attacker stream position the victim consumes up to; None until contained
     victim_pos: Optional[int] = None
+    serving: Optional[ServerHost] = None  # set when contained, then by each splice
+    # moves waiting for a quiet connection (see Controller._when_quiet)
+    waiting: list[tuple[int, Callable[[], None]]] = field(default_factory=list)
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase
@@ -148,13 +158,11 @@ class Controller:
     clone-ready callbacks are serialized events of one simulation."""
 
     def __init__(self, engine: Engine, switch: Switch, *,
-                 containment: str = "immediate", service_us: int = 50,
-                 restore_grace_us: int = 5000):
+                 containment: str = "immediate", service_us: int = 50):
         self.engine = engine
         self.switch = switch
         self.containment = containment
         self.service_us = service_us
-        self.restore_grace_us = restore_grace_us
         self.clonemgr: Optional[CloneManager] = None
 
         self.records: dict[ConnKey, MigrationRecord] = {}
@@ -198,6 +206,8 @@ class Controller:
                 record.last_ack = pkt.ack
             if pkt.payload:
                 record.payloads.append((pkt.seq, pkt.payload))
+            if record.waiting:
+                self._when_quiet(record)
             return
         record = self.records.get((pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport))
         if record is not None and (pkt.flags & TcpFlags.SYN):
@@ -220,8 +230,7 @@ class Controller:
             self.switch.drop_held(hold_id)
             self.log("anomaly_drop", conn=key)
             return
-        rules = self.switch.rules()
-        if key not in rules:
+        if key not in self.switch.rules():
             dst_port = self.port_map.get(pkt.dst.ip)
             src_port = self.port_map.get(pkt.src.ip)
             if dst_port is None or src_port is None:
@@ -229,11 +238,8 @@ class Controller:
                 self.log("packet_in_unroutable", conn=key)
                 return
             self.switch.install_rule(key, self._forward[dst_port])
-            rkey = (key[2], key[3], key[0], key[1])
-            # a victim segment still in flight when a distinct-address
-            # splice removed its rule misses; keep the splice's rule
-            if rkey not in rules:
-                self.switch.install_rule(rkey, self._forward[src_port])
+            self.switch.install_rule((key[2], key[3], key[0], key[1]),
+                                     self._forward[src_port])
             self.log("flow_rules", conn=key)
         self.log("packet_in", conn=key)
         self.switch.release_held(hold_id)
@@ -256,7 +262,7 @@ class Controller:
         # This call is inside the triggering segment's mirror tap, so the
         # segment is still in flight through the switch. Containing now
         # ("immediate", or a pre-built clone) keeps it from the victim: the
-        # victim has consumed the stream up to its seq.
+        # victim consumes the stream up to its seq.
         trigger_seq = alert.segment.seq
         if self.containment == "immediate":
             self._contain(record, trigger_seq)
@@ -273,21 +279,24 @@ class Controller:
             self._on_clone_ready(record, host, 0, trigger_seq)
 
     def _contain(self, record: MigrationRecord, victim_pos: int) -> None:
-        """Protect the victim: buffer the attacker's direction, forge an RST
-        toward the victim only, which has consumed up to ``victim_pos``."""
+        """Protect the victim: buffer the attacker's direction, and once the
+        victim has answered everything up to ``victim_pos``, forge an RST
+        toward the victim only."""
         key = record.key
         self.switch.create_queue(key)
         self.switch.install_rule(key, (Buffer(key),))
         record.victim_pos = victim_pos
+        record.serving = victim = self.server_hosts[record.server_addr.ip]
         self.log("buffer_installed", conn=key)
 
-        victim = self.server_hosts[record.server_addr.ip]
-        rst = TcpSegment(src=record.attacker_addr, dst=record.server_addr,
-                         sport=key[1], dport=key[3],
-                         seq=record.attacker_snd_nxt, ack=record.last_ack,
-                         flags=TcpFlags.RST | TcpFlags.ACK)
-        victim.deliver_oob(rst)
-        self.log("victim_closed", conn=key)
+        def close_victim():
+            victim.deliver_oob(TcpSegment(
+                src=record.attacker_addr, dst=record.server_addr,
+                sport=key[1], dport=key[3], seq=record.attacker_snd_nxt,
+                ack=record.last_ack, flags=TcpFlags.RST | TcpFlags.ACK))
+            self.log("victim_closed", conn=key)
+
+        self._when_quiet(record, victim_pos, close_victim)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
                         latency_us: int, victim_pos: int) -> None:
@@ -295,20 +304,38 @@ class Controller:
         if record.victim_pos is None:
             self._contain(record, victim_pos)
         self.log("splice_started", conn=record.key)
-        self._splice(record, host, seq_add(record.attacker_iss, 1),
-                     record.victim_pos, PHASE_REDIRECTED)
+        self._when_quiet(record, record.victim_pos, lambda: self._splice(
+            record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
+            PHASE_REDIRECTED))
 
     def _clone_failed(self, record: MigrationRecord) -> None:
         """Fail open: hand a contained connection straight back to the
-        victim, which has already consumed everything up to victim_pos."""
+        victim once it has consumed everything up to victim_pos."""
         self.log("clone_failed", conn=record.key, policy="open")
         if record.victim_pos is None:
             # victim was never cut over; nothing to undo
             record.transition(PHASE_RESTORED, self.engine.now)
             return
         victim = self.server_hosts[record.server_addr.ip]
-        self._splice(record, victim, record.victim_pos, record.victim_pos,
-                     PHASE_RESTORED)
+        self._when_quiet(record, record.victim_pos, lambda: self._splice(
+            record, victim, record.victim_pos, record.victim_pos, PHASE_RESTORED))
+
+    # -- waiting for a quiet connection -------------------------------------------
+
+    def _when_quiet(self, record: MigrationRecord, *move) -> None:
+        """Queue ``move`` -- (pos, fn), where ``pos`` is where the switch
+        began buffering -- if given, then run the queued moves in order
+        while the connection is quiet (see the module docstring)."""
+        if move:
+            record.waiting.append(move)
+        while record.waiting:
+            pos, fn = record.waiting[0]
+            conn = record.serving.conns[(record.attacker_addr.ip, record.key[1])]
+            if conn.rcv_nxt != pos or \
+                    conn.snd_nxt != seq_add(record.last_ack, record.seq_delta):
+                return
+            del record.waiting[0]
+            fn()
 
     # -- the splice (shared by migration, restore and fail-open) ----------------
 
@@ -369,6 +396,7 @@ class Controller:
             Output(self.port_map[record.attacker_addr.ip])))
         self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
 
+        record.serving = server
         record.transition(final_phase, self.engine.now)
         released = self.switch.release_buffer(key)
         self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
@@ -376,15 +404,13 @@ class Controller:
 
     # -- reverse migration -------------------------------------------------------
 
-    def restore_original(self, key: ConnKey) -> None:
-        """Arm the return of a redirected connection to the original server.
-
-        The record is RESTORING while the splice waits ``restore_grace_us``
-        so in-flight honey responses drain through the rewrite rules first.
-        Outside REDIRECTED (a clone still booting, a restore already armed,
-        or a failed clone already restored by fail-open) there is nothing to
-        restore: the request is logged as ``restore_ignored``.
-        """
+    def restore_original(self, alert: Alert) -> None:
+        """Move a redirected connection back to the original server; like
+        ``on_alert``, this runs inside the trigger's mirror tap. Outside
+        REDIRECTED (a clone booting or a migration waiting, a restore
+        already waiting, or a failed clone already restored by fail-open)
+        there is nothing to restore: it is logged as ``restore_ignored``."""
+        key = alert.conn
         record = self.records.get(key)
         if record is None or record.phase != PHASE_REDIRECTED:
             phase = record.phase if record is not None else PHASE_IDLE
@@ -392,7 +418,8 @@ class Controller:
             return
         record.transition(PHASE_RESTORING, self.engine.now)
         self.log("restore_armed", conn=key)
+        self.switch.install_rule(key, (Buffer(key),))
         victim = self.server_hosts[record.server_addr.ip]
-        self.engine.schedule_in(lambda: self._splice(
-            record, victim, record.victim_pos, record.attacker_snd_nxt, PHASE_RESTORED),
-            self.restore_grace_us)
+        pos = alert.segment.seq
+        self._when_quiet(record, pos, lambda: self._splice(
+            record, victim, record.victim_pos, pos, PHASE_RESTORED))

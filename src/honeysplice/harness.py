@@ -147,12 +147,6 @@ class Scenario:
                 raise ConfigError("restore_at", "must be >= 1")
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
-            # restore splices 4 link delays + 1 µs after its trigger (see
-            # Simulation); that wait must fit inside one request interval
-            # with two link crossings to spare
-            if self.request_interval_us <= 6 * self.link_base_delay_us + 1:
-                raise ConfigError("request.interval_us",
-                                  "with restore_at set, must exceed 6x link delay + 1")
         # lower bounds: a negative delay schedules an event in the past or
         # cuts the run short, and a zero echo interval reschedules itself at
         # the same µs forever
@@ -277,11 +271,7 @@ class Simulation:
         self.controller = Controller(
             self.engine, self.switch,
             containment=scenario.containment,
-            service_us=scenario.controller_service_us,
-            # one attacker round trip (four link crossings) and 1 µs: the
-            # attacker's ACK of the restore trigger's response has reached
-            # the switch when the restore splices
-            restore_grace_us=4 * scenario.link_base_delay_us + 1)
+            service_us=scenario.controller_service_us)
         self.switch.mirror_taps = [self.controller.ledger_tap, self.ids.tap]
 
         def iss_policy(tag: str):
@@ -340,7 +330,7 @@ class Simulation:
                 if alert.sid == migrate_sid:
                     self.controller.on_alert(alert)
                 elif alert.sid == RESTORE_WATCH_SID:
-                    self.controller.restore_original(alert.conn)
+                    self.controller.restore_original(alert)
 
             self.ids.subscribe(route)
 

@@ -81,7 +81,7 @@ class Mini:
 
         def route(alert):
             if alert.sid == 2:
-                self.controller.restore_original(alert.conn)
+                self.controller.restore_original(alert)
             else:
                 self.controller.on_alert(alert)
 
@@ -240,8 +240,8 @@ def test_flow_rules_after_migration_and_restore_at_distinct_address():
     migrated = []
 
     def snapshot(alert):
-        # the restore alert only arms the restore: the table is migration's
-        if alert.sid == 2:
+        # subscribed after the controller: the migration has spliced
+        if alert.sid == 1:
             migrated.append(dict(mini.switch.rules()))
 
     mini.ids.subscribe(snapshot)
@@ -265,13 +265,13 @@ def test_flow_rules_after_migration_and_restore_at_distinct_address():
 
 
 def test_victim_segment_missing_after_distinct_splice_keeps_splice_rule():
-    """Requests sent faster than the round trip: victim responses still in
-    flight when the splice removes the victim's reverse rule miss, and the
-    packet-in that forwards them leaves the attacker's spliced rule alone."""
+    """Requests sent faster than the round trip: the splice waits until the
+    attacker has acked every victim response, so none is in flight when it
+    removes the victim's reverse rule, and only the SYN ever misses."""
     mini = Mini(trigger_n=5, total=10, interval_us=500, honey_addr=HONEY)
     mini.run()
     flow_rules = [ev.fields["conn"] for ev in mini.events("flow_rules")]
-    assert flow_rules == [CONN, VIC_REV]
+    assert flow_rules == [CONN]
     assert mini.switch.rules()[CONN][-1] == Output(mini.honey.port)
     assert mini.honey.app.request_log == mini.attacker.sent_requests
 
@@ -362,10 +362,32 @@ def test_restore_replays_unseen_then_goes_live():
     # victim: 4 live + replay 5..8 + live 9..12, in order, exactly once
     assert mini.victim.app.request_log == mini.attacker.sent_requests
     assert mini.victim.app.request_count == 12
-    # honey saw 4 replayed + live 5..8
-    assert mini.honey.app.request_log == mini.attacker.sent_requests[:8]
+    # honey saw 4 replayed + live 5..7; the restore trigger goes to the victim
+    assert mini.honey.app.request_log == mini.attacker.sent_requests[:7]
     assert not mini.attacker.violations
     assert mini.attacker.complete
+
+
+def test_restore_waits_for_a_quiet_honey():
+    """Requests sent faster than the round trip: at the restore alert the
+    honey's responses are still in flight, so the restore waits until the
+    attacker has acked them, and the stream still equals the no-migration
+    run's (whose pipelined acks lag snd_nxt just as often)."""
+    oracle = Mini(trigger_n=None, total=12, interval_us=1500)
+    oracle.run()
+    for honey_addr in (None, HONEY):
+        mini = Mini(trigger_n=5, restore_at=8, total=12, interval_us=1500,
+                    honey_addr=honey_addr)
+        mini.run()
+        record = mini.controller.records[CONN]
+        assert record.phase == PHASE_RESTORED
+        assert record.times[PHASE_RESTORED] > record.times[PHASE_RESTORING]
+        assert mini.honey.app.request_log == mini.attacker.sent_requests[:7]
+        assert mini.victim.app.request_log == mini.attacker.sent_requests
+        assert bytes(mini.attacker.received_stream) == \
+            bytes(oracle.attacker.received_stream)
+        assert len(mini.attacker.violations) == len(oracle.attacker.violations)
+        assert all("ack discontinuity" in v for v in mini.attacker.violations)
 
 
 def test_restore_recomputes_deltas_against_new_isn():
@@ -382,9 +404,14 @@ def test_restore_recomputes_deltas_against_new_isn():
     assert not mini.attacker.violations
 
 
+def restore_alert(seq=0):
+    seg = TcpSegment(ATT, VIC, 40001, 9000, seq=seq, ack=0, flags=TcpFlags.ACK)
+    return Alert(sid=2, msg="RESTORE", segment=seg, conn=CONN, ordinal=1)
+
+
 def test_restore_in_idle_phase_invalid():
     mini = Mini(trigger_n=None, total=2)
-    mini.controller.restore_original(CONN)
+    mini.controller.restore_original(restore_alert())
     assert [ev.fields for ev in mini.events("restore_ignored")] == [
         {"conn": CONN, "phase": PHASE_IDLE}]
     assert not mini.events("restore_armed")
@@ -393,14 +420,15 @@ def test_restore_in_idle_phase_invalid():
 def test_restore_twice_invalid():
     mini = Mini(trigger_n=3, total=10)
     mini.run()
-    mini.controller.restore_original(CONN)
-    mini.controller.restore_original(CONN)
+    # the session is over, so the honey is quiet: the first restore splices
+    # at once, and the second finds the connection RESTORED
+    alert = restore_alert(mini.attacker.conn.snd_nxt)
+    mini.controller.restore_original(alert)
+    mini.controller.restore_original(alert)
     assert [ev.fields for ev in mini.events("restore_ignored")] == [
-        {"conn": CONN, "phase": PHASE_RESTORING}]
+        {"conn": CONN, "phase": PHASE_RESTORED}]
     assert len(mini.events("restore_armed")) == 1
     record = mini.controller.records[CONN]
-    assert record.phase == PHASE_RESTORING
-    mini.engine.run_until(mini.engine.now + 100_000)
     assert record.phase == PHASE_RESTORED
-    assert record.times["RESTORED"] - record.times["RESTORING"] == 5000
+    assert record.times[PHASE_RESTORED] == record.times[PHASE_RESTORING]
     assert len(mini.events("restored")) == 1

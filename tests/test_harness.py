@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -94,48 +95,18 @@ def test_bad_jitter_kind_rejected():
         scenario_from_dict(minimal_doc(link={"jitter": {"kind": "pareto"}}))
 
 
-GRACE_DELAYS = [0, 1, 500, 1000, 1500]
-
-
-def test_restore_grace_must_fit_interval():
-    # the derived grace, 4 link delays + 1 µs, and two more link crossings
-    # must fit in one request interval
-    for delay in GRACE_DELAYS:
-        def doc(interval, **overrides):
-            return minimal_doc(link={"base_delay_us": delay},
-                               request={"interval_us": interval}, **overrides)
-
-        with pytest.raises(ConfigError) as err:
-            scenario_from_dict(doc(6 * delay + 1, restore_at=8))
-        assert str(err.value).startswith("request.interval_us: ")
-        scenario_from_dict(doc(6 * delay + 2, restore_at=8))
-        scenario_from_dict(doc(6 * delay + 1))  # no restore, no bound
-
-
-def test_restore_bound_accepts_what_some_grace_value_allowed():
-    """With restore_at set, validate() accepts exactly the (delay, interval)
-    pairs for which some grace g >= 0 had 4 * delay < g and
-    g + 2 * delay < interval."""
-    base = Scenario(total_packets=10, trigger_n=5, restore_at=8)
-    for delay in range(0, 12):
-        for interval in range(1, 90):
-            some_grace = any(4 * delay < g and g + 2 * delay < interval
-                             for g in range(interval))
-            try:
-                replace(base, link_base_delay_us=delay,
-                        request_interval_us=interval).validate()
-                accepted = True
-            except ConfigError:
-                accepted = False
-            assert accepted == some_grace, (delay, interval)
+RESTORE_DELAYS = [0, 1, 500, 1000, 1500]
 
 
 @pytest.mark.parametrize("honey_addr_mode", ["same", "distinct"])
-@pytest.mark.parametrize("interval", ["6d+2", 10_000])
-@pytest.mark.parametrize("delay", GRACE_DELAYS)
+@pytest.mark.parametrize("interval", ["4d+1", "6d+2", 10_000])
+@pytest.mark.parametrize("delay", RESTORE_DELAYS)
 def test_derived_restore_grace_runs_clean_and_equals_oracle(delay, interval,
                                                             honey_addr_mode):
-    interval = 6 * delay + 2 if interval == "6d+2" else interval  # the tightest bound
+    """A restore splices once the honey server is quiet, which on a link
+    without jitter is the restore alert's own µs, down to requests one
+    round trip and 1 µs apart."""
+    interval = {"4d+1": 4 * delay + 1, "6d+2": 6 * delay + 2}.get(interval, interval)
     scenario = scenario_from_dict(minimal_doc(
         restore_at=7, honey_addr_mode=honey_addr_mode,
         link={"base_delay_us": delay}, request={"interval_us": interval}))
@@ -145,7 +116,30 @@ def test_derived_restore_grace_runs_clean_and_equals_oracle(delay, interval,
     assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
     (record,) = sim.controller.records.values()
     assert record.phase == "RESTORED"
-    assert record.times["RESTORED"] - record.times["RESTORING"] == 4 * delay + 1
+    assert record.times["RESTORED"] == record.times["RESTORING"]
+
+
+@pytest.mark.parametrize("honey_addr_mode", ["same", "distinct"])
+@pytest.mark.parametrize("restore_at", [8, 12])
+@pytest.mark.parametrize("jitter", ["uniform 0 300", "uniform 0 1000", "normal 0 200"])
+def test_restore_under_jitter_runs_clean_and_equals_oracle(jitter, restore_at,
+                                                           honey_addr_mode):
+    """A jittered link stretches round trips unevenly; the restore trigger
+    goes to the victim and the splice waits for a quiet honey, so no honey
+    response is in flight when the victim takes over."""
+    kind, a, b = jitter.split()
+    scenario = scenario_from_dict(minimal_doc(
+        total_packets=20, restore_at=restore_at, honey_addr_mode=honey_addr_mode,
+        link={"base_delay_us": 1000, "jitter": {"kind": kind, "a": int(a), "b": int(b)}},
+        request={"interval_us": 20_000}))
+    for rep in range(1, 11):
+        sim = run_single(scenario, rep)
+        oracle = run_single(scenario, rep, migration=False)
+        assert not sim.trace(rep).violations, rep
+        assert bytes(sim.attacker.received_stream) == \
+            bytes(oracle.attacker.received_stream), rep
+        (record,) = sim.controller.records.values()
+        assert record.phase == "RESTORED", rep
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -167,7 +161,7 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"link": {"base_delay_us": -5}}, "link.base_delay_us"),
     ({"controller_service_us": -100}, "controller_service_us"),
     ({"miss_hold_timeout_us": 1_000_000}, "miss_hold_timeout_us"),
-    # the restore's grace is derived from the link delay, not a setting
+    # the restore waits for a quiet honey server: there is no grace to set
     ({"restore_grace_us": 5000}, "restore_grace_us"),
     ({"background": {"n_hosts": -1, "procs_per_host": 1}}, "background.n_hosts"),
     ({"background": {"n_hosts": 1, "procs_per_host": -1}}, "background.procs_per_host"),
@@ -352,6 +346,13 @@ KNOB_RULES = {"flags:A": KNOB_THRESHOLD.format("A"),
               "flags:P.A.": KNOB_THRESHOLD.format("P.A."), **IGNORED_ALERT_RULES}
 
 
+# (request.interval_us, link.jitter): requests one round trip and 1 µs
+# apart, and jitter that reorders a link's deliveries
+KNOB_LINKS = [(10_000, {"kind": "none"}), (4_001, {"kind": "none"}),
+              (10_000, {"kind": "uniform", "a": 0, "b": 900}),
+              (10_000, {"kind": "normal", "a": 0, "b": 300})]
+
+
 @pytest.mark.parametrize("restore_at", [None, 9])
 @pytest.mark.parametrize("failure_p", [0, 1])
 @pytest.mark.parametrize("containment", ["immediate", "on_clone_ready"])
@@ -362,10 +363,12 @@ def test_knob_space_runs_clean_and_equals_oracle(tmp_path, trigger, containment,
     # still replay every pre-alert request
     if trigger != "nth 4":
         (tmp_path / "m.rules").write_text(KNOB_RULES[trigger], encoding="utf-8")
-    for honey_addr_mode in ("same", "distinct"):
+    for honey_addr_mode, (interval, jitter) in itertools.product(
+            ("same", "distinct"), KNOB_LINKS):
         doc = minimal_doc(total_packets=12, seed=5, containment=containment,
                           clone={"on_demand": False, "failure_p": failure_p},
-                          restore_at=restore_at, honey_addr_mode=honey_addr_mode)
+                          restore_at=restore_at, honey_addr_mode=honey_addr_mode,
+                          request={"interval_us": interval}, link={"jitter": jitter})
         if trigger == "nth 4":
             doc["trigger"] = {"kind": "nth_packet", "n": 4}
         else:
@@ -379,6 +382,23 @@ def test_knob_space_runs_clean_and_equals_oracle(tmp_path, trigger, containment,
         ignored = {ev.fields["phase"] for ev in sim.controller.events
                    if ev.kind == "alert_ignored"}
         assert ("IDLE" in ignored) == (trigger in IGNORED_ALERT_RULES)
+
+
+def test_on_demand_clone_ready_beside_an_ack_splices_at_a_current_offset(tmp_path):
+    """The clone comes up (59,050 µs) in the µs an attacker ACK reaches the
+    switch, but before it: the splice waits for that ACK, so its offset
+    counts the response the ACK acknowledges."""
+    (tmp_path / "m.rules").write_text(KNOB_RULES["flags:A"], encoding="utf-8")
+    scenario = scenario_from_dict(minimal_doc(
+        total_packets=12, seed=5, containment="on_clone_ready",
+        clone={"on_demand": True}, trigger={"kind": "rule", "sid": 7},
+        ruleset="m.rules", request={"interval_us": 10_000}), base_dir=tmp_path)
+    sim = run_single(scenario, 1)
+    oracle = run_single(scenario, 1, migration=False)
+    assert [ev.time_us for ev in sim.controller.events
+            if ev.kind == "clone_latency"] == [59_050]
+    assert not sim.trace(1).violations
+    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
 
 
 def test_request_payloads_are_cached_and_shared_across_reps():
@@ -524,7 +544,7 @@ EXPORT_SHA256 = {
         "dfb376256be85f24bcad727862e06dd7ece56b68579fc9ec48a716f53e8c7ca5"),
     "e4_restore": (
         "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
-        "9859e61ca095c2374dd5398ff5db126f813da16eb46f40e5498be834bf6ed97c"),
+        "5b1e8217cd8000ab2ccc8f2e4494c8bb54950877f5c4e960548cba5c06707300"),
 }
 
 
