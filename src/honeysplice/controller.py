@@ -8,12 +8,14 @@ modeled service time (a FIFO queue, ``service_us`` per packet-in).
 
 Redirection, on an alert for an established connection:
 
-  1. contain -- the attacker direction's rule becomes a BUFFER that
+  1. clone -- a copy of the victim host is requested; a clone that cannot
+     be built changes nothing (``clone_failed``): the victim keeps the
+     connection and the record goes straight to RESTORED;
+  2. contain -- the attacker direction's rule becomes a BUFFER that
      quietly swallows everything the attacker sends (nothing further
      reaches the victim), and a forged RST tears down the victim-side
      endpoint only, after it answers what reached it; the attacker-facing
      direction is never reset, so the attacker sees no change;
-  2. clone -- a copy of the victim host is requested;
   3. splice -- once the clone is up, the controller forges a three-way
      handshake with it while impersonating the attacker, replays the
      recorded pre-alert payloads so the clone's application state matches
@@ -27,12 +29,12 @@ Redirection, on an alert for an established connection:
      removed), the buffered segments are released through them, and the
      attacker-visible byte stream continues without a seam.
 
-The RST and every splice (migration, restore, fail-open) wait until the
-connection is quiet: the serving server has consumed every attacker byte
-the switch let through, and the attacker's latest ack at the switch covers
-the server's snd_nxt. Then nothing is in flight either way, and
-``last_ack`` is the attacker's rcv_nxt. Waiting moves sit in the record's
-``waiting`` list; ``ledger_tap`` runs them on the segment that quiets it.
+The RST and every splice (migration, restore) wait until the connection
+is quiet: the serving server has consumed every attacker byte the switch
+let through, and the attacker's latest ack at the switch covers the
+server's snd_nxt. Then nothing is in flight either way, and ``last_ack``
+is the attacker's rcv_nxt. Waiting moves sit in the record's ``waiting``
+list; ``ledger_tap`` runs them on the segment that quiets it.
 
 Containment timing is configurable: "immediate" contains at alert time
 (the victim never sees the triggering segment), "on_clone_ready" lets the
@@ -44,9 +46,7 @@ connection the whole redirect completes within the alert event.
 Restore (reverse migration) buffers the attacker's direction from the
 restore trigger's seq and, once the honey server is quiet, re-splices the
 connection onto a fresh victim-side connection with the same recipe --
-forge, replay whatever the victim has not seen, recompute offsets. A clone
-that fails to instantiate fails open: the contained connection is spliced
-straight back onto the victim with nothing to replay.
+forge, replay whatever the victim has not seen, recompute offsets.
 
 A record's ``phase`` is its whole migration state: IDLE, CLONING,
 REDIRECTED, RESTORING (a restore waiting for a quiet honey) and RESTORED.
@@ -55,15 +55,15 @@ the attacker's SYN, on the server's direction, or on a connection already
 migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED
 as ``restore_ignored``. Neither changes anything.
 
-Every replay window is a range of the attacker's stream positions. At
+Both replay windows are ranges of the attacker's stream positions. At
 containment the record notes ``victim_pos``, where the switch starts
 buffering: the triggering segment's seq when containing inside
 ``on_alert`` (that segment is still mid-pipeline and never reaches the
 victim), the attacker's snd_nxt when an on-demand clone comes up.
-Migration replays [ISS+1, victim_pos) into the clone, fail-open nothing,
-and restore [victim_pos, restore trigger's seq) into the victim; each
-forged handshake starts one before its window, so the first segment the
-server sees lands at its rcv_nxt.
+Migration replays [ISS+1, victim_pos) into the clone and restore
+[victim_pos, restore trigger's seq) into the victim; each forged
+handshake starts one before its window, so the first segment the server
+sees lands at its rcv_nxt.
 
 Splice offsets are computed from stream *positions*, not ISNs: the
 server-to-attacker delta is (attacker's expected next peer seq) minus
@@ -122,12 +122,10 @@ class MigrationRecord:
 
     ``payloads`` are the attacker's (seq, payload) segments in stream
     order and ``last_ack`` its latest ack (its rcv_nxt, in victim-anchored
-    coordinates). ``reverse_key`` is the key of the rule that carries the
-    serving server's segments back to the attacker. ``seq_delta`` is how
-    far the serving endpoint's stream runs ahead of the attacker's view
-    (honey ISN - victim ISN right after migration). Rules add it to
-    attacker-to-server acks and subtract it (mod 2**32) from
-    server-to-attacker seqs.
+    coordinates). ``seq_delta`` is how far the serving endpoint's stream
+    runs ahead of the attacker's view (honey ISN - victim ISN right after
+    migration). Rules add it to attacker-to-server acks and subtract it
+    (mod 2**32) from server-to-attacker seqs.
     """
 
     key: ConnKey
@@ -135,10 +133,8 @@ class MigrationRecord:
     server_addr: HostAddr
     attacker_iss: int
     attacker_snd_nxt: int
-    reverse_key: ConnKey
     last_ack: int = 0
     payloads: list[tuple[int, bytes]] = field(default_factory=list)
-    victim_isn: Optional[int] = None
     seq_delta: int = 0
     phase: str = PHASE_IDLE
     times: dict[str, int] = field(default_factory=dict)
@@ -196,8 +192,7 @@ class Controller:
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
             self.records[key] = MigrationRecord(
                 key=key, attacker_addr=pkt.src, server_addr=pkt.dst,
-                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1),
-                reverse_key=(pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport))
+                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1))
             return
         record = self.records.get(key)
         if record is not None:
@@ -208,10 +203,6 @@ class Controller:
                 record.payloads.append((pkt.seq, pkt.payload))
             if record.waiting:
                 self._when_quiet(record)
-            return
-        record = self.records.get((pkt.dst.ip, pkt.dport, pkt.src.ip, pkt.sport))
-        if record is not None and (pkt.flags & TcpFlags.SYN):
-            record.victim_isn = pkt.seq
 
     # -- reactive forwarding ---------------------------------------------------
 
@@ -249,15 +240,27 @@ class Controller:
     def on_alert(self, alert: Alert) -> None:
         """Start the migration for the alerted connection. An alert on no
         established attacker connection (a SYN, the server's direction) or
-        on one already migrating is logged as ``alert_ignored``."""
+        on one already migrating is logged as ``alert_ignored``. Every
+        attacker segment but the SYN carries ACK. A clone that cannot be
+        built changes nothing: the victim keeps the connection."""
         key = alert.conn
         record = self.records.get(key)
-        if record is None or record.victim_isn is None or record.phase != PHASE_IDLE:
+        if record is None or not (alert.segment.flags & TcpFlags.ACK) \
+                or record.phase != PHASE_IDLE:
             phase = record.phase if record is not None else PHASE_IDLE
             self.log("alert_ignored", conn=key, phase=phase, sid=alert.sid)
             return
         self.log("alert", conn=key, sid=alert.sid, ordinal=alert.ordinal)
         record.transition(PHASE_CLONING, self.engine.now)
+        victim = self.server_hosts[record.server_addr.ip]
+        try:
+            host = self.clonemgr.request_clone(
+                victim, lambda host, lat: self._on_clone_ready(
+                    record, host, lat, record.attacker_snd_nxt))
+        except CloneFailed:
+            self.log("clone_failed", conn=key, policy="open")
+            record.transition(PHASE_RESTORED, self.engine.now)
+            return
 
         # This call is inside the triggering segment's mirror tap, so the
         # segment is still in flight through the switch. Containing now
@@ -266,15 +269,7 @@ class Controller:
         trigger_seq = alert.segment.seq
         if self.containment == "immediate":
             self._contain(record, trigger_seq)
-        victim = self.server_hosts[record.server_addr.ip]
         self.log("clone_requested", conn=key)
-        try:
-            host = self.clonemgr.request_clone(
-                victim, lambda host, lat: self._on_clone_ready(
-                    record, host, lat, record.attacker_snd_nxt))
-        except CloneFailed:
-            self._clone_failed(record)
-            return
         if host is not None:
             self._on_clone_ready(record, host, 0, trigger_seq)
 
@@ -308,18 +303,6 @@ class Controller:
             record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
             PHASE_REDIRECTED))
 
-    def _clone_failed(self, record: MigrationRecord) -> None:
-        """Fail open: hand a contained connection straight back to the
-        victim once it has consumed everything up to victim_pos."""
-        self.log("clone_failed", conn=record.key, policy="open")
-        if record.victim_pos is None:
-            # victim was never cut over; nothing to undo
-            record.transition(PHASE_RESTORED, self.engine.now)
-            return
-        victim = self.server_hosts[record.server_addr.ip]
-        self._when_quiet(record, record.victim_pos, lambda: self._splice(
-            record, victim, record.victim_pos, record.victim_pos, PHASE_RESTORED))
-
     # -- waiting for a quiet connection -------------------------------------------
 
     def _when_quiet(self, record: MigrationRecord, *move) -> None:
@@ -337,7 +320,7 @@ class Controller:
             del record.waiting[0]
             fn()
 
-    # -- the splice (shared by migration, restore and fail-open) ----------------
+    # -- the splice (shared by migration and restore) -----------------------------
 
     def _splice(self, record: MigrationRecord, server: ServerHost,
                 replay_from: int, replay_upto: int, final_phase: str) -> None:
@@ -380,11 +363,10 @@ class Controller:
         record.seq_delta = seq_sub(server_snd_nxt, record.last_ack)
 
         rkey = (server.addr.ip, key[3], key[0], key[1])
-        if rkey != record.reverse_key:
-            # distinct address mode: the previous server replied from
+        if server.addr != record.serving.addr:
+            # distinct address mode: the server left behind replied from
             # another address, under another key
-            self.switch.remove_rule(record.reverse_key)
-            record.reverse_key = rkey
+            self.switch.remove_rule((record.serving.addr.ip, key[3], key[0], key[1]))
         distinct = server.addr != record.server_addr
         self.switch.install_rule(key, (
             Rewrite(ack_delta=record.seq_delta,
@@ -408,8 +390,8 @@ class Controller:
         """Move a redirected connection back to the original server; like
         ``on_alert``, this runs inside the trigger's mirror tap. Outside
         REDIRECTED (a clone booting or a migration waiting, a restore
-        already waiting, or a failed clone already restored by fail-open)
-        there is nothing to restore: it is logged as ``restore_ignored``."""
+        already waiting, or a failed clone the victim kept) there is
+        nothing to restore: it is logged as ``restore_ignored``."""
         key = alert.conn
         record = self.records.get(key)
         if record is None or record.phase != PHASE_REDIRECTED:

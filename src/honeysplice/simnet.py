@@ -83,10 +83,6 @@ class BackgroundLoadSpec:
     procs_per_host: int
     msg_interval_us: int = 1_000_000
 
-    @property
-    def total_flows(self) -> int:
-        return self.n_hosts * self.procs_per_host
-
 
 @dataclass(slots=True)
 class EchoPacket:

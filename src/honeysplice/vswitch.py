@@ -68,11 +68,7 @@ class Rewrite:
     new_dst: Optional[HostAddr] = None
 
     def apply(self, seg: TcpSegment) -> TcpSegment:
-        """The rewritten segment: a new one, or ``seg`` itself when this
-        rewrite changes nothing."""
-        if (self.new_src is None and self.new_dst is None
-                and not (self.seq_delta or self.ack_delta)):
-            return seg
+        """The rewritten segment, always a new one."""
         src = seg.src if self.new_src is None else self.new_src
         dst = seg.dst if self.new_dst is None else self.new_dst
         # the constructor wraps seq and ack modulo 2**32

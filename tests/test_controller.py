@@ -1,10 +1,12 @@
 """Controller behavior: reactive forwarding, migration, splice offsets,
-replay accounting, clone-failure fail-open, and restore.
+replay accounting, clone failure, and restore.
 
 These tests wire a miniature topology by hand so each endpoint can get
 its own fixed ISN; delta expectations below were computed with the
 modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
+
+import pytest
 
 from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
 from honeysplice.controller import (
@@ -100,8 +102,8 @@ class Mini:
     def reverse_delta(self):
         """The seq delta of the rule carrying the serving server's segments
         back to the attacker."""
-        record = self.controller.records[CONN]
-        return self.switch.rules()[record.reverse_key][0].seq_delta
+        serving = self.controller.records[CONN].serving
+        return self.switch.rules()[(serving.addr.ip, 9000, ATT.ip, 40001)][0].seq_delta
 
 
 # -- reactive forwarding ----------------------------------------------------------
@@ -197,7 +199,7 @@ def test_splice_deltas_from_isns():
     mini = Mini(victim_iss=7000, honey_iss=9000, trigger_n=5, total=10)
     mini.run()
     record = mini.controller.records[CONN]
-    assert record.victim_isn == 7000
+    assert mini.victim.conns[(ATT.ip, 40001)].iss == 7000
     assert mini.honey.conns[(ATT.ip, 40001)].iss == 9000
     assert record.seq_delta == 2000
     assert mini.reverse_delta() == (2**32 - 2000)
@@ -338,17 +340,28 @@ def test_immediate_containment_buffers_during_instantiation():
                for v in mini.attacker.violations)
 
 
-def test_clone_failure_fail_open_returns_to_victim():
-    mini = Mini(trigger_n=5, total=10, failure_p=1.0)
+@pytest.mark.parametrize("pre_instantiated", (True, False), ids=("pre", "on_demand"))
+@pytest.mark.parametrize("containment", ("immediate", "on_clone_ready"))
+@pytest.mark.parametrize("interval_us", (1500, 3000, 10_000))
+def test_failed_clone_changes_nothing(interval_us, containment, pre_instantiated):
+    """The clone is requested before containment, so a failed one leaves
+    the victim serving and the attacker's records those of a run without
+    migration, requests closer than the round trip included."""
+    oracle = Mini(trigger_n=None, total=10, interval_us=interval_us)
+    oracle.run()
+    mini = Mini(trigger_n=5, total=10, interval_us=interval_us, failure_p=1.0,
+                containment=containment, pre_instantiated=pre_instantiated)
     mini.run()
+    att, ref = mini.attacker, oracle.attacker
+    assert (att.send_ts, att.recv_ts, att.violations) == \
+        (ref.send_ts, ref.recv_ts, ref.violations)
+    assert [ev.kind for ev in mini.controller.events
+            if ev.kind not in ("packet_in", "flow_rules")] == ["alert", "clone_failed"]
     failed, = mini.events("clone_failed")
     assert failed.fields["policy"] == "open"
-    record = mini.controller.records[CONN]
-    assert record.phase == PHASE_RESTORED
-    # the victim serves the whole session (no honey ever existed)
+    assert mini.controller.records[CONN].phase == PHASE_RESTORED
     assert mini.victim.app.request_log == mini.attacker.sent_requests
     assert mini.attacker.complete
-    assert not mini.attacker.violations
 
 
 # -- restore -----------------------------------------------------------------------------

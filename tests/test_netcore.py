@@ -184,7 +184,7 @@ def test_rewrite_builds_a_new_segment_and_leaves_the_input():
     assert out == TcpSegment(A, honey, 40001, 9000, seq=3, ack=SEQ_MOD - 10,
                              flags=TcpFlags.PSH | TcpFlags.ACK, payload=b"req")
     assert repr(seg) == before
-    assert Rewrite().apply(seg) is seg
+    assert Rewrite().apply(seg) == seg
 
 
 # -- flag encoding ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from honeysplice import simnet
 from honeysplice.simnet import (
-    BackgroundLoadSpec,
     Distribution,
     Engine,
     Link,
@@ -293,9 +292,3 @@ def test_jittered_link_draws_from_its_named_stream():
         (max(0, 1000 + model.jitter.sample(ref)), i) for i in range(6))
     # the link consumed exactly those draws from the engine's stream
     assert eng.stream("link:l0").random() == ref.random()
-
-
-def test_background_spec_flow_count():
-    assert BackgroundLoadSpec(20, 70).total_flows == 1400
-    assert BackgroundLoadSpec(0, 70).total_flows == 0
-    assert BackgroundLoadSpec(1, 1).total_flows == 1
