@@ -13,8 +13,9 @@ CSV formats are pinned: attacker traces are
 ``rep,packet_index,send_us,recv_us,rtt_us`` and controller event logs are
 ``rep,event,time_us,detail`` (UTF-8, header row, LF endings), where
 ``detail`` renders an event's fields as ``k=v`` joined by ``;`` in logging
-order, a connection as ``a:p->b:q``. Re-exporting the same data is
-byte-identical.
+order, a connection as ``a:p->b:q``. No field is ever quoted: a field that
+would need quoting (a comma, quote, CR or LF) raises ValueError instead.
+Re-exporting the same data is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import json
 import statistics
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -441,9 +443,11 @@ def summarize(traces: list[LatencyTrace], trigger_index: Optional[int] = None) -
     per_index = []
     for index in sorted(by_index):
         rtts = by_index[index]
+        lo, hi = min(rtts), max(rtts)
+        # pstdev's exact rational arithmetic is the cost; equal samples are 0.0
         per_index.append(IndexStats(
-            index=index, mean=statistics.fmean(rtts), min=min(rtts), max=max(rtts),
-            stddev=statistics.pstdev(rtts), samples=len(rtts)))
+            index=index, mean=statistics.fmean(rtts), min=lo, max=hi,
+            stddev=0.0 if lo == hi else statistics.pstdev(rtts), samples=len(rtts)))
     pre = post = ratio = None
     if trigger_index is not None:
         pre_samples = [r for s in per_index if s.index < trigger_index
@@ -463,36 +467,46 @@ def summarize(traces: list[LatencyTrace], trigger_index: Optional[int] = None) -
 # -- export ------------------------------------------------------------------------
 
 
-def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
+def _write_rows(path, header: str, lines) -> None:
+    """Write ``header``, then ``lines`` (CSV rows, each ending in LF) in
+    chunks of 256. Each chunk is checked first: a field holding a comma,
+    quote, CR or LF, which csv would quote, raises ValueError naming the file."""
+    commas = header.count(",")
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rep", "packet_index", "send_us", "recv_us", "rtt_us"])
-        for trace in traces:
-            for rec in trace.records:
-                writer.writerow([trace.rep, rec.index, rec.send_us,
-                                 rec.recv_us, rec.rtt_us])
+        fh.write(header + "\n")
+        while batch := list(islice(lines, 256)):
+            chunk = "".join(batch)
+            n = len(batch)
+            if (chunk.count(",") != commas * n or chunk.count("\n") != n
+                    or '"' in chunk or "\r" in chunk):
+                raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
+            fh.write(chunk)
+
+
+def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
+    _write_rows(path, "rep,packet_index,send_us,recv_us,rtt_us",
+                (f"{trace.rep},{r.index},{r.send_us},{r.recv_us},{r.rtt_us}\n"
+                 for trace in traces for r in trace.records))
 
 
 def write_controller_csv(traces: list[LatencyTrace], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rep", "event", "time_us", "detail"])
+    def lines():
         for trace in traces:
+            rep = trace.rep
             for time_us, kind, event_fields in trace.controller_events:
-                detail = ";".join(
-                    f"conn={v[0]}:{v[1]}->{v[2]}:{v[3]}" if k == "conn" else f"{k}={v}"
-                    for k, v in event_fields.items())
-                writer.writerow([trace.rep, kind, time_us, detail])
+                detail = []
+                for k, v in event_fields.items():
+                    detail.append(f"conn={v[0]}:{v[1]}->{v[2]}:{v[3]}" if k == "conn"
+                                  else f"{k}={v}")
+                yield f"{rep},{kind},{time_us},{';'.join(detail)}\n"
+    _write_rows(path, "rep,event,time_us,detail", lines())
 
 
 def write_summary_csv(summary: Summary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["packet_index", "mean_rtt_us", "min_rtt_us",
-                         "max_rtt_us", "stddev_rtt_us", "samples"])
-        for s in summary.per_index:
-            writer.writerow([s.index, f"{s.mean:.3f}", s.min, s.max,
-                             f"{s.stddev:.3f}", s.samples])
+    _write_rows(path, "packet_index,mean_rtt_us,min_rtt_us,max_rtt_us,stddev_rtt_us,samples",
+                (f"{s.index},{s.mean:.3f},{s.min},{s.max},{s.stddev:.3f},{s.samples}\n"
+                 for s in summary.per_index))
 
 
 def read_attacker_csv(path) -> list[LatencyTrace]:

@@ -1,10 +1,13 @@
 """Scenario loading/validation, aggregation, CSV export, CLI surface."""
 
+import csv
 import gc
 import hashlib
+import io
 import itertools
 import json
 import re
+import statistics
 import subprocess
 import sys
 import weakref
@@ -12,6 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from honeysplice import harness
 from honeysplice.harness import (
@@ -21,6 +25,7 @@ from honeysplice.harness import (
     PacketRecord,
     Scenario,
     Simulation,
+    Summary,
     builtin_scenario_path,
     export_run,
     load_scenario,
@@ -31,6 +36,7 @@ from honeysplice.harness import (
     summarize,
     write_attacker_csv,
     write_controller_csv,
+    write_summary_csv,
 )
 from honeysplice.cli import main as cli_main
 from honeysplice.hosts import REQUEST_CACHE_SIZE, make_request
@@ -477,6 +483,41 @@ def test_summarize_needs_traces():
         summarize([])
 
 
+def reference_summary(by_index, trigger_index):
+    """summarize's contract, written with statistics' own functions."""
+    per_index = [harness.IndexStats(i, statistics.fmean(r), min(r), max(r),
+                                    statistics.pstdev(r), len(r))
+                 for i, r in sorted(by_index.items())]
+    pre = post = ratio = None
+    if trigger_index is not None:
+        below = [x for i, r in by_index.items() if i < trigger_index for x in r]
+        above = [x for i, r in by_index.items() if i > trigger_index for x in r]
+        pre = statistics.fmean(below) if below else None
+        post = statistics.fmean(above) if above else None
+        if pre is not None and pre > 0 and post is not None:
+            ratio = post / pre
+    return Summary(per_index, pre, post, ratio, trigger_index)
+
+
+# per-index samples: spread ones, and equal ones as every shipped scenario has
+INDEX_SAMPLES = st.one_of(
+    st.lists(st.integers(0, 10**7), min_size=1, max_size=8),
+    st.builds(lambda v, n: [v] * n, st.integers(0, 10**7), st.integers(1, 8)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(INDEX_SAMPLES, min_size=1, max_size=12),
+       st.none() | st.integers(0, 13))
+def test_summarize_equals_statistics_exactly(samples, trigger_index):
+    by_index = dict(enumerate(samples, 1))
+    by_rep: dict[int, list[PacketRecord]] = {}
+    for index, rtts in by_index.items():
+        for rep, rtt in enumerate(rtts, 1):
+            by_rep.setdefault(rep, []).append(PacketRecord(index, 0, rtt, rtt))
+    traces = [LatencyTrace(rep, records, []) for rep, records in by_rep.items()]
+    assert summarize(traces, trigger_index) == reference_summary(by_index, trigger_index)
+
+
 # -- export -------------------------------------------------------------------------------
 
 
@@ -530,21 +571,122 @@ def test_read_attacker_csv_roundtrip(tmp_path):
         [(t.rep, [(r.index, r.rtt_us) for r in t.records]) for t in traces]
 
 
-# SHA-256 of the shipped scenarios' exports at 3 repetitions. A change that
-# alters any exported byte changes behaviour and must update these openly.
+# every event kind Controller.log writes
+CONTROLLER_EVENT_KINDS = {
+    "packet_in", "flow_rules", "packet_in_unroutable", "anomaly_drop",
+    "alert", "alert_ignored", "clone_requested", "clone_failed",
+    "buffer_installed", "victim_closed", "clone_latency", "splice_started",
+    "replayed", "rewrite_rules", "redirected", "restored", "restore_armed",
+    "restore_ignored"}
+CONN = ("10.0.0.1", 40001, "10.0.0.2", 9000)
+
+
+def csv_module_exports(traces, summary):
+    """The attacker, controller and summary files as ``csv.writer`` writes
+    them, in the shipped row layout."""
+    def detail(event_fields):
+        return ";".join(f"conn={v[0]}:{v[1]}->{v[2]}:{v[3]}" if k == "conn"
+                        else f"{k}={v}" for k, v in event_fields.items())
+    tables = [
+        (["rep", "packet_index", "send_us", "recv_us", "rtt_us"],
+         [[t.rep, r.index, r.send_us, r.recv_us, r.rtt_us]
+          for t in traces for r in t.records]),
+        (["rep", "event", "time_us", "detail"],
+         [[t.rep, kind, time_us, detail(event_fields)]
+          for t in traces for time_us, kind, event_fields in t.controller_events]),
+        (["packet_index", "mean_rtt_us", "min_rtt_us", "max_rtt_us", "stddev_rtt_us",
+          "samples"],
+         [[s.index, f"{s.mean:.3f}", s.min, s.max, f"{s.stddev:.3f}", s.samples]
+          for s in summary.per_index]),
+    ]
+    out = []
+    for header, rows in tables:
+        fh = io.StringIO()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        out.append(fh.getvalue().encode("utf-8"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def export_inputs(tmp_path_factory):
+    """Trace lists that between them hold every controller event kind."""
+    inputs = {}
+    for name in ("e1_redirect", "e2_saturated", "e3_copy_on_demand", "e4_restore"):
+        scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=2)
+        inputs[name] = run_experiment(scenario)
+    for i in range(40):
+        inputs[f"rand-{i}"] = run_experiment(random_scenario(i), strict=False)
+    inputs["clone_fails"] = run_experiment(scenario_from_dict(minimal_doc(
+        repetitions=2, clone={"failure_p": 1}, restore_at=8)))
+    rules_dir = tmp_path_factory.mktemp("rules")
+    (rules_dir / "m.rules").write_text(IGNORED_ALERT_RULES["any-any"], encoding="utf-8")
+    inputs["rule_any_any"] = run_experiment(scenario_from_dict(minimal_doc(
+        repetitions=2, trigger={"kind": "rule", "sid": 7}, ruleset="m.rules"),
+        base_dir=rules_dir))
+    inputs["hand_built"] = [LatencyTrace(rep=3, records=[], controller_events=[
+        ControllerEvent(10, "anomaly_drop", {"conn": CONN}),
+        ControllerEvent(20, "packet_in_unroutable", {"conn": CONN}),
+        ControllerEvent(30, "restore_ignored", {"conn": CONN, "phase": "IDLE"}),
+    ])]
+    inputs["empty"] = []
+    return inputs
+
+
+def test_exports_equal_the_csv_module_byte_for_byte(tmp_path, export_inputs):
+    kinds = set()
+    for name, traces in export_inputs.items():
+        summary = summarize(traces) if traces else Summary([], None, None, None, None)
+        paths = [tmp_path / f"{name}.{part}.csv" for part in ("a", "c", "s")]
+        write_attacker_csv(traces, paths[0])
+        write_controller_csv(traces, paths[1])
+        write_summary_csv(summary, paths[2])
+        assert [p.read_bytes() for p in paths] == csv_module_exports(traces, summary), name
+        kinds |= {ev.kind for t in traces for ev in t.controller_events}
+    assert kinds == CONTROLLER_EVENT_KINDS
+
+
+@pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
+@pytest.mark.parametrize("position", [0, 1500])
+def test_a_field_that_needs_quoting_raises_naming_the_file(tmp_path, char, position):
+    # the second position lies in a later chunk than the first
+    events = [ControllerEvent(i, "packet_in", {"conn": CONN}) for i in range(2000)]
+    events[position] = ControllerEvent(position, "alert", {"conn": CONN, "note": f"a{char}b"})
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_controller_csv([LatencyTrace(rep=1, records=[], controller_events=events)], path)
+    records = [PacketRecord(1, 0, f"4{char}000", 4000)]
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_attacker_csv([LatencyTrace(rep=1, records=records, controller_events=[])], path)
+
+
+# SHA-256 of the shipped scenarios' four exports (attacker, controller,
+# summary, meta) at 3 repetitions. A change that alters any exported byte
+# changes behaviour and must update these openly.
+SUMMARY_SHA256 = "5da8ca13c1c8c94b48d10e17d824053afed5bba1df9fb43c5bebb8df8c42755c"
 EXPORT_SHA256 = {
     "e1_redirect": (
         "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
-        "c8e07f9e757dde430bf5a8b5cc03abb81693b2c18f9ff0a2e7281c13c1efff14"),
+        "c8e07f9e757dde430bf5a8b5cc03abb81693b2c18f9ff0a2e7281c13c1efff14",
+        SUMMARY_SHA256,
+        "c10e31721a45046174dfc6d3327bc303365de79fa1c1ab0ba9aa088f8b40af3c"),
     "e2_saturated": (
         "53178cc8b354d99f26f29b5d95db569d42e0d2a9c49fc7fd827e4bf9d352a6ec",
-        "7e00eb18ed7bb83b7d9fd43258df048d8ad2846378b465b3f8940594d54f22b9"),
+        "7e00eb18ed7bb83b7d9fd43258df048d8ad2846378b465b3f8940594d54f22b9",
+        SUMMARY_SHA256,
+        "6c0026c9c467dab5e9a8dc33b26991edb02fb431ee12b22cbf973c890b16a652"),
     "e3_copy_on_demand": (
         "c8af85aed1a4f8389822c3638a7b828f51a533a10c1c8c6dba21d6ac08248136",
-        "dfb376256be85f24bcad727862e06dd7ece56b68579fc9ec48a716f53e8c7ca5"),
+        "dfb376256be85f24bcad727862e06dd7ece56b68579fc9ec48a716f53e8c7ca5",
+        SUMMARY_SHA256,
+        "fcc878ecbefb710dd8101e5d8db4605709ed9c2ec81c204f690f514145f4e44b"),
     "e4_restore": (
         "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
-        "5b1e8217cd8000ab2ccc8f2e4494c8bb54950877f5c4e960548cba5c06707300"),
+        "5b1e8217cd8000ab2ccc8f2e4494c8bb54950877f5c4e960548cba5c06707300",
+        SUMMARY_SHA256,
+        "b753fc8e676c4d6b0f1d7f70d790f73557b78f3be2cdcd3b0ae1fce0702880cc"),
 }
 
 
@@ -553,7 +695,7 @@ def test_shipped_exports_match_recorded_hashes(tmp_path, name):
     scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=3)
     files = export_run(scenario, run_experiment(scenario), tmp_path)
     digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
-                    for key in ("attacker", "controller"))
+                    for key in ("attacker", "controller", "summary", "meta"))
     assert digests == EXPORT_SHA256[name]
 
 
