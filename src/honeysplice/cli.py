@@ -71,9 +71,9 @@ def cmd_run(args) -> int:
           f"seed {scenario.seed}")
     traces = run_experiment(scenario, strict=False)
     out_dir = args.out or f"out/{scenario.name}"
-    files = export_run(scenario, traces, out_dir)
-    trigger = scenario.trigger_n if scenario.trigger_kind == "nth_packet" else None
-    _print_summary(summarize(traces, trigger))
+    summary = summarize(traces, scenario.trigger_index)
+    files = export_run(scenario, traces, out_dir, summary)
+    _print_summary(summary)
     print(f"wrote {files['attacker']}")
     print(f"wrote {files['controller']}")
     print(f"wrote {files['summary']}")

@@ -106,13 +106,38 @@ PHASE_RESTORING = "RESTORING"
 PHASE_RESTORED = "RESTORED"
 
 
+# each event kind's fields in CSV order; every kind carries the ConnKey ``conn``
+EVENT_FIELDS = {
+    **dict.fromkeys(("packet_in", "flow_rules", "packet_in_unroutable", "anomaly_drop",
+                     "clone_requested", "buffer_installed", "victim_closed",
+                     "splice_started", "restore_armed"), ("conn",)),
+    "alert": ("conn", "sid", "ordinal"),
+    "alert_ignored": ("conn", "phase", "sid"),
+    "clone_failed": ("conn", "policy"),
+    "clone_latency": ("us", "conn"),
+    "replayed": ("count", "conn"),
+    "rewrite_rules": ("conn", "seq_delta"),
+    "redirected": ("conn", "released"),
+    "restored": ("conn", "released"),
+    "restore_ignored": ("conn", "phase"),
+}
+
+
 class ControllerEvent(NamedTuple):
-    """One controller log record; ``fields`` keep the order they were
-    logged in, and ``fields["conn"]``, when present, is a ConnKey."""
+    """One controller log record: ``rest`` holds the kind's fields other
+    than ``conn``, in their ``EVENT_FIELDS`` order."""
 
     time_us: int
     kind: str
-    fields: dict
+    conn: ConnKey
+    rest: tuple = ()
+
+    @property
+    def fields(self) -> dict:
+        """The record's fields by name, in CSV order."""
+        names = EVENT_FIELDS[self.kind]
+        at = names.index("conn")
+        return dict(zip(names, (*self.rest[:at], self.conn, *self.rest[at:])))
 
 
 @dataclass
@@ -182,8 +207,8 @@ class Controller:
         self.server_hosts[host.addr.ip] = host
         self.register_port(host.addr.ip, host.port)
 
-    def log(self, kind: str, **fields) -> None:
-        self.events.append(ControllerEvent(self.engine.now, kind, fields))
+    def log(self, kind: str, conn: ConnKey, *rest) -> None:
+        self.events.append(ControllerEvent(self.engine.now, kind, conn, rest))
 
     # -- connection bookkeeping (mirror tap; runs before rule lookup) ---------
 
@@ -219,20 +244,20 @@ class Controller:
         if record is not None and record.phase != PHASE_IDLE:
             # a migrated flow should never miss; don't disturb the splice
             self.switch.drop_held(hold_id)
-            self.log("anomaly_drop", conn=key)
+            self.log("anomaly_drop", key)
             return
         if key not in self.switch.rules():
             dst_port = self.port_map.get(pkt.dst.ip)
             src_port = self.port_map.get(pkt.src.ip)
             if dst_port is None or src_port is None:
                 self.switch.drop_held(hold_id)
-                self.log("packet_in_unroutable", conn=key)
+                self.log("packet_in_unroutable", key)
                 return
             self.switch.install_rule(key, self._forward[dst_port])
             self.switch.install_rule((key[2], key[3], key[0], key[1]),
                                      self._forward[src_port])
-            self.log("flow_rules", conn=key)
-        self.log("packet_in", conn=key)
+            self.log("flow_rules", key)
+        self.log("packet_in", key)
         self.switch.release_held(hold_id)
 
     # -- migration --------------------------------------------------------------
@@ -248,9 +273,9 @@ class Controller:
         if record is None or not (alert.segment.flags & TcpFlags.ACK) \
                 or record.phase != PHASE_IDLE:
             phase = record.phase if record is not None else PHASE_IDLE
-            self.log("alert_ignored", conn=key, phase=phase, sid=alert.sid)
+            self.log("alert_ignored", key, phase, alert.sid)
             return
-        self.log("alert", conn=key, sid=alert.sid, ordinal=alert.ordinal)
+        self.log("alert", key, alert.sid, alert.ordinal)
         record.transition(PHASE_CLONING, self.engine.now)
         victim = self.server_hosts[record.server_addr.ip]
         try:
@@ -258,7 +283,7 @@ class Controller:
                 victim, lambda host, lat: self._on_clone_ready(
                     record, host, lat, record.attacker_snd_nxt))
         except CloneFailed:
-            self.log("clone_failed", conn=key, policy="open")
+            self.log("clone_failed", key, "open")
             record.transition(PHASE_RESTORED, self.engine.now)
             return
 
@@ -269,7 +294,7 @@ class Controller:
         trigger_seq = alert.segment.seq
         if self.containment == "immediate":
             self._contain(record, trigger_seq)
-        self.log("clone_requested", conn=key)
+        self.log("clone_requested", key)
         if host is not None:
             self._on_clone_ready(record, host, 0, trigger_seq)
 
@@ -282,23 +307,23 @@ class Controller:
         self.switch.install_rule(key, (Buffer(key),))
         record.victim_pos = victim_pos
         record.serving = victim = self.server_hosts[record.server_addr.ip]
-        self.log("buffer_installed", conn=key)
+        self.log("buffer_installed", key)
 
         def close_victim():
             victim.deliver_oob(TcpSegment(
                 src=record.attacker_addr, dst=record.server_addr,
                 sport=key[1], dport=key[3], seq=record.attacker_snd_nxt,
                 ack=record.last_ack, flags=TcpFlags.RST | TcpFlags.ACK))
-            self.log("victim_closed", conn=key)
+            self.log("victim_closed", key)
 
         self._when_quiet(record, victim_pos, close_victim)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
                         latency_us: int, victim_pos: int) -> None:
-        self.log("clone_latency", us=latency_us, conn=record.key)
+        self.log("clone_latency", record.key, latency_us)
         if record.victim_pos is None:
             self._contain(record, victim_pos)
-        self.log("splice_started", conn=record.key)
+        self.log("splice_started", record.key)
         self._when_quiet(record, record.victim_pos, lambda: self._splice(
             record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
             PHASE_REDIRECTED))
@@ -356,7 +381,7 @@ class Controller:
                     # response already delivered to the attacker by the
                     # previous incumbent; consume it, track the position
                     server_snd_nxt = seq_add(emitted.seq, len(emitted.payload))
-        self.log("replayed", count=len(entries), conn=key)
+        self.log("replayed", key, len(entries))
 
         # stream-position offsets: last_ack is the attacker's rcv_nxt in its
         # own (victim-anchored) coordinates
@@ -376,13 +401,13 @@ class Controller:
             Rewrite(seq_delta=seq_sub(0, record.seq_delta),
                     new_src=record.server_addr if distinct else None),
             Output(self.port_map[record.attacker_addr.ip])))
-        self.log("rewrite_rules", conn=key, seq_delta=record.seq_delta)
+        self.log("rewrite_rules", key, record.seq_delta)
 
         record.serving = server
         record.transition(final_phase, self.engine.now)
         released = self.switch.release_buffer(key)
         self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
-                 conn=key, released=released)
+                 key, released)
 
     # -- reverse migration -------------------------------------------------------
 
@@ -396,10 +421,10 @@ class Controller:
         record = self.records.get(key)
         if record is None or record.phase != PHASE_REDIRECTED:
             phase = record.phase if record is not None else PHASE_IDLE
-            self.log("restore_ignored", conn=key, phase=phase)
+            self.log("restore_ignored", key, phase)
             return
         record.transition(PHASE_RESTORING, self.engine.now)
-        self.log("restore_armed", conn=key)
+        self.log("restore_armed", key)
         self.switch.install_rule(key, (Buffer(key),))
         victim = self.server_hosts[record.server_addr.ip]
         pos = alert.segment.seq

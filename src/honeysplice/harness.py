@@ -12,9 +12,11 @@ repetition, not sampled.
 CSV formats are pinned: attacker traces are
 ``rep,packet_index,send_us,recv_us,rtt_us`` and controller event logs are
 ``rep,event,time_us,detail`` (UTF-8, header row, LF endings), where
-``detail`` renders an event's fields as ``k=v`` joined by ``;`` in logging
-order, a connection as ``a:p->b:q``. No field is ever quoted: a field that
-would need quoting (a comma, quote, CR or LF) raises ValueError instead.
+``detail`` renders an event's fields as ``k=v`` joined by ``;`` in its
+kind's declared order (``controller.EVENT_FIELDS``), a connection as
+``a:p->b:q``. No field is ever quoted: a field that would need quoting (a
+comma, quote, CR or LF) raises ValueError instead, as does an event whose
+kind or field count matches no declaration.
 Re-exporting the same data is byte-identical.
 """
 
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
-from .controller import Controller, ControllerEvent
+from .controller import EVENT_FIELDS, Controller, ControllerEvent
 from .endpoint import ServerApp, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
 from .ids import Ids, IdsRule, ParseError, load_ruleset_file
@@ -126,6 +128,11 @@ class Scenario:
     repetitions: int = _opt("repetitions", 1, _int)
     seed: int = _opt("seed", 1, _int)
     controller_service_us: int = _opt("controller_service_us", 50, _int)
+
+    @property
+    def trigger_index(self) -> Optional[int]:
+        """The packet index the migration triggers at, if the trigger names one."""
+        return self.trigger_n if self.trigger_kind == "nth_packet" else None
 
     def validate(self) -> None:
         if self.total_packets < 1:
@@ -490,16 +497,30 @@ def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
                  for trace in traces for r in trace.records))
 
 
+def _row_format(kind: str, names: tuple[str, ...]):
+    """The bound ``str.format`` of the kind's CSV row, which takes ``(rep,
+    time_us, *conn, *rest)``."""
+    rest = [name for name in names if name != "conn"]
+    detail = ";".join("conn={2}:{3}->{4}:{5}" if name == "conn"
+                      else f"{name}={{{6 + rest.index(name)}}}" for name in names)
+    return f"{{0}},{kind},{{1}},{detail}\n".format
+
+
+# (kind, number of fields besides conn) -> row format
+_ROW_FORMATS = {(kind, len(names) - 1): _row_format(kind, names)
+                for kind, names in EVENT_FIELDS.items()}
+
+
 def write_controller_csv(traces: list[LatencyTrace], path) -> None:
     def lines():
         for trace in traces:
             rep = trace.rep
-            for time_us, kind, event_fields in trace.controller_events:
-                detail = []
-                for k, v in event_fields.items():
-                    detail.append(f"conn={v[0]}:{v[1]}->{v[2]}:{v[3]}" if k == "conn"
-                                  else f"{k}={v}")
-                yield f"{rep},{kind},{time_us},{';'.join(detail)}\n"
+            for time_us, kind, conn, rest in trace.controller_events:
+                row = _ROW_FORMATS.get((kind, len(rest)))
+                if row is None:
+                    raise ValueError(f"{path}: controller event {kind!r} with "
+                                     f"{len(rest)} field(s) besides conn is not declared")
+                yield row(rep, time_us, *conn, *rest)
     _write_rows(path, "rep,event,time_us,detail", lines())
 
 
@@ -521,8 +542,10 @@ def read_attacker_csv(path) -> list[LatencyTrace]:
             for rep, records in sorted(by_rep.items())]
 
 
-def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir) -> dict:
-    """Write the full artifact set for one run; returns the file map."""
+def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,
+               summary: Optional[Summary] = None) -> dict:
+    """Write the full artifact set for one run, summarizing the traces
+    unless ``summary`` is given; returns the file map."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -533,10 +556,11 @@ def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir) -> dict:
     }
     write_attacker_csv(traces, files["attacker"])
     write_controller_csv(traces, files["controller"])
-    trigger = scenario.trigger_n if scenario.trigger_kind == "nth_packet" else None
-    write_summary_csv(summarize(traces, trigger), files["summary"])
+    if summary is None:
+        summary = summarize(traces, scenario.trigger_index)
+    write_summary_csv(summary, files["summary"])
     meta = {"scenario": scenario.name, "seed": scenario.seed,
-            "repetitions": scenario.repetitions, "trigger_index": trigger,
+            "repetitions": scenario.repetitions, "trigger_index": scenario.trigger_index,
             "restore_at": scenario.restore_at}
     files["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")

@@ -92,6 +92,7 @@ class Switch:
         self._ports: dict[int, Link] = {}
         self._next_port = 1
         self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
+        self._rules = MappingProxyType(self._table)
         self._buffers: dict[Hashable, list] = {}
         # hold id -> (packet, deadline), in miss order, so in deadline order
         self._held: dict[int, tuple[object, int]] = {}
@@ -123,7 +124,7 @@ class Switch:
 
     def rules(self) -> Mapping[ConnKey, tuple[FlowAction, ...]]:
         """Read-only live view of the table."""
-        return MappingProxyType(self._table)
+        return self._rules
 
     # -- buffering -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from honeysplice import harness
+from honeysplice import cli, harness
 from honeysplice.harness import (
     ConfigError,
     InvariantViolation,
@@ -42,7 +42,7 @@ from honeysplice.cli import main as cli_main
 from honeysplice.hosts import REQUEST_CACHE_SIZE, make_request
 
 from random_scenarios import random_scenario
-from honeysplice.controller import ControllerEvent
+from honeysplice.controller import EVENT_FIELDS, ControllerEvent
 
 
 def minimal_doc(**overrides):
@@ -536,14 +536,14 @@ def test_controller_csv_format(tmp_path):
     path = tmp_path / "c.csv"
     conn = ("10.0.0.1", 40001, "10.0.0.2", 9000)
     trace = LatencyTrace(rep=1, records=[], controller_events=[
-        ControllerEvent(50, "alert", {"conn": conn, "sid": 1}),
-        ControllerEvent(80, "clone_latency", {"us": 30000, "conn": conn}),
+        ControllerEvent(50, "alert", conn, (1, 7)),
+        ControllerEvent(80, "clone_latency", conn, (30000,)),
     ])
     write_controller_csv([trace], path)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == "rep,event,time_us,detail"
-    assert lines[1] == "1,alert,50,conn=10.0.0.1:40001->10.0.0.2:9000;sid=1"
-    # fields in logging order, whatever the field names
+    assert lines[1] == "1,alert,50,conn=10.0.0.1:40001->10.0.0.2:9000;sid=1;ordinal=7"
+    # fields in their kind's declared order, whatever the field names
     assert lines[2] == "1,clone_latency,80,us=30000;conn=10.0.0.1:40001->10.0.0.2:9000"
 
 
@@ -592,8 +592,8 @@ def csv_module_exports(traces, summary):
          [[t.rep, r.index, r.send_us, r.recv_us, r.rtt_us]
           for t in traces for r in t.records]),
         (["rep", "event", "time_us", "detail"],
-         [[t.rep, kind, time_us, detail(event_fields)]
-          for t in traces for time_us, kind, event_fields in t.controller_events]),
+         [[t.rep, ev.kind, ev.time_us, detail(ev.fields)]
+          for t in traces for ev in t.controller_events]),
         (["packet_index", "mean_rtt_us", "min_rtt_us", "max_rtt_us", "stddev_rtt_us",
           "samples"],
          [[s.index, f"{s.mean:.3f}", s.min, s.max, f"{s.stddev:.3f}", s.samples]
@@ -626,9 +626,9 @@ def export_inputs(tmp_path_factory):
         repetitions=2, trigger={"kind": "rule", "sid": 7}, ruleset="m.rules"),
         base_dir=rules_dir))
     inputs["hand_built"] = [LatencyTrace(rep=3, records=[], controller_events=[
-        ControllerEvent(10, "anomaly_drop", {"conn": CONN}),
-        ControllerEvent(20, "packet_in_unroutable", {"conn": CONN}),
-        ControllerEvent(30, "restore_ignored", {"conn": CONN, "phase": "IDLE"}),
+        ControllerEvent(10, "anomaly_drop", CONN),
+        ControllerEvent(20, "packet_in_unroutable", CONN),
+        ControllerEvent(30, "restore_ignored", CONN, ("IDLE",)),
     ])]
     inputs["empty"] = []
     return inputs
@@ -647,12 +647,36 @@ def test_exports_equal_the_csv_module_byte_for_byte(tmp_path, export_inputs):
     assert kinds == CONTROLLER_EVENT_KINDS
 
 
+def test_the_kind_table_declares_every_logged_kind():
+    assert set(EVENT_FIELDS) == CONTROLLER_EVENT_KINDS
+    assert all(names.count("conn") == 1 for names in EVENT_FIELDS.values())
+
+
+@pytest.mark.parametrize("kind, rest", [
+    ("no_such_kind", ()), ("alert", (1,)), ("packet_in", ("x",)),
+    ("clone_latency", ()), ("clone_failed", ("open", "extra"))])
+def test_an_undeclared_kind_or_arity_raises_naming_the_kind(tmp_path, kind, rest):
+    events = [ControllerEvent(1, "packet_in", CONN), ControllerEvent(2, kind, CONN, rest)]
+    with pytest.raises(ValueError, match=re.escape(repr(kind))):
+        write_controller_csv([LatencyTrace(rep=1, records=[], controller_events=events)],
+                             tmp_path / "c.csv")
+
+
+def test_readme_tables_every_event_kind_and_its_fields():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Output formats", 1)[1].split("\n## ", 1)[0]
+    table = {kind: tuple(names.split(";")) for kind, names in
+             re.findall(r"^\| `(\w+)` \| `([\w;]+)` \|", section, re.M)}
+    assert table == EVENT_FIELDS
+
+
 @pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
 @pytest.mark.parametrize("position", [0, 1500])
 def test_a_field_that_needs_quoting_raises_naming_the_file(tmp_path, char, position):
     # the second position lies in a later chunk than the first
-    events = [ControllerEvent(i, "packet_in", {"conn": CONN}) for i in range(2000)]
-    events[position] = ControllerEvent(position, "alert", {"conn": CONN, "note": f"a{char}b"})
+    events = [ControllerEvent(i, "packet_in", CONN) for i in range(2000)]
+    events[position] = ControllerEvent(position, "clone_failed", CONN, (f"a{char}b",))
     path = tmp_path / "c.csv"
     with pytest.raises(ValueError, match=re.escape(str(path))):
         write_controller_csv([LatencyTrace(rep=1, records=[], controller_events=events)], path)
@@ -888,6 +912,22 @@ def test_cli_run_violation_exit_code(tmp_path, capsys, lost_response):
         assert (out_dir / name).exists()
     rows = read_attacker_csv(out_dir / "attacker_trace.csv")
     assert [r.index for r in rows[0].records] == [1, 2, *range(4, 11)]
+
+
+def test_cli_run_summarizes_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, _summarize=summarize):
+        calls.append(args[1:])
+        return _summarize(*args)
+    monkeypatch.setattr(harness, "summarize", counted)
+    monkeypatch.setattr(cli, "summarize", counted)
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "e1_redirect", "--reps", "2", "--out", str(out_dir)]) == 0
+    assert calls == [(100,)]
+    assert "post/pre ratio" in capsys.readouterr().out
+    meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
+    assert meta["trigger_index"] == 100
 
 
 def test_cli_check_ok(tmp_path):

@@ -64,6 +64,17 @@ def test_remove_rule_once_then_unknown():
         sw.remove_rule(exact_match())
 
 
+def test_rules_is_one_live_read_only_view():
+    _, sw, _ = make_switch()
+    view = sw.rules()
+    sw.install_rule(exact_match(), (Output(1),))
+    assert sw.rules() is view and view == {exact_match(): (Output(1),)}
+    sw.remove_rule(exact_match())
+    assert exact_match() not in view
+    with pytest.raises(TypeError):
+        view[exact_match()] = (Output(1),)
+
+
 def test_install_replaces_the_keys_actions():
     eng, sw, sinks = make_switch(3)
     sw.install_rule(exact_match(), (Output(1),))
