@@ -74,7 +74,6 @@ victim connection never sent the responses the honey server did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
@@ -140,7 +139,6 @@ class ControllerEvent(NamedTuple):
         return dict(zip(names, (*self.rest[:at], self.conn, *self.rest[at:])))
 
 
-@dataclass
 class MigrationRecord:
     """Everything the controller knows about one tracked connection: what
     the mirrored segments show, and its migration state.
@@ -153,21 +151,22 @@ class MigrationRecord:
     (mod 2**32) from server-to-attacker seqs.
     """
 
-    key: ConnKey
-    attacker_addr: HostAddr
-    server_addr: HostAddr
-    attacker_iss: int
-    attacker_snd_nxt: int
-    last_ack: int = 0
-    payloads: list[tuple[int, bytes]] = field(default_factory=list)
-    seq_delta: int = 0
-    phase: str = PHASE_IDLE
-    times: dict[str, int] = field(default_factory=dict)
-    # attacker stream position the victim consumes up to; None until contained
-    victim_pos: Optional[int] = None
-    serving: Optional[ServerHost] = None  # set when contained, then by each splice
-    # moves waiting for a quiet connection (see Controller._when_quiet)
-    waiting: list[tuple[int, Callable[[], None]]] = field(default_factory=list)
+    def __init__(self, key: ConnKey, attacker_addr: HostAddr, server_addr: HostAddr,
+                 attacker_iss: int, attacker_snd_nxt: int, last_ack: int = 0,
+                 payloads: Optional[list[tuple[int, bytes]]] = None, seq_delta: int = 0,
+                 phase: str = PHASE_IDLE, times: Optional[dict[str, int]] = None,
+                 victim_pos: Optional[int] = None, serving: Optional[ServerHost] = None,
+                 waiting: Optional[list[tuple[int, Callable[[], None]]]] = None) -> None:
+        self.key, self.attacker_addr, self.server_addr = key, attacker_addr, server_addr
+        self.attacker_iss, self.attacker_snd_nxt = attacker_iss, attacker_snd_nxt
+        self.last_ack, self.seq_delta, self.phase = last_ack, seq_delta, phase
+        self.payloads = [] if payloads is None else payloads
+        self.times = {} if times is None else times
+        # attacker stream position the victim consumes up to; None until contained
+        self.victim_pos = victim_pos
+        self.serving = serving  # set when contained, then by each splice
+        # moves waiting for a quiet connection (see Controller._when_quiet)
+        self.waiting = [] if waiting is None else waiting
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase

@@ -3,8 +3,9 @@
 The endpoint implements exactly the machinery the redirection mechanism
 exercises: three-way handshake, in-order data with cumulative acks,
 duplicate tolerance (a replayed splice can re-present segments), FIN/RST
-teardown. No retransmission timers, windows, or congestion control:
-links are lossless and ordered.
+teardown. No retransmission, windows, congestion control or reassembly: a
+jittered ``simnet.Link`` may reorder packets, and a segment beyond ``rcv_nxt``
+is acked and dropped, so one reordering stalls the stream for good.
 
 Receiving uses header prediction (Jacobson, 1990): in ESTABLISHED, a pure ACK
 returns at once and a data segment without FIN at ``rcv_nxt`` is delivered

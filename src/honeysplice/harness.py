@@ -17,18 +17,21 @@ kind's declared order (``controller.EVENT_FIELDS``), a connection as
 ``a:p->b:q``. No field is ever quoted: a field that would need quoting (a
 comma, quote, CR or LF) raises ValueError instead, as does an event whose
 kind or field count matches no declaration.
-Re-exporting the same data is byte-identical.
+Re-exporting the same data is byte-identical; a file is written whole
+(via ``<file>.tmp``) or not at all. Importing the package loads neither
+``csv`` nor ``statistics``: only the ``summarize`` command imports ``csv``,
+and ``pstdev`` loads with the first index whose RTTs spread.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import statistics
+import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
 from .controller import EVENT_FIELDS, Controller, ControllerEvent
@@ -252,15 +255,14 @@ class PacketRecord:
     rtt_us: int
 
 
-@dataclass
-class LatencyTrace:
+class LatencyTrace(NamedTuple):
     """Per-repetition results: one record per packet index plus the
     controller's event series and any stealth violations."""
 
     rep: int
     records: list[PacketRecord]
     controller_events: list[ControllerEvent]
-    violations: list[str] = field(default_factory=list)
+    violations: Sequence[str] = ()
 
 
 class Simulation:
@@ -381,9 +383,7 @@ class Simulation:
                 problems.append(f"packet {i} incomplete (send={send}, recv={recv})")
                 continue
             records.append(PacketRecord(i, send, recv, recv - send))
-        return LatencyTrace(rep=rep, records=records,
-                            controller_events=list(self.controller.events),
-                            violations=problems)
+        return LatencyTrace(rep, records, list(self.controller.events), problems)
 
 
 def run_single(scenario: Scenario, rep: int = 1, migration: bool = True) -> Simulation:
@@ -416,8 +416,7 @@ def run_experiment(scenario: Scenario, migration: bool = True,
 # -- aggregation -----------------------------------------------------------------
 
 
-@dataclass
-class IndexStats:
+class IndexStats(NamedTuple):
     index: int
     mean: float
     min: int
@@ -426,8 +425,7 @@ class IndexStats:
     samples: int
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     per_index: list[IndexStats]
     pre_mean: Optional[float]
     post_mean: Optional[float]
@@ -451,44 +449,47 @@ def summarize(traces: list[LatencyTrace], trigger_index: Optional[int] = None) -
     for index in sorted(by_index):
         rtts = by_index[index]
         lo, hi = min(rtts), max(rtts)
-        # pstdev's exact rational arithmetic is the cost; equal samples are 0.0
-        per_index.append(IndexStats(
-            index=index, mean=statistics.fmean(rtts), min=lo, max=hi,
-            stddev=0.0 if lo == hi else statistics.pstdev(rtts), samples=len(rtts)))
+        stddev = 0.0  # pstdev's exact rational arithmetic is the cost
+        if lo != hi:
+            from statistics import pstdev  # loaded by the first spread only
+            stddev = pstdev(rtts)
+        per_index.append(IndexStats(index, math.fsum(rtts) / len(rtts), lo, hi,
+                                    stddev, len(rtts)))
     pre = post = ratio = None
     if trigger_index is not None:
-        pre_samples = [r for s in per_index if s.index < trigger_index
-                       for r in by_index[s.index]]
-        post_samples = [r for s in per_index if s.index > trigger_index
-                        for r in by_index[s.index]]
-        if pre_samples:
-            pre = statistics.fmean(pre_samples)
-        if post_samples:
-            post = statistics.fmean(post_samples)
+        pre_samples = [r for i, rtts in by_index.items() if i < trigger_index for r in rtts]
+        post_samples = [r for i, rtts in by_index.items() if i > trigger_index for r in rtts]
+        pre, post = (math.fsum(xs) / len(xs) if xs else None
+                     for xs in (pre_samples, post_samples))
         if pre is not None and pre > 0 and post is not None:
             ratio = post / pre
-    return Summary(per_index=per_index, pre_mean=pre, post_mean=post,
-                   ratio=ratio, trigger_index=trigger_index)
+    return Summary(per_index, pre, post, ratio, trigger_index)
 
 
 # -- export ------------------------------------------------------------------------
 
 
 def _write_rows(path, header: str, lines) -> None:
-    """Write ``header``, then ``lines`` (CSV rows, each ending in LF) in
-    chunks of 256. Each chunk is checked first: a field holding a comma,
-    quote, CR or LF, which csv would quote, raises ValueError naming the file."""
+    """Write ``header``, then ``lines`` (CSV rows, each ending in LF), in
+    chunks of 256 via ``<path>.tmp``. Each chunk is checked first: a field
+    holding a comma, quote, CR or LF raises ValueError naming the file."""
     commas = header.count(",")
     lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        while batch := list(islice(lines, 256)):
-            chunk = "".join(batch)
-            n = len(batch)
-            if (chunk.count(",") != commas * n or chunk.count("\n") != n
-                    or '"' in chunk or "\r" in chunk):
-                raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
-            fh.write(chunk)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            while batch := list(islice(lines, 256)):
+                chunk = "".join(batch)
+                n = len(batch)
+                if (chunk.count(",") != commas * n or chunk.count("\n") != n
+                        or '"' in chunk or "\r" in chunk):
+                    raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
@@ -532,14 +533,14 @@ def write_summary_csv(summary: Summary, path) -> None:
 
 def read_attacker_csv(path) -> list[LatencyTrace]:
     """Rebuild traces (records only) from an exported attacker CSV."""
+    import csv  # only the summarize command reads a CSV
     by_rep: dict[int, list[PacketRecord]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             rec = PacketRecord(int(row["packet_index"]), int(row["send_us"]),
                                int(row["recv_us"]), int(row["rtt_us"]))
             by_rep.setdefault(int(row["rep"]), []).append(rec)
-    return [LatencyTrace(rep=rep, records=records, controller_events=[])
-            for rep, records in sorted(by_rep.items())]
+    return [LatencyTrace(rep, records, []) for rep, records in sorted(by_rep.items())]
 
 
 def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,

@@ -12,7 +12,6 @@ plane.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
@@ -226,18 +225,17 @@ class EchoHost(Host):
         self.engine.schedule(flow.tick, start_at)
 
 
-@dataclass(slots=True, eq=False)
 class PingFlow:
     """One periodic echo flow. Only its pending event holds it, so a
     flow whose event is dropped is freed by reference counting (a
     closure that reschedules itself would hold itself, and its host)."""
 
-    host: EchoHost
-    target: HostAddr
-    sport: int
-    dport: int
-    interval_us: int
-    stop_at: int
+    __slots__ = ("host", "target", "sport", "dport", "interval_us", "stop_at")
+
+    def __init__(self, host: EchoHost, target: HostAddr, sport: int, dport: int,
+                 interval_us: int, stop_at: int) -> None:
+        self.host, self.target, self.sport, self.dport = host, target, sport, dport
+        self.interval_us, self.stop_at = interval_us, stop_at
 
     def tick(self) -> None:
         host = self.host

@@ -4,9 +4,10 @@ The rule dialect is deliberately tiny: ``alert tcp`` rules with ip/port
 specs (``any`` wildcards allowed, source port optional), a ``msg``, an
 optional required-flags set, an optional ``threshold`` clause and a
 mandatory ``sid``, each option at most once and the last one's ``;``
-optional. Three regular expressions are the grammar: the header, one
-option, and the threshold body. Anything outside it is a ParseError at
-the offset where the text stops fitting.
+optional. Three regular expressions are the grammar: the header, one option,
+and the threshold body, compiled by the first parse (``_grammar``), so a run
+without rules never compiles them. Anything outside the grammar is a
+ParseError at the offset where the text stops fitting.
 
 Flag specs like ``P.A.`` are read as a *required set* ({PSH, ACK} here):
 a segment matches if it carries at least those flags. Dots and ``+`` are
@@ -25,8 +26,8 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .netcore import ConnKey, TcpFlags, TcpSegment, five_tuple
 
@@ -45,13 +46,13 @@ _PORT = r"any|0*(?:6553[0-5]|655[0-2]\d|65[0-4]\d\d|6[0-4]\d{3}|[1-5]?\d{1,4})(?
 # The header up to its '('. Each piece after the first is optional only so
 # that a header which stops fitting still matches: the match then ends
 # where the first missing piece belongs, and that is the error offset.
-_HEADER = re.compile(rf"""(?:[ \t]*(?P<action>alert)(?![\w.-])[ \t]*
+_HEADER = rf"""(?:[ \t]*(?P<action>alert)(?![\w.-])[ \t]*
     (?:(?P<proto>tcp)(?![\w.-])[ \t]*
     (?:(?P<src_ip>{_IP})[ \t]*(?:(?P<src_port>{_PORT})[ \t]*)?
     (?:(?P<arrow>->)[ \t]*
     (?:(?P<dst_ip>{_IP})[ \t]*
     (?:(?P<dst_port>{_PORT})[ \t]*
-    (?P<open>\()?)?)?)?)?)?)?""", re.X)
+    (?P<open>\()?)?)?)?)?)?)?"""
 _EXPECTED = {"action": "'alert'", "proto": "'tcp'", "src_ip": "an ip spec",
              "arrow": "a port or '->'", "dst_ip": "an ip spec",
              "dst_port": "a port", "open": "'('"}
@@ -59,18 +60,22 @@ _EXPECTED = {"action": "'alert'", "proto": "'tcp'", "src_ip": "an ip spec",
 # One option and the ';' after it (the last option may end at the ')'
 # instead), or the ')' itself. Text that fits no option is <bad>, which
 # goes as far as a known option's key, ':' and opening quote fit.
-_OPTION = re.compile(r"""[ \t]*(?:(?P<close>\))[ \t]*
+_OPTION = r"""[ \t]*(?:(?P<close>\))[ \t]*
     |(?P<option>msg[ \t]*:[ \t]*"(?P<msg>[^"]*)"
       |flags[ \t]*:(?P<flags>[^;)]*)
       |threshold[ \t]*:(?P<threshold>[^;)]*)
       |sid(?![^\W\d])[ \t]*(?::[ \t]*)?(?P<sid>\d+)  # also sid1000001
      )[ \t]*(?P<end>;|(?=\)))?
-    |(?P<bad>(?P<key>(?:msg|flags|threshold|sid)(?![\w.-]))?[ \t]*(?::[ \t]*"?)?))""",
-                     re.X)
+    |(?P<bad>(?P<key>(?:msg|flags|threshold|sid)(?![\w.-]))?[ \t]*(?::[ \t]*"?)?))"""
 
 # the four comma-separated clauses of a threshold body, in any order
-_THRESHOLD = re.compile(r"""(?:\s*(?:type\s+(?P<type>threshold)|track\s+(?P<track>by_dst)
-    |count\s+(?P<count>\d+)|seconds\s+(?P<seconds>\d+))\s*(?:,(?=\s*\S)|$)){4}""", re.X)
+_THRESHOLD = r"""(?:\s*(?:type\s+(?P<type>threshold)|track\s+(?P<track>by_dst)
+    |count\s+(?P<count>\d+)|seconds\s+(?P<seconds>\d+))\s*(?:,(?=\s*\S)|$)){4}"""
+
+
+@functools.cache
+def _grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    return tuple(re.compile(pattern, re.X) for pattern in (_HEADER, _OPTION, _THRESHOLD))
 
 
 class ParseError(Exception):
@@ -82,8 +87,7 @@ class ParseError(Exception):
         super().__init__(f"offset {offset}: {reason}")
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     count: int
     seconds: int
 
@@ -102,8 +106,7 @@ class IdsRule:
     sid: int
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     """Event emitted to the controller; identifies the exact connection."""
 
     sid: int
@@ -127,7 +130,7 @@ def _flags(value: str, at: int) -> int:
 
 
 def _threshold(body: str, at: int) -> Threshold:
-    clause = _THRESHOLD.fullmatch(body)
+    clause = _grammar()[2].fullmatch(body)
     if clause is None or None in clause.groupdict().values() \
             or int(clause["count"]) < 1 or int(clause["seconds"]) < 1:
         raise ParseError(at, "want 'type threshold, track by_dst, count N, seconds S'"
@@ -142,7 +145,8 @@ _OPTION_VALUE = {"msg": lambda text, at: text, "flags": _flags,
 
 def parse_rule(text: str) -> IdsRule:
     """Parse one rule line into an IdsRule; raises ParseError otherwise."""
-    head = _HEADER.match(text)
+    header, option, _ = _grammar()
+    head = header.match(text)
     missing = next((name for name in _EXPECTED if head[name] is None), None)
     if missing is not None:
         raise ParseError(head.end(), f"expected {_EXPECTED[missing]}, "
@@ -153,7 +157,7 @@ def parse_rule(text: str) -> IdsRule:
                           for name in ("src_port", "dst_port"))
 
     options = {}
-    opt = _OPTION.match(text, head.end())
+    opt = option.match(text, head.end())
     while opt["close"] is None:
         if opt["key"] is not None:
             at = opt.end("bad")
@@ -168,7 +172,7 @@ def parse_rule(text: str) -> IdsRule:
         if name in options:
             raise ParseError(opt.start("option"), f"repeated option {name!r}")
         options[name] = _OPTION_VALUE[name](opt[name], opt.start(name))
-        opt = _OPTION.match(text, opt.end())
+        opt = option.match(text, opt.end())
     if opt.end() < len(text):
         raise ParseError(opt.end(), "trailing garbage after rule")
     for name in ("sid", "msg"):
@@ -220,15 +224,13 @@ def _rule_matches(rule: IdsRule, seg: TcpSegment) -> bool:
     return True
 
 
-@dataclass
 class _NthWatch:
     """Fires once per directed connection on its n-th data segment."""
 
-    n: int
-    sid: int
-    msg: str
-    dst_ip: Optional[str]
-    counts: dict = field(default_factory=dict)
+    def __init__(self, n: int, sid: int, msg: str, dst_ip: Optional[str],
+                 counts: Optional[dict] = None) -> None:
+        self.n, self.sid, self.msg, self.dst_ip = n, sid, msg, dst_ip
+        self.counts = {} if counts is None else counts
 
 
 class Ids:

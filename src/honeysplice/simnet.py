@@ -22,7 +22,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .netcore import HostAddr
 
@@ -62,16 +62,14 @@ class Distribution:
         return max(0, round(v))
 
 
-@dataclass(frozen=True, slots=True)
-class LinkModel:
+class LinkModel(NamedTuple):
     """Delivery delay model for one link: base delay plus optional jitter."""
 
     base_delay_us: int = 1000
     jitter: Optional[Distribution] = None
 
 
-@dataclass(frozen=True, slots=True)
-class BackgroundLoadSpec:
+class BackgroundLoadSpec(NamedTuple):
     """Periodic echo load used to keep the controller busy.
 
     Spawning it creates exactly ``n_hosts * procs_per_host`` flows, each of

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping, Optional, Union
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Union
 
 from .netcore import ConnKey, HostAddr, TcpSegment
 from .simnet import Engine, Link
@@ -76,8 +76,7 @@ class Rewrite:
                           seg.ack + self.ack_delta, seg.flags, seg.payload)
 
 
-@dataclass(frozen=True, slots=True)
-class Buffer:
+class Buffer(NamedTuple):
     queue: Hashable
 
 

@@ -686,6 +686,25 @@ def test_a_field_that_needs_quoting_raises_naming_the_file(tmp_path, char, posit
         write_attacker_csv([LatencyTrace(rep=1, records=records, controller_events=[])], path)
 
 
+def test_a_failed_export_leaves_no_partial_file_and_keeps_an_earlier_one(tmp_path):
+    # index 500 lies in the second 256-row chunk: the first one has passed
+    events = [ControllerEvent(i, "packet_in", CONN) for i in range(600)]
+    events[500] = ControllerEvent(500, "no_such_kind", CONN)
+    failing = [LatencyTrace(rep=1, records=[], controller_events=events)]
+    path = tmp_path / "controller_events.csv"
+    with pytest.raises(ValueError, match="no_such_kind"):
+        write_controller_csv(failing, path)
+    assert list(tmp_path.iterdir()) == []
+    write_controller_csv([LatencyTrace(rep=1, records=[], controller_events=events[:500])],
+                         path)
+    earlier = path.read_bytes()
+    assert earlier.count(b"\n") == 501
+    with pytest.raises(ValueError, match="no_such_kind"):
+        write_controller_csv(failing, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == earlier
+
+
 # SHA-256 of the shipped scenarios' four exports (attacker, controller,
 # summary, meta) at 3 repetitions. A change that alters any exported byte
 # changes behaviour and must update these openly.
