@@ -257,7 +257,8 @@ class PacketRecord:
 
 class LatencyTrace(NamedTuple):
     """Per-repetition results: one record per packet index plus the
-    controller's event series and any stealth violations."""
+    controller's event series and any stealth violations. Every trace the
+    package builds carries a ``violations`` list; the default is ``()``."""
 
     rep: int
     records: list[PacketRecord]
@@ -540,7 +541,7 @@ def read_attacker_csv(path) -> list[LatencyTrace]:
             rec = PacketRecord(int(row["packet_index"]), int(row["send_us"]),
                                int(row["recv_us"]), int(row["rtt_us"]))
             by_rep.setdefault(int(row["rep"]), []).append(rec)
-    return [LatencyTrace(rep, records, []) for rep, records in sorted(by_rep.items())]
+    return [LatencyTrace(rep, records, [], []) for rep, records in sorted(by_rep.items())]
 
 
 def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,

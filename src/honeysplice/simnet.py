@@ -186,12 +186,13 @@ class Link:
     on the link may reorder.
     """
 
-    __slots__ = ("_engine", "_model", "_deliver", "_rng", "_delay", "name")
+    __slots__ = ("_engine", "_base", "_jitter", "_deliver", "_rng", "_delay", "name")
 
     def __init__(self, engine: Engine, name: str, model: LinkModel,
                  deliver: Callable[[object], None]):
         self._engine = engine
-        self._model = model
+        # copied into slots: a jittered send reads them, not the model
+        self._base, self._jitter = model.base_delay_us, model.jitter
         self._deliver = deliver
         # None when every delivery takes the base delay; a link without
         # jitter makes no draws, so it needs no stream
@@ -209,8 +210,7 @@ class Link:
         engine = self._engine
         delay = self._delay
         if delay is None:
-            model = self._model
-            delay = max(0, model.base_delay_us + model.jitter.sample(self._rng))
+            delay = max(0, self._base + self._jitter.sample(self._rng))
         engine.schedule(_Delivery(self._deliver, pkt), engine.now + delay)
 
 
