@@ -152,21 +152,17 @@ class MigrationRecord:
     """
 
     def __init__(self, key: ConnKey, attacker_addr: HostAddr, server_addr: HostAddr,
-                 attacker_iss: int, attacker_snd_nxt: int, last_ack: int = 0,
-                 payloads: Optional[list[tuple[int, bytes]]] = None, seq_delta: int = 0,
-                 phase: str = PHASE_IDLE, times: Optional[dict[str, int]] = None,
-                 victim_pos: Optional[int] = None, serving: Optional[ServerHost] = None,
-                 waiting: Optional[list[tuple[int, Callable[[], None]]]] = None) -> None:
+                 attacker_iss: int, attacker_snd_nxt: int) -> None:
         self.key, self.attacker_addr, self.server_addr = key, attacker_addr, server_addr
         self.attacker_iss, self.attacker_snd_nxt = attacker_iss, attacker_snd_nxt
-        self.last_ack, self.seq_delta, self.phase = last_ack, seq_delta, phase
-        self.payloads = [] if payloads is None else payloads
-        self.times = {} if times is None else times
+        self.last_ack, self.seq_delta, self.phase = 0, 0, PHASE_IDLE
+        self.payloads: list[tuple[int, bytes]] = []
+        self.times: dict[str, int] = {}
         # attacker stream position the victim consumes up to; None until contained
-        self.victim_pos = victim_pos
-        self.serving = serving  # set when contained, then by each splice
+        self.victim_pos: Optional[int] = None
+        self.serving: Optional[ServerHost] = None  # set when contained, then by each splice
         # moves waiting for a quiet connection (see Controller._when_quiet)
-        self.waiting = [] if waiting is None else waiting
+        self.waiting: list[tuple[int, Callable[[], None]]] = []
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase

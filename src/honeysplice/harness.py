@@ -17,10 +17,11 @@ kind's declared order (``controller.EVENT_FIELDS``), a connection as
 ``a:p->b:q``. No field is ever quoted: a field that would need quoting (a
 comma, quote, CR or LF) raises ValueError instead, as does an event whose
 kind or field count matches no declaration.
-Re-exporting the same data is byte-identical; a file is written whole
-(via ``<file>.tmp``) or not at all. Importing the package loads neither
-``csv`` nor ``statistics``: only the ``summarize`` command imports ``csv``,
-and ``pstdev`` loads with the first index whose RTTs spread.
+Re-exporting the same data is byte-identical; a file is written whole (via
+``<file>.tmp``) or not at all, and ``export_run`` renames its four only once
+all are written. Importing the package loads neither ``csv`` nor
+``statistics``: only the ``summarize`` command imports ``csv``, and
+``pstdev`` loads with the first index whose RTTs spread.
 """
 
 from __future__ import annotations
@@ -82,8 +83,17 @@ def _json(*types):
 _int, _num, _str, _flag = _json(int), _json(int, float), _json(str), _json(bool)
 
 
+def _reject_unknown(doc: dict, section: str, names) -> None:
+    """Raise ConfigError naming ``<section>.<key>`` for the first key of
+    ``doc`` that is not one of ``names``."""
+    for k in doc.keys():
+        if k not in names:
+            raise ConfigError(f"{section}.{k}", "unknown key")
+
+
 def _jitter(doc: dict) -> Optional[Distribution]:
     """Parser for ``link.jitter``: kind ``none`` (the default) means no jitter."""
+    _reject_unknown(doc, "link.jitter", [f.name for f in fields(Distribution)])
     if doc.get("kind", "none") == "none":
         return None
     return Distribution(**{k: v if k == "kind" else float(_num(v)) for k, v in doc.items()})
@@ -91,6 +101,7 @@ def _jitter(doc: dict) -> Optional[Distribution]:
 
 def _background(doc: dict) -> BackgroundLoadSpec:
     """Parser for ``background``: BackgroundLoadSpec's fields, as integers."""
+    _reject_unknown(doc, "background", BackgroundLoadSpec._fields)
     return BackgroundLoadSpec(**{k: _int(v) for k, v in doc.items()})
 
 
@@ -160,8 +171,7 @@ class Scenario:
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
         # lower bounds: a negative delay schedules an event in the past or
-        # cuts the run short, and a zero echo interval reschedules itself at
-        # the same µs forever
+        # cuts the run short
         bounds = [("request.size", self.request_size, 1),
                   ("request.interval_us", self.request_interval_us, 1),
                   ("repetitions", self.repetitions, 1),
@@ -169,8 +179,7 @@ class Scenario:
                   ("controller_service_us", self.controller_service_us, 0)]
         if self.background is not None:
             bounds += [("background.n_hosts", self.background.n_hosts, 0),
-                       ("background.procs_per_host", self.background.procs_per_host, 0),
-                       ("background.msg_interval_us", self.background.msg_interval_us, 1)]
+                       ("background.procs_per_host", self.background.procs_per_host, 0)]
         for key, value, least in bounds:
             if value < least:
                 raise ConfigError(key, f"must be >= {least}")
@@ -353,8 +362,7 @@ class Simulation:
         if scenario.background:
             spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,
-                register_host=lambda h: self.controller.register_port(h.addr.ip, h.port),
-                horizon_us=self.horizon)
+                register_host=lambda h: self.controller.register_port(h.addr.ip, h.port))
         self.attacker.start(attacker_start)
 
     def run(self) -> None:
@@ -395,8 +403,7 @@ def run_single(scenario: Scenario, rep: int = 1, migration: bool = True) -> Simu
     return sim
 
 
-def run_experiment(scenario: Scenario, migration: bool = True,
-                   strict: bool = True) -> list[LatencyTrace]:
+def run_experiment(scenario: Scenario, strict: bool = True) -> list[LatencyTrace]:
     """Run all repetitions; stealth and completeness checked on every one.
 
     Each repetition is closed right after its trace, so it is freed before
@@ -404,7 +411,7 @@ def run_experiment(scenario: Scenario, migration: bool = True,
     """
     traces = []
     for rep in range(1, scenario.repetitions + 1):
-        sim = run_single(scenario, rep, migration=migration)
+        sim = run_single(scenario, rep)
         trace = sim.trace(rep)
         sim.close()
         if strict and trace.violations:
@@ -470,33 +477,49 @@ def summarize(traces: list[LatencyTrace], trigger_index: Optional[int] = None) -
 # -- export ------------------------------------------------------------------------
 
 
-def _write_rows(path, header: str, lines) -> None:
-    """Write ``header``, then ``lines`` (CSV rows, each ending in LF), in
-    chunks of 256 via ``<path>.tmp``. Each chunk is checked first: a field
-    holding a comma, quote, CR or LF raises ValueError naming the file."""
-    commas = header.count(",")
-    lines = iter(lines)
-    tmp = Path(f"{path}.tmp")
+def _write_files(files: dict) -> None:
+    """Write each ``path: chunks`` of ``files`` to ``<path>.tmp`` and, once
+    every one is written, rename each onto its path. A failure while
+    writing removes the staged files and renames none, so every path keeps
+    what it held before."""
+    staged = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            while batch := list(islice(lines, 256)):
-                chunk = "".join(batch)
-                n = len(batch)
-                if (chunk.count(",") != commas * n or chunk.count("\n") != n
-                        or '"' in chunk or "\r" in chunk):
-                    raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            staged.append(Path(f"{path}.tmp"))
+            with open(staged[-1], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
-    _write_rows(path, "rep,packet_index,send_us,recv_us,rtt_us",
+def _csv(path, header: str, lines):
+    """``header``, then ``lines`` (CSV rows, each ending in LF), in chunks of
+    256. Each chunk is checked first: a field holding a comma, quote, CR or
+    LF raises ValueError naming the file."""
+    commas = header.count(",")
+    lines = iter(lines)
+    yield header + "\n"
+    while batch := list(islice(lines, 256)):
+        chunk = "".join(batch)
+        n = len(batch)
+        if (chunk.count(",") != commas * n or chunk.count("\n") != n
+                or '"' in chunk or "\r" in chunk):
+            raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
+        yield chunk
+
+
+def _attacker_csv(traces: list[LatencyTrace], path):
+    return _csv(path, "rep,packet_index,send_us,recv_us,rtt_us",
                 (f"{trace.rep},{r.index},{r.send_us},{r.recv_us},{r.rtt_us}\n"
                  for trace in traces for r in trace.records))
+
+
+def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
+    _write_files({path: _attacker_csv(traces, path)})
 
 
 def _row_format(kind: str, names: tuple[str, ...]):
@@ -513,7 +536,7 @@ _ROW_FORMATS = {(kind, len(names) - 1): _row_format(kind, names)
                 for kind, names in EVENT_FIELDS.items()}
 
 
-def write_controller_csv(traces: list[LatencyTrace], path) -> None:
+def _controller_csv(traces: list[LatencyTrace], path):
     def lines():
         for trace in traces:
             rep = trace.rep
@@ -523,13 +546,21 @@ def write_controller_csv(traces: list[LatencyTrace], path) -> None:
                     raise ValueError(f"{path}: controller event {kind!r} with "
                                      f"{len(rest)} field(s) besides conn is not declared")
                 yield row(rep, time_us, *conn, *rest)
-    _write_rows(path, "rep,event,time_us,detail", lines())
+    return _csv(path, "rep,event,time_us,detail", lines())
+
+
+def write_controller_csv(traces: list[LatencyTrace], path) -> None:
+    _write_files({path: _controller_csv(traces, path)})
+
+
+def _summary_csv(summary: Summary, path):
+    return _csv(path, "packet_index,mean_rtt_us,min_rtt_us,max_rtt_us,stddev_rtt_us,samples",
+                (f"{s.index},{s.mean:.3f},{s.min},{s.max},{s.stddev:.3f},{s.samples}\n"
+                 for s in summary.per_index))
 
 
 def write_summary_csv(summary: Summary, path) -> None:
-    _write_rows(path, "packet_index,mean_rtt_us,min_rtt_us,max_rtt_us,stddev_rtt_us,samples",
-                (f"{s.index},{s.mean:.3f},{s.min},{s.max},{s.stddev:.3f},{s.samples}\n"
-                 for s in summary.per_index))
+    _write_files({path: _summary_csv(summary, path)})
 
 
 def read_attacker_csv(path) -> list[LatencyTrace]:
@@ -547,7 +578,8 @@ def read_attacker_csv(path) -> list[LatencyTrace]:
 def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,
                summary: Optional[Summary] = None) -> dict:
     """Write the full artifact set for one run, summarizing the traces
-    unless ``summary`` is given; returns the file map."""
+    unless ``summary`` is given; returns the file map. The four files are
+    replaced together or, when one fails, not at all."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -556,15 +588,14 @@ def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,
         "summary": out / "summary.csv",
         "meta": out / "meta.json",
     }
-    write_attacker_csv(traces, files["attacker"])
-    write_controller_csv(traces, files["controller"])
     if summary is None:
         summary = summarize(traces, scenario.trigger_index)
-    write_summary_csv(summary, files["summary"])
     meta = {"scenario": scenario.name, "seed": scenario.seed,
             "repetitions": scenario.repetitions, "trigger_index": scenario.trigger_index,
             "restore_at": scenario.restore_at}
-    files["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    _write_files({files["attacker"]: _attacker_csv(traces, files["attacker"]),
+                  files["controller"]: _controller_csv(traces, files["controller"]),
+                  files["summary"]: _summary_csv(summary, files["summary"]),
+                  files["meta"]: [json.dumps(meta, indent=2, sort_keys=True) + "\n"]})
     return files
 

@@ -1,5 +1,6 @@
 """Hosts attached to the switch: the scripted attacker client, TCP servers
-(victim and honey alike), and the echo responders used as background load.
+(victim and honey alike), and the echo hosts that send background load:
+one request per flow, which nothing answers.
 
 Each host owns an uplink toward the switch; the switch owns the downlink
 back. Servers can additionally be driven *out of band* (deliver_oob):
@@ -211,49 +212,22 @@ class AttackerHost(Host):
 
 
 class EchoHost(Host):
-    """Background-load host: answers echo requests, runs ping processes."""
+    """Background-load host: sends echo requests and drops what it receives."""
 
     def deliver(self, pkt) -> None:
-        if not isinstance(pkt, EchoPacket):
-            return
-        if pkt.kind == "req":
-            self.transmit(EchoPacket(self.addr, pkt.src, pkt.dport, pkt.sport, "resp"))
-
-    def run_ping(self, target: HostAddr, sport: int, dport: int,
-                 start_at: int, interval_us: int, stop_at: int) -> None:
-        flow = PingFlow(self, target, sport, dport, interval_us, stop_at)
-        self.engine.schedule(flow.tick, start_at)
-
-
-class PingFlow:
-    """One periodic echo flow. Only its pending event holds it, so a
-    flow whose event is dropped is freed by reference counting (a
-    closure that reschedules itself would hold itself, and its host)."""
-
-    __slots__ = ("host", "target", "sport", "dport", "interval_us", "stop_at")
-
-    def __init__(self, host: EchoHost, target: HostAddr, sport: int, dport: int,
-                 interval_us: int, stop_at: int) -> None:
-        self.host, self.target, self.sport, self.dport = host, target, sport, dport
-        self.interval_us, self.stop_at = interval_us, stop_at
-
-    def tick(self) -> None:
-        host = self.host
-        host.transmit(EchoPacket(host.addr, self.target, self.sport, self.dport, "req"))
-        nxt = host.engine.now + self.interval_us
-        if nxt <= self.stop_at:
-            host.engine.schedule(self.tick, nxt)
+        """Sink: no output reads an echo request once it has arrived."""
 
 
 def spawn_background_load(engine: Engine, switch: Switch,
                           spec: BackgroundLoadSpec, link_model: LinkModel,
-                          register_host: Callable[[Host], None],
-                          horizon_us: int) -> None:
-    """Create n_hosts x procs_per_host periodic echo flows.
+                          register_host: Callable[[Host], None]) -> None:
+    """Create n_hosts x procs_per_host echo flows of one request each.
 
-    Every flow gets a unique source port, so its first request always
-    misses the flow table and exercises the controller's packet-in path.
-    Flow starts are staggered a few tens of µs apart to keep the event
+    Every flow gets a unique source port, so its request misses the flow
+    table and takes the controller's packet-in path. That is the only load
+    a flow can put on anything: links and the switch model no capacity, so
+    once its rules are installed further traffic would cost nothing that
+    an output reads. Requests are staggered 71 µs apart to keep the event
     order stable and the controller queue realistic.
     """
     hosts: list[EchoHost] = []
@@ -264,14 +238,10 @@ def spawn_background_load(engine: Engine, switch: Switch,
         register_host(host)
         hosts.append(host)
 
-    flow_index = 0
+    n, procs = spec.n_hosts, spec.procs_per_host
     for i, host in enumerate(hosts):
-        for p in range(spec.procs_per_host):
-            if spec.n_hosts > 1:
-                target = hosts[(i + 1 + p % (spec.n_hosts - 1)) % spec.n_hosts]
-            else:
-                target = host
-            host.run_ping(target.addr, sport=10_000 + flow_index, dport=7,
-                          start_at=flow_index * 71,
-                          interval_us=spec.msg_interval_us, stop_at=horizon_us)
-            flow_index += 1
+        for p in range(procs):
+            target = hosts[(i + 1 + p % (n - 1)) % n] if n > 1 else host
+            flow = i * procs + p
+            engine.schedule(lambda h=host, dst=target.addr, sport=10_000 + flow:
+                            h.transmit(EchoPacket(h.addr, dst, sport, 7)), flow * 71)

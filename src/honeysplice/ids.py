@@ -227,10 +227,9 @@ def _rule_matches(rule: IdsRule, seg: TcpSegment) -> bool:
 class _NthWatch:
     """Fires once per directed connection on its n-th data segment."""
 
-    def __init__(self, n: int, sid: int, msg: str, dst_ip: Optional[str],
-                 counts: Optional[dict] = None) -> None:
+    def __init__(self, n: int, sid: int, msg: str, dst_ip: Optional[str]) -> None:
         self.n, self.sid, self.msg, self.dst_ip = n, sid, msg, dst_ip
-        self.counts = {} if counts is None else counts
+        self.counts: dict = {}
 
 
 class Ids:

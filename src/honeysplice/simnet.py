@@ -70,21 +70,20 @@ class LinkModel(NamedTuple):
 
 
 class BackgroundLoadSpec(NamedTuple):
-    """Periodic echo load used to keep the controller busy.
+    """Echo load used to keep the controller busy.
 
-    Spawning it creates exactly ``n_hosts * procs_per_host`` flows, each of
-    which first traverses the switch's table-miss path so the controller
-    carries their setup load.
+    Spawning it creates exactly ``n_hosts * procs_per_host`` flows of one
+    echo request each, which takes the switch's table-miss path so the
+    controller carries the flow's setup.
     """
 
     n_hosts: int
     procs_per_host: int
-    msg_interval_us: int = 1_000_000
 
 
 @dataclass(slots=True)
 class EchoPacket:
-    """ICMP-echo-like request/response pair member; carries no TCP state.
+    """ICMP-echo-like request; carries no TCP state, and nothing answers it.
 
     ``sport`` doubles as the echo identifier so each background flow has a
     distinct match key at the switch. Write-once by contract, like
@@ -95,15 +94,12 @@ class EchoPacket:
     dst: HostAddr
     sport: int
     dport: int
-    kind: str  # "req" | "resp"
 
-    def __init__(self, src: HostAddr, dst: HostAddr, sport: int, dport: int,
-                 kind: str) -> None:
+    def __init__(self, src: HostAddr, dst: HostAddr, sport: int, dport: int) -> None:
         self.src = src
         self.dst = dst
         self.sport = sport
         self.dport = dport
-        self.kind = kind
 
 
 class Engine:

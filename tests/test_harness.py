@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from honeysplice import cli, harness
+from honeysplice import cli, harness, simnet
 from honeysplice.harness import (
     ConfigError,
     InvariantViolation,
@@ -40,6 +40,7 @@ from honeysplice.harness import (
 )
 from honeysplice.cli import main as cli_main
 from honeysplice.hosts import REQUEST_CACHE_SIZE, make_request
+from honeysplice.vswitch import Switch
 
 from random_scenarios import random_scenario
 from honeysplice.controller import EVENT_FIELDS, ControllerEvent
@@ -171,9 +172,11 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"restore_grace_us": 5000}, "restore_grace_us"),
     ({"background": {"n_hosts": -1, "procs_per_host": 1}}, "background.n_hosts"),
     ({"background": {"n_hosts": 1, "procs_per_host": -1}}, "background.procs_per_host"),
-    ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": -5}},
+    # each flow sends one request: there is no interval to set, and a
+    # document that still sets one is rejected, not read
+    ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": 1_000_000}},
      "background.msg_interval_us"),
-    ({"background": {"n_hosts": 1, "procs_per_host": 1, "msg_interval_us": 0}},
+    ({"background": {"msg_interval_us": 1_000_000, "n_hosts": 1, "procs_per_host": 1}},
      "background.msg_interval_us"),
     ({"iss_policy": {"kind": "random"}}, "iss_policy"),
     ({"total_packets": 0}, "total_packets"),
@@ -197,6 +200,10 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"clone": {"failure_p": "0.5"}}, "clone.failure_p"),
     ({"background": {"n_hosts": 1.9, "procs_per_host": 1}}, "background"),
     ({"link": {"jitter": {"kind": "uniform", "a": "1", "b": 2}}}, "link.jitter"),
+    # a stray key inside a section parsed whole is named, with or without jitter
+    ({"link": {"jitter": {"kind": "uniform", "a": 0, "b": 2, "sigma": 1}}},
+     "link.jitter.sigma"),
+    ({"link": {"jitter": {"kind": "none", "sigma": 1}}}, "link.jitter.sigma"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -429,11 +436,32 @@ def test_request_payloads_are_cached_and_shared_across_reps():
 
 def test_background_small_scale():
     scenario = scenario_from_dict(minimal_doc(
-        background={"n_hosts": 3, "procs_per_host": 4, "msg_interval_us": 100_000}))
+        background={"n_hosts": 3, "procs_per_host": 4}))
     sim = run_single(scenario, 1)
     assert echo_flows(sim) == 12
     packet_ins = sum(1 for ev in sim.controller.events if ev.kind == "packet_in")
     assert packet_ins >= 12 + 1  # every flow misses once, plus the attacker SYN
+    assert not sim.trace(1).violations
+
+
+def test_each_background_flow_sends_one_request(monkeypatch):
+    echoes = []
+    process = Switch.process
+
+    def recording(switch, pkt, mirror=True):
+        if mirror and isinstance(pkt, simnet.EchoPacket):  # off a link, not re-processed
+            echoes.append((switch._engine.now, pkt))
+        process(switch, pkt, mirror)
+    monkeypatch.setattr(Switch, "process", recording)
+    scenario = scenario_from_dict(minimal_doc(
+        background={"n_hosts": 3, "procs_per_host": 4}))
+    sim = run_single(scenario, 1)
+    # one request per flow, from its own source port to the echo port, at
+    # its staggered start plus one link delay; nothing answers it
+    assert [(t, pkt.sport, pkt.dport) for t, pkt in echoes] == \
+        [(71 * i + 1000, 10_000 + i, 7) for i in range(12)]
+    assert {pkt.src.ip for _, pkt in echoes} == {"10.1.0.1", "10.1.0.2", "10.1.0.3"}
+    assert all(pkt.src != pkt.dst for _, pkt in echoes)
     assert not sim.trace(1).violations
 
 
@@ -445,8 +473,7 @@ def echo_flows(sim):
 
 @pytest.mark.parametrize("n_hosts,procs,expected", [(1, 1, 1), (0, 70, 0)])
 def test_background_degenerate_counts(n_hosts, procs, expected):
-    doc = minimal_doc(background={"n_hosts": n_hosts, "procs_per_host": procs,
-                                  "msg_interval_us": 100_000})
+    doc = minimal_doc(background={"n_hosts": n_hosts, "procs_per_host": procs})
     sim = run_single(scenario_from_dict(doc), 1)
     assert echo_flows(sim) == expected
 
@@ -705,6 +732,21 @@ def test_a_failed_export_leaves_no_partial_file_and_keeps_an_earlier_one(tmp_pat
     assert path.read_bytes() == earlier
 
 
+def test_a_failed_export_run_keeps_the_earlier_file_set(tmp_path):
+    e1 = load_scenario(builtin_scenario_path("e1_redirect"))
+    e1 = replace(e1, seed=7, repetitions=1)
+    files = export_run(e1, run_experiment(e1), tmp_path)
+    earlier = {key: path.read_bytes() for key, path in files.items()}
+    later = replace(e1, total_packets=110, seed=2)
+    traces = run_experiment(later)
+    traces[0].controller_events.append(ControllerEvent(1, "no_such_kind", CONN))
+    with pytest.raises(ValueError, match="no_such_kind"):
+        export_run(later, traces, tmp_path)
+    # the attacker CSV staged before the failure is removed, not renamed
+    assert sorted(tmp_path.iterdir()) == sorted(files.values())
+    assert {key: path.read_bytes() for key, path in files.items()} == earlier
+
+
 # SHA-256 of the shipped scenarios' four exports (attacker, controller,
 # summary, meta) at 3 repetitions. A change that alters any exported byte
 # changes behaviour and must update these openly.
@@ -876,11 +918,11 @@ def rep_refs(monkeypatch):
 
 
 RECLAIM_CASES = {
-    "background": {"background": {"n_hosts": 2, "procs_per_host": 2,
-                                  "msg_interval_us": 20_000}},
-    # echo packets are still on the links when the horizon ends the run
-    "in-flight": {"background": {"n_hosts": 2, "procs_per_host": 2,
-                                 "msg_interval_us": 3_000}},
+    "background": {"background": {"n_hosts": 2, "procs_per_host": 2}},
+    # the attacker's last ack is still on a link when the horizon ends the
+    # run (see test_the_in_flight_case_ends_with_a_delivery_pending)
+    "in-flight": {"link": {"base_delay_us": 150_000},
+                  "request": {"interval_us": 610_000}},
     "on-demand": {"clone": {"on_demand": True}, "containment": "on_clone_ready"},
     "restore": {"restore_at": 8},
     "rule-trigger": {"trigger": {"kind": "rule", "sid": 7}, "ruleset": "m.rules"},
@@ -897,6 +939,14 @@ def test_run_experiment_frees_each_repetition(tmp_path, rep_refs, overrides):
     assert [t.rep for t in traces] == [1, 2]
     assert len(rep_refs) == 8
     assert [ref() for ref in rep_refs] == [None] * 8
+
+
+@pytest.mark.parametrize("rep", [1, 2])
+def test_the_in_flight_case_ends_with_a_delivery_pending(rep):
+    sim = run_single(scenario_from_dict(minimal_doc(**RECLAIM_CASES["in-flight"])), rep)
+    assert not sim.trace(rep).violations
+    pending = [fn for _, _, fn in [*sim.engine._queue, *sim.engine._lane]]
+    assert any(isinstance(fn, simnet._Delivery) for fn in pending)
 
 
 def test_strict_raise_frees_the_failing_repetition(rep_refs, lost_response):

@@ -170,9 +170,9 @@ def test_write_once_guard_catches_reassignment(write_once):
     with pytest.raises(AttributeError, match="seq assigned after construction"):
         seg.seq = 9
     assert seg.seq == 3
-    pkt = EchoPacket(A, B, 1, 7, "req")
-    with pytest.raises(AttributeError, match="kind assigned after construction"):
-        pkt.kind = "resp"
+    pkt = EchoPacket(A, B, 1, 7)
+    with pytest.raises(AttributeError, match="sport assigned after construction"):
+        pkt.sport = 2
 
 
 def test_rewrite_builds_a_new_segment_and_leaves_the_input():

@@ -117,7 +117,7 @@ def test_mirror_taps_see_tcp_segments_only():
     eng, sw, sinks = make_switch()
     mirrored = []
     sw.mirror_taps.append(mirrored.append)
-    echo = EchoPacket(src=A, dst=B, sport=40001, dport=9000, kind="req")
+    echo = EchoPacket(src=A, dst=B, sport=40001, dport=9000)
     sw.install_rule(exact_match(), (Output(1),))
     sw.process(echo)
     sw.process(seg(b"x"))
