@@ -189,6 +189,7 @@ class Controller:
         self._busy_until = 0
         self.packet_in_count = 0
         self.events: list[ControllerEvent] = []
+        self._rules = switch.rules()
 
         switch.packet_in_handler = self.on_packet_in
 
@@ -203,7 +204,9 @@ class Controller:
         self.register_port(host.addr.ip, host.port)
 
     def log(self, kind: str, conn: ConnKey, *rest) -> None:
-        self.events.append(ControllerEvent(self.engine.now, kind, conn, rest))
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        self.events.append(tuple.__new__(
+            ControllerEvent, (self.engine.now, kind, conn, rest)))
 
     # -- connection bookkeeping (mirror tap; runs before rule lookup) ---------
 
@@ -228,28 +231,29 @@ class Controller:
 
     def on_packet_in(self, pkt, hold_id: int) -> None:
         self.packet_in_count += 1
-        start = max(self.engine.now, self._busy_until)
-        done = start + self.service_us
+        now, busy = self.engine.now, self._busy_until
+        done = (busy if busy > now else now) + self.service_us
         self._busy_until = done
         self.engine.schedule(lambda: self._handle_packet_in(pkt, hold_id), done)
 
     def _handle_packet_in(self, pkt, hold_id: int) -> None:
-        key = five_tuple(pkt)
+        src, dst = pkt.src.ip, pkt.dst.ip
+        key = (src, pkt.sport, dst, pkt.dport)
         record = self.records.get(key)
         if record is not None and record.phase != PHASE_IDLE:
             # a migrated flow should never miss; don't disturb the splice
             self.switch.drop_held(hold_id)
             self.log("anomaly_drop", key)
             return
-        if key not in self.switch.rules():
-            dst_port = self.port_map.get(pkt.dst.ip)
-            src_port = self.port_map.get(pkt.src.ip)
+        if key not in self._rules:
+            dst_port = self.port_map.get(dst)
+            src_port = self.port_map.get(src)
             if dst_port is None or src_port is None:
                 self.switch.drop_held(hold_id)
                 self.log("packet_in_unroutable", key)
                 return
             self.switch.install_rule(key, self._forward[dst_port])
-            self.switch.install_rule((key[2], key[3], key[0], key[1]),
+            self.switch.install_rule((dst, pkt.dport, src, pkt.sport),
                                      self._forward[src_port])
             self.log("flow_rules", key)
         self.log("packet_in", key)

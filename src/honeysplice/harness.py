@@ -414,6 +414,7 @@ def run_experiment(scenario: Scenario, strict: bool = True) -> list[LatencyTrace
         sim = run_single(scenario, rep)
         trace = sim.trace(rep)
         sim.close()
+        del sim  # freed here, not when the next repetition rebinds it
         if strict and trace.violations:
             raise InvariantViolation(
                 f"{scenario.name} rep {rep}: " + "; ".join(trace.violations[:5]))

@@ -3,7 +3,9 @@
 one request per flow, which nothing answers.
 
 Each host owns an uplink toward the switch; the switch owns the downlink
-back. Servers can additionally be driven *out of band* (deliver_oob):
+back. An echo host takes a port with no downlink: the switch forwards
+nothing out of it, so a request that reaches it schedules no delivery
+event. Servers can additionally be driven *out of band* (deliver_oob):
 the segment is processed normally but emissions are returned to the
 caller instead of transmitted. That is the seam the controller uses to
 forge handshakes and replay recorded payloads without touching the data
@@ -214,8 +216,13 @@ class AttackerHost(Host):
 class EchoHost(Host):
     """Background-load host: sends echo requests and drops what it receives."""
 
+    def attach(self, switch: Switch, model: LinkModel) -> None:
+        """Wire the uplink only: the port has no link, so it is a sink."""
+        self.uplink = Link(self.engine, f"{self.name}:up", model, switch.process)
+        self.port = switch.attach(None)
+
     def deliver(self, pkt) -> None:
-        """Sink: no output reads an echo request once it has arrived."""
+        """Never called: the port has no link, so nothing arrives here."""
 
 
 def spawn_background_load(engine: Engine, switch: Switch,

@@ -14,6 +14,8 @@ switch:
    OUTPUT forwards the current form out a port, BUFFER parks it in a
    named queue.
 
+A port may have no link: it is a sink, and OUTPUT to it sends nothing.
+
 On a table miss the packet is held (not dropped) and escalated; the
 controller is expected to install rules and release it. A hold timeout
 (``MISS_HOLD_TIMEOUT_US``, one simulated second) guards against a dead
@@ -103,8 +105,9 @@ class Switch:
 
     # -- topology ----------------------------------------------------------
 
-    def attach(self, link: Link) -> int:
-        """Attach a device via its switch-to-device link; returns the port."""
+    def attach(self, link: Optional[Link]) -> int:
+        """Attach a device via its switch-to-device link; returns the port.
+        With no link the port is a sink: nothing is sent out of it."""
         port = self._next_port
         self._next_port += 1
         self._ports[port] = link
@@ -191,28 +194,27 @@ class Switch:
             del self._held[hold_id]
         self.stats["hold_expired"] += len(expired)
 
-    def _take_held(self, hold_id: int):
-        """Remove a hold and return its packet; None when the hold is gone
-        or its deadline has come (then it counts as expired)."""
-        entry = self._held.pop(hold_id, None)
-        if entry is None:
-            return None
-        pkt, deadline = entry
-        if self._engine.now >= deadline:
-            self.stats["hold_expired"] += 1
-            return None
-        return pkt
-
     def release_held(self, hold_id: int) -> bool:
-        """Re-process a held miss packet (post rule install)."""
-        pkt = self._take_held(hold_id)
-        if pkt is None:
+        """Re-process a held miss packet (post rule install). False when the
+        hold is gone (an unknown id pops as no packet with a past deadline)
+        or its deadline has come (then it counts as expired)."""
+        pkt, deadline = self._held.pop(hold_id, (None, -1))
+        if self._engine.now >= deadline:
+            if pkt is not None:
+                self.stats["hold_expired"] += 1
             return False
         self.process(pkt, mirror=False)
         return True
 
     def drop_held(self, hold_id: int) -> bool:
-        return self._take_held(hold_id) is not None
+        """Discard a held miss packet; True exactly when ``release_held``
+        would have released it."""
+        pkt, deadline = self._held.pop(hold_id, (None, -1))
+        if self._engine.now >= deadline:
+            if pkt is not None:
+                self.stats["hold_expired"] += 1
+            return False
+        return True
 
     def send_out(self, port: int, pkt) -> None:
         """Direct transmit on a port (controller-originated packets)."""

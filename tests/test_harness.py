@@ -39,7 +39,7 @@ from honeysplice.harness import (
     write_summary_csv,
 )
 from honeysplice.cli import main as cli_main
-from honeysplice.hosts import REQUEST_CACHE_SIZE, make_request
+from honeysplice.hosts import REQUEST_CACHE_SIZE, EchoHost, make_request
 from honeysplice.vswitch import Switch
 
 from random_scenarios import random_scenario
@@ -465,6 +465,28 @@ def test_each_background_flow_sends_one_request(monkeypatch):
     assert not sim.trace(1).violations
 
 
+def test_echo_hosts_are_sinks_that_cost_no_delivery_event(monkeypatch):
+    scheduled = []
+    schedule = simnet.Engine.schedule
+
+    def recording(engine, fn, at):
+        scheduled.append(fn)
+        return schedule(engine, fn, at)
+    monkeypatch.setattr(simnet.Engine, "schedule", recording)
+    sim = run_single(scenario_from_dict(minimal_doc(
+        background={"n_hosts": 3, "procs_per_host": 4})), 1)
+    targets = [getattr(fn.func, "__self__", None) for fn in scheduled
+               if isinstance(fn, simnet._Delivery)]
+    assert sim.switch in targets and sim.attacker in targets
+    assert not [host for host in targets if isinstance(host, EchoHost)]
+    # each echo host's port exists but holds no link
+    echo_ports = [port for ip, port in sim.controller.port_map.items()
+                  if ip.startswith("10.1.0.")]
+    assert len(echo_ports) == 3
+    assert [sim.switch._ports[port] for port in echo_ports] == [None] * 3
+    assert not sim.trace(1).violations
+
+
 def echo_flows(sim):
     """Distinct echo request keys (dport 7) that reached the controller."""
     return len({ev.fields["conn"] for ev in sim.controller.events
@@ -784,6 +806,26 @@ def test_shipped_exports_match_recorded_hashes(tmp_path, name):
     assert digests == EXPORT_SHA256[name]
 
 
+# SHA-256 of e2's four exports at 3 repetitions, seed 11, on links jittered
+# by uniform(0, 300) µs. Each jittered link draws from its own stream, so a
+# link that is never built moves no other link's draws.
+JITTERED_E2_SHA256 = (
+    "69c63d4ffe12f97733bbe4bf0e41312fd9fd0c8899923d4c55f2480a4a6d91f6",
+    "1b9fca048c3210e24e7b6ace40ecd56f646d862cdd1c0889eec567f8951d579d",
+    "ff74bb1c74f78fe63ec6600b6f1925e05c494fe361b9f1737782de8d7c0d5e97",
+    "6c0026c9c467dab5e9a8dc33b26991edb02fb431ee12b22cbf973c890b16a652")
+
+
+def test_jittered_e2_exports_match_recorded_hashes(tmp_path):
+    scenario = replace(load_scenario(builtin_scenario_path("e2_saturated")),
+                       repetitions=3, seed=11,
+                       link_jitter=simnet.Distribution("uniform", 0, 300))
+    files = export_run(scenario, run_experiment(scenario), tmp_path)
+    digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
+                    for key in ("attacker", "controller", "summary", "meta"))
+    assert digests == JITTERED_E2_SHA256
+
+
 def test_export_run_writes_file_set(tmp_path):
     scenario = scenario_from_dict(minimal_doc(repetitions=2))
     traces = run_experiment(scenario)
@@ -904,6 +946,8 @@ def rep_refs(monkeypatch):
     run = harness.run_single
 
     def recording_run_single(*args, **kwargs):
+        # every earlier repetition is freed before the next one is built
+        assert [ref() for ref in refs] == [None] * len(refs)
         sim = run(*args, **kwargs)
         refs.extend(weakref.ref(obj)
                     for obj in (sim, sim.engine, sim.switch, sim.controller))
