@@ -1,9 +1,9 @@
 """The response controller: reactive forwarding plus stealthy redirection.
 
-Reactive forwarding: table misses escalate to the controller, which
-installs an OUTPUT rule for each direction of the connection (never over
-a rule a splice installed) and releases the held packet. This path
-carries the background load and is the only controller path with a
+Reactive forwarding: a table miss goes to the controller, which installs
+an OUTPUT rule for the flow, and for TCP one back (nothing answers an
+echo), never over a rule a splice installed, and releases the held
+packet. This path carries the background load, the only one here with a
 modeled service time (a FIFO queue, ``service_us`` per packet-in).
 
 Redirection, on an alert for an established connection:
@@ -78,16 +78,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
 from .hosts import ServerHost
-from .netcore import (
-    ConnKey,
-    HostAddr,
-    TcpFlags,
-    TcpSegment,
-    five_tuple,
-    seg_span,
-    seq_add,
-    seq_sub,
-)
+from .netcore import (ConnKey, HostAddr, TcpFlags, TcpSegment, five_tuple, seg_span,
+                      seq_add, seq_sub)
 from .simnet import Engine
 from .vswitch import Buffer, Output, Rewrite, Switch
 from .ids import Alert
@@ -245,6 +237,7 @@ class Controller:
             self.switch.drop_held(hold_id)
             self.log("anomaly_drop", key)
             return
+        events, now = self.events, self.engine.now  # records built as in ``log``
         if key not in self._rules:
             dst_port = self.port_map.get(dst)
             src_port = self.port_map.get(src)
@@ -253,10 +246,11 @@ class Controller:
                 self.log("packet_in_unroutable", key)
                 return
             self.switch.install_rule(key, self._forward[dst_port])
-            self.switch.install_rule((dst, pkt.dport, src, pkt.sport),
-                                     self._forward[src_port])
-            self.log("flow_rules", key)
-        self.log("packet_in", key)
+            if isinstance(pkt, TcpSegment):  # nothing answers an echo request
+                self.switch.install_rule((dst, pkt.dport, src, pkt.sport),
+                                         self._forward[src_port])
+            events.append(tuple.__new__(ControllerEvent, (now, "flow_rules", key, ())))
+        events.append(tuple.__new__(ControllerEvent, (now, "packet_in", key, ())))
         self.switch.release_held(hold_id)
 
     # -- migration --------------------------------------------------------------

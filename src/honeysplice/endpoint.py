@@ -104,9 +104,7 @@ class TcpEndpoint:
         if self.state is not ConnState.CLOSED:
             raise InvalidState(f"open in {self.state.name}")
         self.iss = self._iss_policy()
-        seg = TcpSegment(src=self.local, dst=self.remote, sport=self.lport,
-                         dport=self.rport, seq=self.iss, ack=0,
-                         flags=TcpFlags.SYN)
+        seg = self._make(TcpFlags.SYN, self.iss)  # its ack, rcv_nxt, is still 0
         self.snd_nxt = seq_add(self.iss, 1)
         self.state = ConnState.SYN_SENT
         return seg
@@ -189,7 +187,6 @@ class TcpEndpoint:
                 self.state = ConnState.ESTABLISHED
                 if seg.payload or (seg.flags & TcpFlags.FIN):
                     return self._on_established_segment(seg)
-                return [], b""
             return [], b""
 
         if st in (ConnState.FIN_WAIT, ConnState.CLOSE_WAIT):

@@ -225,6 +225,25 @@ class EchoHost(Host):
         """Never called: the port has no link, so nothing arrives here."""
 
 
+class _EchoEmitter:
+    """Sends flow k's request at k * 71 µs, then schedules itself for flow
+    k + 1: one pending event for the whole load, and as a bound method of
+    a slotted object it forms no cycle that outlives the last flow."""
+
+    __slots__ = ("flows", "k")
+
+    def __init__(self, flows: list[tuple[EchoHost, HostAddr]]) -> None:
+        self.flows, self.k = flows, 0
+
+    def emit(self) -> None:
+        k = self.k
+        host, dst = self.flows[k]
+        host.transmit(EchoPacket(host.addr, dst, 10_000 + k, 7))
+        self.k = k = k + 1
+        if k < len(self.flows):
+            host.engine.schedule(self.emit, k * 71)
+
+
 def spawn_background_load(engine: Engine, switch: Switch,
                           spec: BackgroundLoadSpec, link_model: LinkModel,
                           register_host: Callable[[Host], None]) -> None:
@@ -233,22 +252,18 @@ def spawn_background_load(engine: Engine, switch: Switch,
     Every flow gets a unique source port, so its request misses the flow
     table and takes the controller's packet-in path. That is the only load
     a flow can put on anything: links and the switch model no capacity, so
-    once its rules are installed further traffic would cost nothing that
-    an output reads. Requests are staggered 71 µs apart to keep the event
-    order stable and the controller queue realistic.
+    once its rule is installed further traffic would cost nothing that an
+    output reads. Flow k's request leaves at k * 71 µs, a stagger that
+    keeps the event order stable and the controller queue realistic.
     """
-    hosts: list[EchoHost] = []
-    for i in range(spec.n_hosts):
-        addr = HostAddr(ip=f"10.1.0.{i + 1}", mac=f"02:00:01:00:00:{i + 1:02x}")
-        host = EchoHost(engine, f"bg{i}", addr)
+    n, procs = spec.n_hosts, spec.procs_per_host
+    hosts = [EchoHost(engine, f"bg{i}",
+                      HostAddr(f"10.1.0.{i + 1}", f"02:00:01:00:00:{i + 1:02x}"))
+             for i in range(n)]
+    for host in hosts:
         host.attach(switch, link_model)
         register_host(host)
-        hosts.append(host)
-
-    n, procs = spec.n_hosts, spec.procs_per_host
-    for i, host in enumerate(hosts):
-        for p in range(procs):
-            target = hosts[(i + 1 + p % (n - 1)) % n] if n > 1 else host
-            flow = i * procs + p
-            engine.schedule(lambda h=host, dst=target.addr, sport=10_000 + flow:
-                            h.transmit(EchoPacket(h.addr, dst, sport, 7)), flow * 71)
+    flows = [(host, hosts[(i + 1 + p % (n - 1)) % n].addr if n > 1 else host.addr)
+             for i, host in enumerate(hosts) for p in range(procs)]
+    if flows:
+        engine.schedule(_EchoEmitter(flows).emit, 0)

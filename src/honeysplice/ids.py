@@ -211,17 +211,11 @@ def load_ruleset_file(path) -> list[IdsRule]:
 
 
 def _rule_matches(rule: IdsRule, seg: TcpSegment) -> bool:
-    if rule.src_ip is not None and seg.src.ip != rule.src_ip:
-        return False
-    if rule.src_port is not None and seg.sport != rule.src_port:
-        return False
-    if rule.dst_ip is not None and seg.dst.ip != rule.dst_ip:
-        return False
-    if rule.dst_port is not None and seg.dport != rule.dst_port:
-        return False
-    if rule.flags_req is not None and (seg.flags & rule.flags_req) != rule.flags_req:
-        return False
-    return True
+    return ((rule.src_ip is None or seg.src.ip == rule.src_ip)
+            and (rule.src_port is None or seg.sport == rule.src_port)
+            and (rule.dst_ip is None or seg.dst.ip == rule.dst_ip)
+            and (rule.dst_port is None or seg.dport == rule.dst_port)
+            and (rule.flags_req is None or (seg.flags & rule.flags_req) == rule.flags_req))
 
 
 class _NthWatch:

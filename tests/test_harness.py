@@ -487,6 +487,26 @@ def test_echo_hosts_are_sinks_that_cost_no_delivery_event(monkeypatch):
     assert not sim.trace(1).violations
 
 
+def test_background_load_keeps_one_event_pending():
+    scenario = load_scenario(builtin_scenario_path("e2_saturated"))
+    sim = Simulation(scenario, simnet.derive_seed(scenario.seed, "rep:1"))
+    # the echo emitter and the attacker's open, not one event per flow
+    assert len(sim.engine._queue) + len(sim.engine._lane) <= 2
+    sim.close()
+
+
+def test_echo_flows_get_one_rule_and_tcp_both_directions():
+    sim = run_single(load_scenario(builtin_scenario_path("e2_saturated")), 1)
+    rules = sim.switch.rules()
+    assert len(rules) == 1_402
+    echo = [key for key in rules if key[3] == 7]
+    assert len(echo) == 1_400
+    assert not [key for key in echo if (key[2], 7, key[0], key[1]) in rules]
+    (key,) = sim.controller.records
+    assert key in rules and (key[2], key[3], key[0], key[1]) in rules
+    assert not sim.trace(1).violations
+
+
 def echo_flows(sim):
     """Distinct echo request keys (dport 7) that reached the controller."""
     return len({ev.fields["conn"] for ev in sim.controller.events
@@ -824,6 +844,48 @@ def test_jittered_e2_exports_match_recorded_hashes(tmp_path):
     digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
                     for key in ("attacker", "controller", "summary", "meta"))
     assert digests == JITTERED_E2_SHA256
+
+
+# SHA-256 of the four exports of small background documents (3 x 5 flows,
+# 2 repetitions) on 710 µs links: emissions, 71 µs apart, tie with link
+# deliveries, and the packet-in FIFO waits (and at 710 µs of service its
+# events tie with both). Keyed by controller service time and link jitter.
+TIED_BACKGROUND_SHA256 = {
+    (100, "none"): (
+        "70706301214117afe8a310c0e635c589c1886674667df741beda6a091fe177cb",
+        "e7e76a9229fa81a3002db82432c52d021ecde4a27a0d838ffa6c7d27fcef8f04",
+        "ca6519c4b89b609eaad0a2da6192f23d07cc5482d7b82cfeb57c5e2804f42d40",
+        "d146f5fd1d9f7268eeadb53c8cc8082fb95d6e5a10d59e102e7c0922c9d56de2"),
+    (100, "uniform"): (
+        "18786f2f00874722abbe3eb88128adc3e481999076e6f56ffa7493929e98eedb",
+        "dc8112d6dc9330e2f17a4106dbedf7f671efde73e435a15bbecbcba3e418c3c6",
+        "3b189318cbe804801ca2f2c2e5e8d68832250c3695bfd7b4874a052b022bfad5",
+        "d146f5fd1d9f7268eeadb53c8cc8082fb95d6e5a10d59e102e7c0922c9d56de2"),
+    (710, "none"): (
+        "8fc7dabac0f2b78235c31061661e91bcf5e440c55a0616851b3c6bd4e702bd4b",
+        "1984de0d0ec6faaedc31ec96b38f897816551b5eba9fe5acc4de73fbc4714d00",
+        "ca6519c4b89b609eaad0a2da6192f23d07cc5482d7b82cfeb57c5e2804f42d40",
+        "d146f5fd1d9f7268eeadb53c8cc8082fb95d6e5a10d59e102e7c0922c9d56de2"),
+    (710, "uniform"): (
+        "8577fc88ab036135744ff883b08ef1b61018c17fcc65bb7ab4bc19dd79954ee2",
+        "2a1b9c19112055a9546fc665a7d012ca30101d17908c2a3b241d90e04b7f206c",
+        "3b189318cbe804801ca2f2c2e5e8d68832250c3695bfd7b4874a052b022bfad5",
+        "d146f5fd1d9f7268eeadb53c8cc8082fb95d6e5a10d59e102e7c0922c9d56de2"),
+}
+
+
+@pytest.mark.parametrize("service,jitter", sorted(TIED_BACKGROUND_SHA256))
+def test_tied_background_exports_match_recorded_hashes(tmp_path, service, jitter):
+    scenario = scenario_from_dict(minimal_doc(
+        repetitions=2, controller_service_us=service,
+        link={"base_delay_us": 710,
+              "jitter": {"kind": "uniform", "a": 0, "b": 300} if jitter == "uniform"
+              else {"kind": "none"}},
+        background={"n_hosts": 3, "procs_per_host": 5}))
+    files = export_run(scenario, run_experiment(scenario), tmp_path)
+    digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
+                    for key in ("attacker", "controller", "summary", "meta"))
+    assert digests == TIED_BACKGROUND_SHA256[(service, jitter)]
 
 
 def test_export_run_writes_file_set(tmp_path):
