@@ -359,6 +359,10 @@ class Simulation:
         self.horizon = (attacker_start + 50_000
                         + (scenario.total_packets + 2) * scenario.request_interval_us
                         + latency_us * 3 + 105_000)
+        # the horizon leaves out the handshake's and the last response's
+        # round trips: 8 link crossings, each at most base delay + jitter
+        jitter = scenario.link_jitter and scenario.link_jitter.upper()
+        self.deadline = self.horizon + 8 * (scenario.link_base_delay_us + (jitter or 0))
         if scenario.background:
             spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,
@@ -366,7 +370,13 @@ class Simulation:
         self.attacker.start(attacker_start)
 
     def run(self) -> None:
-        self.engine.run_until(self.horizon)
+        """Run to the horizon, then on while the attacker still waits for a
+        response, event time by event time, up to ``deadline``."""
+        engine = self.engine
+        engine.run_until(self.horizon)
+        while not self.attacker.complete and (t := engine.next_time()) is not None \
+                and t <= self.deadline:
+            engine.run_until(t)
 
     def close(self) -> None:
         """Drop the wiring ``__init__`` built, each part of a reference

@@ -130,6 +130,9 @@ class AttackerHost(Host):
       * peer data always lands exactly at rcv_nxt (one gapless stream).
 
     Violations are collected, not raised, so a run can report all of them.
+    It also records ``sent_requests``, ``send_ts``/``recv_ts`` and, in
+    ``received``, each delivered payload in order, by reference: a server's
+    ``TcpEndpoint.app_send`` copies with ``bytes()``, so none can change.
     """
 
     def __init__(self, engine: Engine, name: str, addr: HostAddr,
@@ -146,7 +149,8 @@ class AttackerHost(Host):
         self.send_ts: dict[int, int] = {}
         self.recv_ts: dict[int, int] = {}   # keyed by the request a response acks
         self.sent_requests: list[bytes] = []
-        self.received_stream = bytearray()
+        self.received: list[bytes] = []
+        self._stream: Optional[bytearray] = None  # received, joined on read
         self._request_by_end: dict[int, int] = {}  # request end seq -> index
         self.violations: list[str] = []
 
@@ -196,7 +200,8 @@ class AttackerHost(Host):
         was_established = self.conn.state is ConnState.ESTABLISHED
         emitted, delivered = self.conn.on_segment(pkt)
         if delivered:
-            self.received_stream.extend(delivered)
+            self.received.append(delivered)
+            self._stream = None
             # a server answers each request segment as it consumes it, so
             # the response acks exactly that request's end
             self.recv_ts[self._request_by_end[pkt.ack]] = self.engine.now
@@ -207,6 +212,14 @@ class AttackerHost(Host):
             if self.total > 0:
                 self.engine.schedule_in(lambda: self._send_request(1),
                                         self.interval_us)
+
+    @property
+    def received_stream(self) -> bytearray:
+        """Every payload received so far, joined on the first read after a
+        chunk arrives; an edit to it lasts until the next chunk."""
+        if self._stream is None:
+            self._stream = bytearray().join(self.received)
+        return self._stream
 
     @property
     def complete(self) -> bool:

@@ -39,6 +39,7 @@ from honeysplice.harness import (
     write_summary_csv,
 )
 from honeysplice.cli import main as cli_main
+from honeysplice.endpoint import ServerApp
 from honeysplice.hosts import REQUEST_CACHE_SIZE, EchoHost, make_request
 from honeysplice.vswitch import Switch
 
@@ -431,6 +432,55 @@ def test_request_payloads_are_cached_and_shared_across_reps():
             bytes(oracle.attacker.received_stream)
 
 
+@pytest.mark.parametrize("delay", [40_000, 100_000])
+@pytest.mark.parametrize("migration", [True, False])
+def test_long_links_run_until_every_response_arrives(delay, migration):
+    """The horizon leaves out the handshake's and the last response's round
+    trips; the run goes on until the attacker has every response."""
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       link_base_delay_us=delay)
+    scenario.validate()
+    trace = run_single(scenario, 1, migration=migration).trace(1)
+    assert len(trace.records) == 120
+    assert not [v for v in trace.violations if "incomplete" in v]
+
+
+def test_bulk_view_is_held_by_reference_and_joined_on_read():
+    """At 64 KiB requests the attacker keeps each delivered payload as the
+    endpoint handed it over; the joined view equals the oracle and the
+    no-migration twin, is never stale mid-run, and keeps an edit until the
+    next payload arrives."""
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       request_size=65_536, repetitions=2)
+    for rep in (1, 2):
+        sim = run_single(scenario, rep)
+        twin = run_single(scenario, rep, migration=False)
+        attacker = sim.attacker
+        assert not sim.trace(rep).violations
+        app = ServerApp(harness.APP_ID)
+        expected = b"".join(app.respond(req) for req in attacker.sent_requests)
+        assert len(expected) > 120 * 65_536
+        assert bytes(attacker.received_stream) == expected
+        assert bytes(attacker.received_stream) == bytes(twin.attacker.received_stream)
+        assert all(type(chunk) is bytes for chunk in attacker.received)
+
+    sim = Simulation(scenario, simnet.derive_seed(scenario.seed, "rep:1"))
+    attacker = sim.attacker
+    sim.engine.run_until(sim.horizon // 2)
+    assert 0 < len(attacker.received) < 120
+    view = attacker.received_stream
+    assert bytes(view) == b"".join(attacker.received)
+    view[-1:] = b"?"
+    assert attacker.received_stream is view and view.endswith(b"?")
+    count = len(attacker.received)
+    while len(attacker.received) == count:
+        sim.engine.run_until(sim.engine.next_time())
+    assert bytes(attacker.received_stream) == b"".join(attacker.received)
+    assert not attacker.received_stream.endswith(b"?")
+    sim.run()
+    assert bytes(attacker.received_stream) == expected
+
+
 # -- background load ---------------------------------------------------------------------
 
 
@@ -817,9 +867,18 @@ EXPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
-def test_shipped_exports_match_recorded_hashes(tmp_path, name):
-    scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=3)
+# Each case: a shipped scenario and the fields it overrides. The exports
+# hold no payload byte, so e1 at 64 KiB requests keeps e1's four digests:
+# they cannot tell how the attacker keeps what it receives.
+EXPORT_CASES = {**{name: (name, {}) for name in EXPORT_SHA256},
+                "e1_redirect_bulk": ("e1_redirect", {"request_size": 65_536})}
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_shipped_exports_match_recorded_hashes(tmp_path, case):
+    name, overrides = EXPORT_CASES[case]
+    scenario = replace(load_scenario(builtin_scenario_path(name)),
+                       repetitions=3, **overrides)
     files = export_run(scenario, run_experiment(scenario), tmp_path)
     digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
                     for key in ("attacker", "controller", "summary", "meta"))
