@@ -19,8 +19,8 @@ Redirection, on an alert for an established connection:
   3. splice -- once the clone is up, the controller forges a three-way
      handshake with it while impersonating the attacker, replays the
      recorded pre-alert payloads so the clone's application state matches
-     the victim's (its responses are consumed, the attacker already has
-     them), and computes the stream offset between what the attacker
+     the victim's (the attacker already has their responses, which are
+     never built), and computes the stream offset between what the attacker
      expects and where the clone's send sequence actually is;
   4. rewrite -- the attacker direction's rule and the new server's
      reverse rule translate seq/ack by that offset (and rewrite addresses
@@ -357,28 +357,25 @@ class Controller:
         replies = server.deliver_oob(syn)
         if not replies or not (replies[0].flags & TcpFlags.SYN):
             raise RestoreFailed(f"server {server.name} refused forged handshake")
-        server_snd_nxt = seq_add(replies[0].seq, 1)
+        conn = server.conns[(record.attacker_addr.ip, key[1])]
         ack = TcpSegment(src=record.attacker_addr, dst=server.addr,
                          sport=key[1], dport=key[3],
-                         seq=replay_from, ack=server_snd_nxt,
+                         seq=replay_from, ack=conn.snd_nxt,
                          flags=TcpFlags.ACK)
         server.deliver_oob(ack)
 
         for seq, payload in entries:
-            seg = TcpSegment(src=record.attacker_addr, dst=server.addr,
-                             sport=key[1], dport=key[3],
-                             seq=seq, ack=server_snd_nxt,
-                             flags=TcpFlags.PSH | TcpFlags.ACK, payload=payload)
-            for emitted in server.deliver_oob(seg):
-                if emitted.payload:
-                    # response already delivered to the attacker by the
-                    # previous incumbent; consume it, track the position
-                    server_snd_nxt = seq_add(emitted.seq, len(emitted.payload))
+            # the previous incumbent already delivered the response to the
+            # attacker, so the server only moves its snd_nxt past it
+            server.replay_oob(TcpSegment(
+                src=record.attacker_addr, dst=server.addr, sport=key[1],
+                dport=key[3], seq=seq, ack=conn.snd_nxt,
+                flags=TcpFlags.PSH | TcpFlags.ACK, payload=payload))
         self.log("replayed", key, len(entries))
 
         # stream-position offsets: last_ack is the attacker's rcv_nxt in its
         # own (victim-anchored) coordinates
-        record.seq_delta = seq_sub(server_snd_nxt, record.last_ack)
+        record.seq_delta = seq_sub(conn.snd_nxt, record.last_ack)
 
         rkey = (server.addr.ip, key[3], key[0], key[1])
         if server.addr != record.serving.addr:

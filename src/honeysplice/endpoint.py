@@ -244,9 +244,17 @@ class ServerApp:
         self.request_count = 0
         self.request_log: list[bytes] = []
 
+    def _take(self, request: bytes) -> bytes:
+        """Count and log ``request``; return its response's tag."""
+        self.request_count += 1
+        self.request_log.append(request)
+        return b"#%06d|" % self.request_count
+
     def respond(self, request: bytes) -> bytes:
         """Echo the request tagged with the app id and a running count."""
-        self.request_count += 1
         request = bytes(request)
-        self.request_log.append(request)
-        return self._prefix + b"#%06d|" % self.request_count + request
+        return self._prefix + self._take(request) + request
+
+    def respond_len(self, request: bytes) -> int:
+        """``respond`` without building the response: return its length."""
+        return len(self._prefix) + len(self._take(bytes(request))) + len(request)

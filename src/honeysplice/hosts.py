@@ -5,11 +5,11 @@ one request per flow, which nothing answers.
 Each host owns an uplink toward the switch; the switch owns the downlink
 back. An echo host takes a port with no downlink: the switch forwards
 nothing out of it, so a request that reaches it schedules no delivery
-event. Servers can additionally be driven *out of band* (deliver_oob):
-the segment is processed normally but emissions are returned to the
-caller instead of transmitted. That is the seam the controller uses to
-forge handshakes and replay recorded payloads without touching the data
-plane.
+event. Servers can additionally be driven *out of band*, the seam the
+controller uses to splice without touching the data plane: deliver_oob
+processes a forged segment normally but returns its emissions instead of
+transmitting them (handshakes, RSTs), and replay_oob feeds a recorded
+request to the app and moves snd_nxt past its response, never built.
 """
 
 from __future__ import annotations
@@ -98,6 +98,15 @@ class ServerHost(Host):
     def deliver_oob(self, seg: TcpSegment) -> list[TcpSegment]:
         """Process a forged segment; return emissions instead of sending."""
         return self._handle(seg)
+
+    def replay_oob(self, seg: TcpSegment) -> None:
+        """Process a forged request whose response the peer already has:
+        the app takes it, and the endpoint's snd_nxt moves past the
+        response instead of emitting it."""
+        conn = self.conns[(seg.src.ip, seg.sport)]
+        delivered = conn.on_segment(seg)[1]
+        if delivered and conn.state is ConnState.ESTABLISHED:
+            conn.snd_nxt = seq_add(conn.snd_nxt, self.app.respond_len(delivered))
 
 
 # payloads kept by make_request: above the shipped sessions' 120 requests,

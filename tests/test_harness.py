@@ -481,6 +481,34 @@ def test_bulk_view_is_held_by_reference_and_joined_on_read():
     assert bytes(attacker.received_stream) == expected
 
 
+@pytest.mark.parametrize("name, size, victim, honey, replayed", [
+    # migration replays requests 1-99 into the honey server, which then
+    # serves 100-120 live
+    ("e1_redirect", 65_536, (99, 99), (21, 120), [99]),
+    # the restore replays the honey server's live requests 100-109 into
+    # the victim, which then serves 110-120 live
+    ("e4_restore", 32, (110, 120), (10, 109), [99, 10]),
+])
+def test_splice_replay_builds_no_response(monkeypatch, name, size, victim, honey,
+                                          replayed):
+    """A server builds a response only for the requests it serves live: a
+    replayed request counts in the app, but its response is never built."""
+    calls = {}
+    respond = ServerApp.respond
+
+    def counted(app, request):
+        calls[app] = calls.get(app, 0) + 1
+        return respond(app, request)
+
+    monkeypatch.setattr(ServerApp, "respond", counted)
+    scenario = replace(load_scenario(builtin_scenario_path(name)), request_size=size)
+    sim = run_single(scenario, 1)
+    assert sim.trace(1).violations == []
+    assert (calls[sim.victim.app], sim.victim.app.request_count) == victim
+    assert (calls[sim.honey.app], sim.honey.app.request_count) == honey
+    assert [e.rest[0] for e in sim.controller.events if e.kind == "replayed"] == replayed
+
+
 # -- background load ---------------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 delivers. The endpoint leaves it to its caller, so a server carries it on
 the response it builds and the attacker transmits a pure ACK."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from honeysplice.endpoint import ConnState, ServerApp, TcpEndpoint, fixed_iss
 from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add
@@ -48,6 +50,46 @@ def test_server_acks_data_that_ends_the_stream():
     assert (ack.flags, ack.payload, ack.ack) == (TcpFlags.ACK, b"", seq_add(seg.seq, 4))
     assert server.conns[(ATT.ip, 40001)].state is ConnState.CLOSE_WAIT
     assert server.app.request_count == 0
+
+
+def test_replay_builds_no_segment(monkeypatch):
+    server, client = connected_server()
+    request = client.app_send(b"hello")
+    built = []
+    monkeypatch.setattr(TcpSegment, "__init__", lambda seg, *a, **k: built.append(seg))
+    server.replay_oob(request)
+    assert built == []
+    assert server.app.request_log == [b"hello"]
+    assert server.conns[(ATT.ip, 40001)].snd_nxt == \
+        seq_add(7001, len(b"svc#000001|hello"))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(segments=st.lists(st.tuples(st.integers(0, 70_000), st.integers(1, 70_000)),
+                         max_size=8),
+       start=st.sampled_from([0, 999_998]))
+@example(segments=[(0, 5), (0, 70_000), (3, 9), (0, 1)], start=999_998)
+def test_replay_matches_delivery(segments, start):
+    """Replaying a request leaves a server where delivering it out of band
+    does, for duplicates and overlaps too, and across the widening of the
+    response tag at request 1,000,000. Each (back, size) segment starts
+    ``back`` bytes before the stream's end and carries ``size`` bytes."""
+    delivered, replayed = connected_server()[0], connected_server()[0]
+    for server in (delivered, replayed):
+        server.app.request_count = start
+    total = sum(size for _, size in segments)
+    stream = (bytes(range(251)) * (total // 251 + 1))[:total]
+    end = 0
+    for back, size in segments:
+        at = max(0, end - back)
+        seg = TcpSegment(ATT, SRV, 40001, 9000, seq_add(101, at), 0,
+                         TcpFlags.PSH | TcpFlags.ACK, stream[at:at + size])
+        delivered.deliver_oob(seg)
+        replayed.replay_oob(seg)
+        end = max(end, at + size)
+    d, r = ((s.app.request_count, s.app.request_log, s.conns[(ATT.ip, 40001)].rcv_nxt,
+             s.conns[(ATT.ip, 40001)].snd_nxt) for s in (delivered, replayed))
+    assert r == d
 
 
 def test_attacker_acks_each_response_it_delivers():
