@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -189,6 +190,10 @@ class Scenario:
             raise ConfigError("honey_addr_mode", f"unknown mode {self.honey_addr_mode!r}")
         if not 0.0 <= self.clone_failure_p <= 1.0:
             raise ConfigError("clone.failure_p", "must be in [0, 1]")
+        # a drawn delay is rounded to whole µs, which NaN and infinity fail
+        jitter = self.link_jitter
+        if jitter is not None and not (math.isfinite(jitter.a) and math.isfinite(jitter.b)):
+            raise ConfigError("link.jitter", "a and b must be finite")
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
@@ -242,10 +247,10 @@ def scenario_from_dict(doc: dict, base_dir: Optional[Path] = None) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; ConfigError names the bad field."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("path", f"no such scenario file: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("path", f"cannot read scenario file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("document", f"invalid JSON: {exc}") from None
     return scenario_from_dict(doc, base_dir=path.parent)
@@ -277,6 +282,7 @@ class LatencyTrace(NamedTuple):
 
 class Simulation:
     """One wired repetition: topology, detection, controller, attacker.
+    It ends when its traffic does: ``run`` drains the event queue.
 
     Its wiring holds reference cycles: dropped unclosed, it lives until the
     cyclic collector runs; after ``close`` it is freed with its last
@@ -355,28 +361,17 @@ class Simulation:
 
             self.ids.subscribe(route)
 
-        attacker_start = 200_000 if scenario.background else 10_000
-        self.horizon = (attacker_start + 50_000
-                        + (scenario.total_packets + 2) * scenario.request_interval_us
-                        + latency_us * 3 + 105_000)
-        # the horizon leaves out the handshake's and the last response's
-        # round trips: 8 link crossings, each at most base delay + jitter
-        jitter = scenario.link_jitter and scenario.link_jitter.upper()
-        self.deadline = self.horizon + 8 * (scenario.link_base_delay_us + (jitter or 0))
         if scenario.background:
             spawn_background_load(
                 self.engine, self.switch, scenario.background, link_model,
                 register_host=lambda h: self.controller.register_port(h.addr.ip, h.port))
-        self.attacker.start(attacker_start)
+        self.attacker.start(200_000 if scenario.background else 10_000)
 
     def run(self) -> None:
-        """Run to the horizon, then on while the attacker still waits for a
-        response, event time by event time, up to ``deadline``."""
-        engine = self.engine
-        engine.run_until(self.horizon)
-        while not self.attacker.complete and (t := engine.next_time()) is not None \
-                and t <= self.deadline:
-            engine.run_until(t)
+        """Dispatch until no event is pending. Every event source is finite:
+        the attacker's timer, echo emitter and hold sweep each stop, and
+        nothing answers a pure ACK or sends a packet back into the switch."""
+        self.engine.run_until(sys.maxsize)  # int, not math.inf: compares int to int
 
     def close(self) -> None:
         """Drop the wiring ``__init__`` built, each part of a reference

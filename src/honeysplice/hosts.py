@@ -129,9 +129,10 @@ def make_request(index: int, size: int) -> bytes:
 class AttackerHost(Host):
     """Scripted client: the measurement instrument.
 
-    Sends one fixed-size request every ``interval_us`` (pipelined on a
-    timer, not lockstep), records per-request RTTs, and checks the
-    stealth invariants on every inbound segment:
+    Sends one request every ``interval_us`` (pipelined on a timer, not
+    lockstep), each ``request_size`` bytes or, given ``size_rng``, a size
+    drawn from 1..``request_size``; records per-request RTTs, and checks
+    the stealth invariants on every inbound segment:
 
       * it never receives RST or FIN (it never closes, so any FIN is
         unsolicited);

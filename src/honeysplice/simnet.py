@@ -61,12 +61,6 @@ class Distribution:
             v = rng.normalvariate(self.a, self.b)
         return max(0, round(v))
 
-    def upper(self) -> Optional[int]:
-        """The largest value ``sample`` can return; None for ``normal``."""
-        if self.kind == "normal":
-            return None
-        return max(0, round(self.a if self.kind == "fixed" else max(self.a, self.b)))
-
 
 class LinkModel(NamedTuple):
     """Delivery delay model for one link: base delay plus optional jitter."""
@@ -148,10 +142,6 @@ class Engine:
 
     def schedule_in(self, fn: Callable[[], None], delay: int) -> int:
         return self.schedule(fn, self.now + delay)
-
-    def next_time(self) -> Optional[int]:
-        """Time of the earliest pending event; None when nothing is pending."""
-        return min((q[0][0] for q in (self._lane, self._queue) if q), default=None)
 
     def run_until(self, t_end: int) -> int:
         """Dispatch every event with time <= t_end; returns the count.

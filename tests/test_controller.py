@@ -6,6 +6,8 @@ its own fixed ISN; delta expectations below were computed with the
 modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
 
+import sys
+
 import pytest
 
 from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
@@ -89,12 +91,10 @@ class Mini:
 
         self.ids.subscribe(route)
         self.attacker.start(10_000)
-        self.total = total
-        self.interval_us = interval_us
 
-    def run(self, extra_us=200_000):
-        horizon = 10_000 + 50_000 + (self.total + 2) * self.interval_us + extra_us
-        self.engine.run_until(horizon)
+    def run(self):
+        """Dispatch until no event is pending, as ``Simulation.run`` does."""
+        self.engine.run_until(sys.maxsize)
 
     def events(self, kind):
         return [ev for ev in self.controller.events if ev.kind == kind]

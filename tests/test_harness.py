@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -205,6 +206,9 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"link": {"jitter": {"kind": "uniform", "a": 0, "b": 2, "sigma": 1}}},
      "link.jitter.sigma"),
     ({"link": {"jitter": {"kind": "none", "sigma": 1}}}, "link.jitter.sigma"),
+    # JSON's NaN and Infinity literals load as floats, but no delay rounds them
+    ({"link": {"jitter": {"kind": "uniform", "a": math.nan, "b": 1}}}, "link.jitter"),
+    ({"link": {"jitter": {"kind": "normal", "a": 0, "b": math.inf}}}, "link.jitter"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -466,15 +470,17 @@ def test_bulk_view_is_held_by_reference_and_joined_on_read():
 
     sim = Simulation(scenario, simnet.derive_seed(scenario.seed, "rep:1"))
     attacker = sim.attacker
-    sim.engine.run_until(sim.horizon // 2)
+    t = 700_000  # mid-session: requests go out from 10 ms to 1.2 s
+    sim.engine.run_until(t)
     assert 0 < len(attacker.received) < 120
     view = attacker.received_stream
     assert bytes(view) == b"".join(attacker.received)
     view[-1:] = b"?"
     assert attacker.received_stream is view and view.endswith(b"?")
     count = len(attacker.received)
-    while len(attacker.received) == count:
-        sim.engine.run_until(sim.engine.next_time())
+    while len(attacker.received) == count:  # stop in the µs the next one arrives
+        t += 1
+        sim.engine.run_until(t)
     assert bytes(attacker.received_stream) == b"".join(attacker.received)
     assert not attacker.received_stream.endswith(b"?")
     sim.run()
@@ -1112,8 +1118,8 @@ def rep_refs(monkeypatch):
 
 RECLAIM_CASES = {
     "background": {"background": {"n_hosts": 2, "procs_per_host": 2}},
-    # the attacker's last ack is still on a link when the horizon ends the
-    # run (see test_the_in_flight_case_ends_with_a_delivery_pending)
+    # long links and a long interval: the attacker's last ack lands 150 ms
+    # after its last response
     "in-flight": {"link": {"base_delay_us": 150_000},
                   "request": {"interval_us": 610_000}},
     "on-demand": {"clone": {"on_demand": True}, "containment": "on_clone_ready"},
@@ -1134,12 +1140,29 @@ def test_run_experiment_frees_each_repetition(tmp_path, rep_refs, overrides):
     assert [ref() for ref in rep_refs] == [None] * 8
 
 
-@pytest.mark.parametrize("rep", [1, 2])
-def test_the_in_flight_case_ends_with_a_delivery_pending(rep):
-    sim = run_single(scenario_from_dict(minimal_doc(**RECLAIM_CASES["in-flight"])), rep)
-    assert not sim.trace(rep).violations
-    pending = [fn for _, _, fn in [*sim.engine._queue, *sim.engine._lane]]
-    assert any(isinstance(fn, simnet._Delivery) for fn in pending)
+# Each case: a shipped scenario and the fields it overrides, or (None, the
+# overrides of minimal_doc).
+DRAIN_CASES = {
+    **{name: (name, {}) for name in EXPORT_SHA256},
+    **{f"link-{delay}": ("e1_redirect", {"link_base_delay_us": delay})
+       for delay in (40_000, 100_000)},
+    **{f"reclaim-{case}": (None, doc) for case, doc in RECLAIM_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", DRAIN_CASES)
+def test_a_repetition_runs_until_no_event_is_pending(tmp_path, case):
+    """``run`` dispatches until the heap and the lane are both empty, and
+    by then the attacker has every response."""
+    name, overrides = DRAIN_CASES[case]
+    if name is None:
+        (tmp_path / "m.rules").write_text(RULES, encoding="utf-8")
+        scenario = scenario_from_dict(minimal_doc(**overrides), base_dir=tmp_path)
+    else:
+        scenario = replace(load_scenario(builtin_scenario_path(name)), **overrides)
+    sim = run_single(scenario, 1)
+    assert not sim.engine._queue and not sim.engine._lane
+    assert not [v for v in sim.trace(1).violations if "incomplete" in v]
 
 
 def test_strict_raise_frees_the_failing_repetition(rep_refs, lost_response):
@@ -1208,6 +1231,19 @@ def test_cli_config_error_exit_code(tmp_path):
 
 def test_cli_unknown_scenario_exit_code():
     assert cli_main(["run", "no_such_scenario"]) == 2
+
+
+def test_cli_check_of_a_directory_is_config_error(tmp_path, capsys):
+    assert cli_main(["check", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: path: ")
+
+
+def test_cli_check_of_a_file_not_in_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(minimal_doc(name="caf\u00e9"), ensure_ascii=False)
+                     .encode("latin-1"))
+    assert cli_main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: path: ")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

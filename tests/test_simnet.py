@@ -232,27 +232,6 @@ def test_latency_samples_nonnegative():
     assert all(dist.sample(rng) >= 0 for _ in range(200))
 
 
-def test_distribution_upper_bounds_every_sample():
-    rng = Engine(1).stream("d")
-    for dist in (Distribution("fixed", 300), Distribution("fixed", -5),
-                 Distribution("uniform", 0, 300), Distribution("uniform", 300.4, -100)):
-        assert max(dist.sample(rng) for _ in range(200)) <= dist.upper()
-    assert Distribution("uniform", 0, 300).upper() == 300
-    assert Distribution("normal", 0, 200).upper() is None
-
-
-def test_next_time_reads_the_earliest_of_lane_and_heap():
-    eng = Engine(seed=1)
-    assert eng.next_time() is None
-    Link(eng, "l", LinkModel(50), lambda pkt: None).send("p")  # lane, at 50
-    eng.schedule(lambda: None, 70)
-    assert eng.next_time() == 50
-    eng.schedule(lambda: None, 20)
-    assert eng.next_time() == 20
-    eng.run_until(50)
-    assert eng.next_time() == 70
-
-
 def test_distribution_unknown_kind():
     with pytest.raises(ValueError):
         Distribution("exponential", 1.0)
