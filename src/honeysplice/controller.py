@@ -250,8 +250,8 @@ class Controller:
                 self.switch.install_rule((dst, pkt.dport, src, pkt.sport),
                                          self._forward[src_port])
             events.append(tuple.__new__(ControllerEvent, (now, "flow_rules", key, ())))
-        events.append(tuple.__new__(ControllerEvent, (now, "packet_in", key, ())))
-        self.switch.release_held(hold_id)
+        if self.switch.release_held(hold_id):  # not when the hold has expired
+            events.append(tuple.__new__(ControllerEvent, (now, "packet_in", key, ())))
 
     # -- migration --------------------------------------------------------------
 

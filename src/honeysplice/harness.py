@@ -150,8 +150,29 @@ class Scenario:
         return self.trigger_n if self.trigger_kind == "nth_packet" else None
 
     def validate(self) -> None:
-        if self.total_packets < 1:
-            raise ConfigError("total_packets", "must be >= 1")
+        # Below, a negative delay schedules an event in the past or cuts the
+        # run short. Above, no event time reaches the drain bound, sys.maxsize
+        # (9.2e18): request gaps sum to <= 1e6 x 1e12 µs, the controller
+        # serves <= 1e6 echo misses and a few TCP ones at <= 1e12 each, and
+        # an event chain adds a few dozen crossings of <= 1e12 + 13.2e12 (a
+        # normal draw lies within 12.2 sigma), clones and hold sweeps: ~2e18.
+        most_us, most_n = 10**12, 10**6
+        bg = self.background or BackgroundLoadSpec(0, 0)
+        bounds = [("total_packets", self.total_packets, 1, most_n),
+                  ("request.size", self.request_size, 1, math.inf),
+                  ("request.interval_us", self.request_interval_us, 1, most_us),
+                  ("repetitions", self.repetitions, 1, math.inf),
+                  ("link.base_delay_us", self.link_base_delay_us, 0, most_us),
+                  ("controller_service_us", self.controller_service_us, 0, most_us),
+                  ("background.n_hosts", bg.n_hosts, 0, most_n),
+                  ("background.procs_per_host", bg.procs_per_host, 0, math.inf)]
+        for key, value, least, most in bounds:
+            if value < least:
+                raise ConfigError(key, f"must be >= {least}")
+            if value > most:
+                raise ConfigError(key, f"must be <= {most}")
+        if bg.n_hosts * bg.procs_per_host > most_n:
+            raise ConfigError("background", f"n_hosts x procs_per_host must be <= {most_n}")
         if self.trigger_kind == "nth_packet":
             if not 1 <= self.trigger_n <= self.total_packets:
                 raise ConfigError("trigger.n",
@@ -171,29 +192,16 @@ class Scenario:
                 raise ConfigError("restore_at", "must be >= 1")
             if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
-        # lower bounds: a negative delay schedules an event in the past or
-        # cuts the run short
-        bounds = [("request.size", self.request_size, 1),
-                  ("request.interval_us", self.request_interval_us, 1),
-                  ("repetitions", self.repetitions, 1),
-                  ("link.base_delay_us", self.link_base_delay_us, 0),
-                  ("controller_service_us", self.controller_service_us, 0)]
-        if self.background is not None:
-            bounds += [("background.n_hosts", self.background.n_hosts, 0),
-                       ("background.procs_per_host", self.background.procs_per_host, 0)]
-        for key, value, least in bounds:
-            if value < least:
-                raise ConfigError(key, f"must be >= {least}")
         if self.containment not in ("immediate", "on_clone_ready"):
             raise ConfigError("containment", f"unknown mode {self.containment!r}")
         if self.honey_addr_mode not in ("same", "distinct"):
             raise ConfigError("honey_addr_mode", f"unknown mode {self.honey_addr_mode!r}")
         if not 0.0 <= self.clone_failure_p <= 1.0:
             raise ConfigError("clone.failure_p", "must be in [0, 1]")
-        # a drawn delay is rounded to whole µs, which NaN and infinity fail
+        # NaN and infinity fail the bound too: no delay rounds them
         jitter = self.link_jitter
-        if jitter is not None and not (math.isfinite(jitter.a) and math.isfinite(jitter.b)):
-            raise ConfigError("link.jitter", "a and b must be finite")
+        if jitter is not None and not all(abs(v) <= most_us for v in (jitter.a, jitter.b)):
+            raise ConfigError("link.jitter", f"|a| and |b| must be <= {most_us}")
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
@@ -309,15 +317,15 @@ class Simulation:
         self.victim.attach(self.switch, link_model)
         self.controller.register_server(self.victim)
 
+        # random sizes draw in request order from a stream only this reads
+        sizes = [scenario.request_size] * scenario.total_packets
+        if scenario.request_size_random:
+            rng = self.engine.stream("attacker:size")
+            sizes = [rng.randint(1, size) for size in sizes]
         self.attacker = AttackerHost(
             self.engine, "attacker", ATTACKER_ADDR,
-            VICTIM_ADDR, SERVER_PORT, ATTACKER_SPORT,
-            iss_policy("attacker"),
-            total_requests=scenario.total_packets,
-            interval_us=scenario.request_interval_us,
-            request_size=scenario.request_size,
-            size_rng=(self.engine.stream("attacker:size")
-                      if scenario.request_size_random else None))
+            VICTIM_ADDR, SERVER_PORT, ATTACKER_SPORT, iss_policy("attacker"),
+            requests=[(scenario.request_interval_us, size) for size in sizes])
         self.attacker.attach(self.switch, link_model)
         self.controller.register_port(ATTACKER_ADDR.ip, self.attacker.port)
 

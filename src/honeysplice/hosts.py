@@ -1,6 +1,6 @@
-"""Hosts attached to the switch: the scripted attacker client, TCP servers
-(victim and honey alike), and the echo hosts that send background load:
-one request per flow, which nothing answers.
+"""Hosts attached to the switch: the attacker, which plays a request
+schedule, TCP servers (victim and honey alike), and the echo hosts that
+send background load: one request per flow, which nothing answers.
 
 Each host owns an uplink toward the switch; the switch owns the downlink
 back. An echo host takes a port with no downlink: the switch forwards
@@ -15,7 +15,7 @@ request to the app and moves snd_nxt past its response, never built.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
 from .netcore import HostAddr, TcpFlags, TcpSegment, seq_add
@@ -89,9 +89,7 @@ class ServerHost(Host):
             return [conn.ack_now()]
         return emitted
 
-    def deliver(self, pkt) -> None:
-        if not isinstance(pkt, TcpSegment):
-            return
+    def deliver(self, pkt: TcpSegment) -> None:
         for seg in self._handle(pkt):
             self.transmit(seg)
 
@@ -129,10 +127,11 @@ def make_request(index: int, size: int) -> bytes:
 class AttackerHost(Host):
     """Scripted client: the measurement instrument.
 
-    Sends one request every ``interval_us`` (pipelined on a timer, not
-    lockstep), each ``request_size`` bytes or, given ``size_rng``, a size
-    drawn from 1..``request_size``; records per-request RTTs, and checks
-    the stealth invariants on every inbound segment:
+    Plays ``requests``, a schedule of ``(gap_us, size)`` pairs: request k
+    (numbered from 1) is ``size`` bytes, sent ``gap_us`` after request
+    k - 1 or, for the first, after the handshake completes (pipelined on a
+    timer, not lockstep). It records per-request RTTs, and checks the
+    stealth invariants on every inbound segment:
 
       * it never receives RST or FIN (it never closes, so any FIN is
         unsolicited);
@@ -147,15 +146,10 @@ class AttackerHost(Host):
 
     def __init__(self, engine: Engine, name: str, addr: HostAddr,
                  server_addr: HostAddr, server_port: int, sport: int,
-                 iss_policy: IssPolicy, total_requests: int,
-                 interval_us: int, request_size: int = 32,
-                 size_rng=None):
+                 iss_policy: IssPolicy, requests: Sequence[tuple[int, int]]):
         super().__init__(engine, name, addr)
         self.conn = TcpEndpoint(addr, sport, server_addr, server_port, iss_policy)
-        self.total = total_requests
-        self.interval_us = interval_us
-        self.request_size = request_size
-        self._size_rng = size_rng  # when set, sizes draw uniform 1..request_size
+        self.requests = requests
         self.send_ts: dict[int, int] = {}
         self.recv_ts: dict[int, int] = {}   # keyed by the request a response acks
         self.sent_requests: list[bytes] = []
@@ -172,19 +166,17 @@ class AttackerHost(Host):
     def _open(self) -> None:
         self.transmit(self.conn.open())
 
-    def _send_request(self, index: int) -> None:
-        size = self.request_size
-        if self._size_rng is not None:
-            size = self._size_rng.randint(1, self.request_size)
-        payload = make_request(index, size)
+    def _send_next(self) -> None:
+        """Send the next request of the schedule and schedule the one after."""
+        k = len(self.sent_requests) + 1  # requests are numbered from 1
+        payload = make_request(k, self.requests[k - 1][1])
         seg = self.conn.app_send(payload)
         self.sent_requests.append(payload)
-        self.send_ts[index] = self.engine.now
-        self._request_by_end[seq_add(seg.seq, len(payload))] = index
+        self.send_ts[k] = self.engine.now
+        self._request_by_end[seq_add(seg.seq, len(payload))] = k
         self.transmit(seg)
-        if index < self.total:
-            self.engine.schedule_in(lambda i=index + 1: self._send_request(i),
-                                    self.interval_us)
+        if k < len(self.requests):
+            self.engine.schedule_in(self._send_next, self.requests[k][0])
 
     # -- inbound -----------------------------------------------------------
 
@@ -203,9 +195,7 @@ class AttackerHost(Host):
                     f"t={self.engine.now} peer seq gap: got {seg.seq}, "
                     f"expected {self.conn.rcv_nxt}")
 
-    def deliver(self, pkt) -> None:
-        if not isinstance(pkt, TcpSegment):
-            return
+    def deliver(self, pkt: TcpSegment) -> None:
         self._check_stealth(pkt)
         was_established = self.conn.state is ConnState.ESTABLISHED
         emitted, delivered = self.conn.on_segment(pkt)
@@ -219,9 +209,8 @@ class AttackerHost(Host):
         for seg in emitted:
             self.transmit(seg)
         if not was_established and self.conn.state is ConnState.ESTABLISHED:
-            if self.total > 0:
-                self.engine.schedule_in(lambda: self._send_request(1),
-                                        self.interval_us)
+            if self.requests:
+                self.engine.schedule_in(self._send_next, self.requests[0][0])
 
     @property
     def received_stream(self) -> bytearray:
@@ -233,7 +222,7 @@ class AttackerHost(Host):
 
     @property
     def complete(self) -> bool:
-        return len(self.recv_ts) >= self.total
+        return len(self.recv_ts) >= len(self.requests)
 
 
 class EchoHost(Host):

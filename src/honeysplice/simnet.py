@@ -40,8 +40,9 @@ def derive_seed(root: int, tag: str) -> int:
 class Distribution:
     """A latency/jitter distribution: fixed(a), uniform(a, b) or normal(a, b).
 
-    ``sample`` returns integer microseconds clamped at zero. ``fixed``
-    never touches the RNG, so a no-jitter link makes no draws at all.
+    ``sample`` returns integer microseconds, negative ones too: a link
+    clamps only their sum with its base delay at zero. ``fixed`` never
+    touches the RNG, so a no-jitter link makes no draws at all.
     """
 
     kind: str  # "fixed" | "uniform" | "normal"
@@ -59,7 +60,7 @@ class Distribution:
             v = rng.uniform(self.a, self.b)
         else:
             v = rng.normalvariate(self.a, self.b)
-        return max(0, round(v))
+        return round(v)
 
 
 class LinkModel(NamedTuple):

@@ -55,7 +55,7 @@ class Mini:
 
         self.attacker = AttackerHost(self.engine, "attacker", ATT, VIC, 9000,
                                      40001, fixed_iss(attacker_iss),
-                                     total_requests=total, interval_us=interval_us)
+                                     requests=[(interval_us, 32)] * total)
         self.attacker.attach(self.switch, link)
         self.controller.register_port(ATT.ip, self.attacker.port)
 
@@ -156,7 +156,7 @@ def test_miss_on_a_migrated_connection_is_dropped():
 def test_rtts_keyed_by_the_request_each_response_acks():
     engine = Engine(5)
     attacker = AttackerHost(engine, "attacker", ATT, VIC, 9000, 40001,
-                            fixed_iss(100), total_requests=3, interval_us=10)
+                            fixed_iss(100), requests=[(10, 32)] * 3)
     sent = []
     attacker.transmit = sent.append
     attacker.start(0)

@@ -104,6 +104,18 @@ def test_bad_jitter_kind_rejected():
         scenario_from_dict(minimal_doc(link={"jitter": {"kind": "pareto"}}))
 
 
+def test_symmetric_jitter_is_unbiased():
+    """uniform(-100, 100) shortens a crossing as often as it lengthens one:
+    some round trip of four 1,000 µs crossings takes less than 4,000 µs,
+    and the mean stays near 4,000 µs."""
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       repetitions=3,
+                       link_jitter=simnet.Distribution("uniform", -100, 100))
+    rtts = [r.rtt_us for trace in run_experiment(scenario) for r in trace.records]
+    assert len(rtts) == 360 and min(rtts) < 4000
+    assert abs(math.fsum(rtts) / len(rtts) - 4000) <= 40
+
+
 RESTORE_DELAYS = [0, 1, 500, 1000, 1500]
 
 
@@ -209,6 +221,13 @@ def test_invalid_json_is_config_error(tmp_path):
     # JSON's NaN and Infinity literals load as floats, but no delay rounds them
     ({"link": {"jitter": {"kind": "uniform", "a": math.nan, "b": 1}}}, "link.jitter"),
     ({"link": {"jitter": {"kind": "normal", "a": 0, "b": math.inf}}}, "link.jitter"),
+    # upper bounds: no event of an accepted run lands past the drain bound
+    ({"link": {"base_delay_us": 10**19}}, "link.base_delay_us"),
+    ({"total_packets": 10**6 + 1}, "total_packets"),
+    ({"request": {"interval_us": 10**12 + 1}}, "request.interval_us"),
+    ({"controller_service_us": 10**13}, "controller_service_us"),
+    ({"link": {"jitter": {"kind": "uniform", "a": -10**13, "b": 0}}}, "link.jitter"),
+    ({"background": {"n_hosts": 1001, "procs_per_host": 1000}}, "background"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -436,6 +455,19 @@ def test_request_payloads_are_cached_and_shared_across_reps():
             bytes(oracle.attacker.received_stream)
 
 
+# SHA-256 of the requests the attacker sends in rep 1 of random scenarios
+# 0..4, joined in that order. No export holds a payload or its size, so
+# this is what pins the order of the ``attacker:size`` draws.
+RANDOM_SIZE_REQUESTS_SHA256 = \
+    "a6c3d2e9eb1b7b59846560688962e8783b8cc0ae30caf17fb8534ef72dd78f9c"
+
+
+def test_random_request_sizes_match_recorded_hash():
+    sent = b"".join(b"".join(run_single(random_scenario(i), 1).attacker.sent_requests)
+                    for i in range(5))
+    assert hashlib.sha256(sent).hexdigest() == RANDOM_SIZE_REQUESTS_SHA256
+
+
 @pytest.mark.parametrize("delay", [40_000, 100_000])
 @pytest.mark.parametrize("migration", [True, False])
 def test_long_links_run_until_every_response_arrives(delay, migration):
@@ -447,6 +479,17 @@ def test_long_links_run_until_every_response_arrives(delay, migration):
     trace = run_single(scenario, 1, migration=migration).trace(1)
     assert len(trace.records) == 120
     assert not [v for v in trace.violations if "incomplete" in v]
+
+
+def test_a_packet_in_past_its_hold_logs_rules_but_no_release():
+    """The controller answers the SYN's miss after the switch has let its
+    hold expire: the rules are installed, but no packet is released."""
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       controller_service_us=2_000_000)
+    sim = run_single(scenario, 1)
+    assert [(ev.time_us, ev.kind) for ev in sim.controller.events] == \
+        [(2_011_000, "flow_rules")]
+    assert sim.switch.stats["hold_expired"] == 1
 
 
 def test_bulk_view_is_held_by_reference_and_joined_on_read():

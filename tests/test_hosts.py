@@ -95,7 +95,7 @@ def test_replay_matches_delivery(segments, start):
 def test_attacker_acks_each_response_it_delivers():
     engine = Engine(5)
     attacker = AttackerHost(engine, "attacker", ATT, SRV, 9000, 40001,
-                            fixed_iss(100), total_requests=1, interval_us=10)
+                            fixed_iss(100), requests=[(10, 32)])
     sent = []
     attacker.transmit = sent.append
     attacker.start(0)

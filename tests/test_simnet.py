@@ -216,7 +216,14 @@ def test_derive_seed_stable():
 def test_distribution_fixed_and_clamp():
     rng = Engine(1).stream("d")
     assert Distribution("fixed", 30_000).sample(rng) == 30_000
-    assert Distribution("fixed", -5).sample(rng) == 0
+    # a draw may be negative; the link clamps the total delay at 0
+    assert Distribution("fixed", -5).sample(rng) == -5
+    eng = Engine(1)
+    arrivals = []
+    link = Link(eng, "l0", LinkModel(3, Distribution("fixed", -5)), arrivals.append)
+    eng.schedule(lambda: link.send(eng.now), 100)
+    eng.run_until(10_000)
+    assert arrivals == [100] and eng.now == 100
 
 
 def test_distribution_uniform_bounds():
@@ -227,9 +234,18 @@ def test_distribution_uniform_bounds():
 
 
 def test_latency_samples_nonnegative():
-    rng = Engine(3).stream("t")
+    # draws from normal(1000, 5000) are often negative, but no link delivers
+    # a packet before it was sent
     dist = Distribution("normal", 1000, 5000)
-    assert all(dist.sample(rng) >= 0 for _ in range(200))
+    rng = Engine(3).stream("t")
+    assert min(dist.sample(rng) for _ in range(200)) < 0
+    eng = Engine(3)
+    delays = []
+    link = Link(eng, "l0", LinkModel(0, dist), lambda sent: delays.append(eng.now - sent))
+    for t in range(0, 200_000, 1000):
+        eng.schedule(lambda: link.send(eng.now), t)
+    eng.run_until(10**9)
+    assert len(delays) == 200 and min(delays) == 0
 
 
 def test_distribution_unknown_kind():
