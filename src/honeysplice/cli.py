@@ -67,10 +67,14 @@ def _print_summary(summary) -> None:
 
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed, args.reps)
+    out_dir = Path(args.out or f"out/{scenario.name}")
+    try:  # before any repetition runs: a path that cannot hold the exports
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory {out_dir}: {exc}") from None
     print(f"running {scenario.name}: {scenario.repetitions} repetition(s), "
           f"seed {scenario.seed}")
     traces = run_experiment(scenario, strict=False)
-    out_dir = args.out or f"out/{scenario.name}"
     summary = summarize(traces, scenario.trigger_index)
     files = export_run(scenario, traces, out_dir, summary)
     _print_summary(summary)

@@ -273,8 +273,7 @@ class Controller:
         victim = self.server_hosts[record.server_addr.ip]
         try:
             host = self.clonemgr.request_clone(
-                victim, lambda host, lat: self._on_clone_ready(
-                    record, host, lat, record.attacker_snd_nxt))
+                victim, lambda host, lat: self._on_clone_ready(record, host, lat))
         except CloneFailed:
             self.log("clone_failed", key, "open")
             record.transition(PHASE_RESTORED, self.engine.now)
@@ -282,14 +281,13 @@ class Controller:
 
         # This call is inside the triggering segment's mirror tap, so the
         # segment is still in flight through the switch. Containing now
-        # ("immediate", or a pre-built clone) keeps it from the victim: the
-        # victim consumes the stream up to its seq.
-        trigger_seq = alert.segment.seq
-        if self.containment == "immediate":
-            self._contain(record, trigger_seq)
+        # ("immediate", or a pre-built clone in either mode) keeps it from
+        # the victim: the victim consumes the stream up to its seq.
+        if self.containment == "immediate" or host is not None:
+            self._contain(record, alert.segment.seq)
         self.log("clone_requested", key)
         if host is not None:
-            self._on_clone_ready(record, host, 0, trigger_seq)
+            self._on_clone_ready(record, host, 0)
 
     def _contain(self, record: MigrationRecord, victim_pos: int) -> None:
         """Protect the victim: buffer the attacker's direction, and once the
@@ -312,10 +310,10 @@ class Controller:
         self._when_quiet(record, victim_pos, close_victim)
 
     def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
-                        latency_us: int, victim_pos: int) -> None:
+                        latency_us: int) -> None:
         self.log("clone_latency", record.key, latency_us)
-        if record.victim_pos is None:
-            self._contain(record, victim_pos)
+        if record.victim_pos is None:  # an on-demand clone, under on_clone_ready
+            self._contain(record, record.attacker_snd_nxt)
         self.log("splice_started", record.key)
         self._when_quiet(record, record.victim_pos, lambda: self._splice(
             record, host, seq_add(record.attacker_iss, 1), record.victim_pos,

@@ -84,32 +84,21 @@ def _json(*types):
 _int, _num, _str, _flag = _json(int), _json(int, float), _json(str), _json(bool)
 
 
-def _reject_unknown(doc: dict, section: str, names) -> None:
-    """Raise ConfigError naming ``<section>.<key>`` for the first key of
-    ``doc`` that is not one of ``names``."""
-    for k in doc.keys():
-        if k not in names:
-            raise ConfigError(f"{section}.{k}", "unknown key")
+# Below, a negative delay schedules an event in the past or cuts the run
+# short. Above, no event time reaches the drain bound, sys.maxsize (9.2e18):
+# request gaps sum to <= 1e6 x 1e12 µs, the controller serves <= 1e6 echo
+# misses and a few TCP ones at <= 1e12 each, and an event chain adds a few
+# dozen crossings of <= 1e12 + 13.2e12 (a normal draw lies within 12.2
+# sigma), clones and hold sweeps: ~2e18.
+_MOST_US, _MOST_N = 10**12, 10**6
 
 
-def _jitter(doc: dict) -> Optional[Distribution]:
-    """Parser for ``link.jitter``: kind ``none`` (the default) means no jitter."""
-    _reject_unknown(doc, "link.jitter", [f.name for f in fields(Distribution)])
-    if doc.get("kind", "none") == "none":
-        return None
-    return Distribution(**{k: v if k == "kind" else float(_num(v)) for k, v in doc.items()})
-
-
-def _background(doc: dict) -> BackgroundLoadSpec:
-    """Parser for ``background``: BackgroundLoadSpec's fields, as integers."""
-    _reject_unknown(doc, "background", BackgroundLoadSpec._fields)
-    return BackgroundLoadSpec(**{k: _int(v) for k, v in doc.items()})
-
-
-def _opt(key: str, default, parse):
+def _opt(key: str, default, parse, allowed=None):
     """A scenario field read from document key ``key`` (dotted for nested
-    sections) through ``parse``; absent or null keeps ``default``."""
-    return field(default=default, metadata={"key": key, "parse": parse})
+    sections) through ``parse``; absent (or null, see ``_flatten``) keeps
+    ``default``. ``Scenario.validate`` checks the value against ``allowed``:
+    a tuple of choices or a ``(least, most)`` pair."""
+    return field(default=default, metadata=dict(key=key, parse=parse, allowed=allowed))
 
 
 @dataclass(frozen=True)
@@ -117,32 +106,38 @@ class Scenario:
     """Validated experiment configuration (see module docstring).
 
     The field declarations are the scenario file schema: each names its
-    document key, its default and its parser, and ``scenario_from_dict``
-    reads nothing else.
+    document key, its default, its parser and its allowed values, and
+    ``scenario_from_dict`` reads nothing else. ``validate`` checks each
+    value against its declaration, then the rules that relate two keys.
     """
 
     name: str = _opt("name", "unnamed", _str)
-    total_packets: int = _opt("total_packets", 0, _int)  # validate() rejects 0
-    trigger_kind: str = _opt("trigger.kind", "nth_packet", _str)  # "nth_packet" | "rule"
+    total_packets: int = _opt("total_packets", 0, _int, (1, _MOST_N))
+    trigger_kind: str = _opt("trigger.kind", "nth_packet", _str, ("nth_packet", "rule"))
     trigger_n: int = _opt("trigger.n", 0, _int)
     trigger_sid: int = _opt("trigger.sid", 0, _int)
     ruleset: Optional[tuple[IdsRule, ...]] = _opt("ruleset", None, _RULES)  # parsed at load
-    request_size: int = _opt("request.size", 32, _int)
+    request_size: int = _opt("request.size", 32, _int, (1, math.inf))
     request_size_random: bool = _opt("request.random_size", False, _flag)
-    request_interval_us: int = _opt("request.interval_us", 10_000, _int)
-    link_base_delay_us: int = _opt("link.base_delay_us", 1_000, _int)
-    link_jitter: Optional[Distribution] = _opt("link.jitter", None, _jitter)
-    background: Optional[BackgroundLoadSpec] = _opt("background", None, _background)
+    request_interval_us: int = _opt("request.interval_us", 10_000, _int, (1, _MOST_US))
+    link_base_delay_us: int = _opt("link.base_delay_us", 1_000, _int, (0, _MOST_US))
+    link_jitter_kind: str = _opt("link.jitter.kind", "none", _str,
+                                 ("none", "fixed", "uniform", "normal"))
+    link_jitter_a: float = _opt("link.jitter.a", 0.0, _num, (-_MOST_US, _MOST_US))
+    link_jitter_b: float = _opt("link.jitter.b", 0.0, _num, (-_MOST_US, _MOST_US))
+    background_n_hosts: Optional[int] = _opt("background.n_hosts", None, _int, (0, _MOST_N))
+    background_procs_per_host: Optional[int] = _opt("background.procs_per_host", None,
+                                                    _int, (0, math.inf))
     clone_strategy: StrategyKind = _opt("clone.strategy", StrategyKind.VICTIM_IMAGE,
                                         StrategyKind)
     clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
-    clone_failure_p: float = _opt("clone.failure_p", 0.0, _num)
-    containment: str = _opt("containment", "immediate", _str)
-    restore_at: Optional[int] = _opt("restore_at", None, _int)
-    honey_addr_mode: str = _opt("honey_addr_mode", "same", _str)  # "same" | "distinct"
-    repetitions: int = _opt("repetitions", 1, _int)
+    clone_failure_p: float = _opt("clone.failure_p", 0.0, _num, (0, 1))
+    containment: str = _opt("containment", "immediate", _str, ("immediate", "on_clone_ready"))
+    restore_at: Optional[int] = _opt("restore_at", None, _int, (1, math.inf))
+    honey_addr_mode: str = _opt("honey_addr_mode", "same", _str, ("same", "distinct"))
+    repetitions: int = _opt("repetitions", 1, _int, (1, math.inf))
     seed: int = _opt("seed", 1, _int)
-    controller_service_us: int = _opt("controller_service_us", 50, _int)
+    controller_service_us: int = _opt("controller_service_us", 50, _int, (0, _MOST_US))
 
     @property
     def trigger_index(self) -> Optional[int]:
@@ -150,29 +145,26 @@ class Scenario:
         return self.trigger_n if self.trigger_kind == "nth_packet" else None
 
     def validate(self) -> None:
-        # Below, a negative delay schedules an event in the past or cuts the
-        # run short. Above, no event time reaches the drain bound, sys.maxsize
-        # (9.2e18): request gaps sum to <= 1e6 x 1e12 µs, the controller
-        # serves <= 1e6 echo misses and a few TCP ones at <= 1e12 each, and
-        # an event chain adds a few dozen crossings of <= 1e12 + 13.2e12 (a
-        # normal draw lies within 12.2 sigma), clones and hold sweeps: ~2e18.
-        most_us, most_n = 10**12, 10**6
-        bg = self.background or BackgroundLoadSpec(0, 0)
-        bounds = [("total_packets", self.total_packets, 1, most_n),
-                  ("request.size", self.request_size, 1, math.inf),
-                  ("request.interval_us", self.request_interval_us, 1, most_us),
-                  ("repetitions", self.repetitions, 1, math.inf),
-                  ("link.base_delay_us", self.link_base_delay_us, 0, most_us),
-                  ("controller_service_us", self.controller_service_us, 0, most_us),
-                  ("background.n_hosts", bg.n_hosts, 0, most_n),
-                  ("background.procs_per_host", bg.procs_per_host, 0, math.inf)]
-        for key, value, least, most in bounds:
-            if value < least:
-                raise ConfigError(key, f"must be >= {least}")
-            if value > most:
-                raise ConfigError(key, f"must be <= {most}")
-        if bg.n_hosts * bg.procs_per_host > most_n:
-            raise ConfigError("background", f"n_hosts x procs_per_host must be <= {most_n}")
+        for f in fields(self):
+            allowed, value = f.metadata["allowed"], getattr(self, f.name)
+            if allowed is None or value is None:
+                continue
+            key = f.metadata["key"]
+            if isinstance(allowed[0], str):
+                if value not in allowed:
+                    raise ConfigError(key, f"unknown value {value!r}, not one of {allowed}")
+            # a (least, most) pair, tested so that NaN fails: no delay rounds it
+            elif not value >= allowed[0]:
+                raise ConfigError(key, f"must be >= {allowed[0]}")
+            elif not value <= allowed[1]:
+                raise ConfigError(key, f"must be <= {allowed[1]}")
+        if self.total_packets * self.request_size > 2**30:
+            raise ConfigError("request.size", "total_packets x size must be <= 2**30, "
+                                              "so each stream fits a 2**31 seq window")
+        if (self.background_n_hosts is None) != (self.background_procs_per_host is None):
+            raise ConfigError("background", "n_hosts and procs_per_host are set together")
+        if (self.background_n_hosts or 0) * (self.background_procs_per_host or 0) > _MOST_N:
+            raise ConfigError("background", f"n_hosts x procs_per_host must be <= {_MOST_N}")
         if self.trigger_kind == "nth_packet":
             if not 1 <= self.trigger_n <= self.total_packets:
                 raise ConfigError("trigger.n",
@@ -180,47 +172,37 @@ class Scenario:
             # only a rule trigger loads the rules into the IDS
             if self.ruleset is not None:
                 raise ConfigError("ruleset", "only read by a rule trigger")
-        elif self.trigger_kind == "rule":
-            if self.ruleset is None:
-                raise ConfigError("ruleset", "required for a rule trigger")
-            if self.trigger_sid not in {rule.sid for rule in self.ruleset}:
-                raise ConfigError("trigger.sid", f"no rule with sid {self.trigger_sid}")
-        else:
-            raise ConfigError("trigger.kind", f"unknown kind {self.trigger_kind!r}")
-        if self.restore_at is not None:
-            if self.restore_at < 1:
-                raise ConfigError("restore_at", "must be >= 1")
-            if self.trigger_kind == "nth_packet" and self.restore_at <= self.trigger_n:
+            if self.restore_at is not None and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
-        if self.containment not in ("immediate", "on_clone_ready"):
-            raise ConfigError("containment", f"unknown mode {self.containment!r}")
-        if self.honey_addr_mode not in ("same", "distinct"):
-            raise ConfigError("honey_addr_mode", f"unknown mode {self.honey_addr_mode!r}")
-        if not 0.0 <= self.clone_failure_p <= 1.0:
-            raise ConfigError("clone.failure_p", "must be in [0, 1]")
-        # NaN and infinity fail the bound too: no delay rounds them
-        jitter = self.link_jitter
-        if jitter is not None and not all(abs(v) <= most_us for v in (jitter.a, jitter.b)):
-            raise ConfigError("link.jitter", f"|a| and |b| must be <= {most_us}")
+        elif self.ruleset is None:
+            raise ConfigError("ruleset", "required for a rule trigger")
+        elif self.trigger_sid not in {rule.sid for rule in self.ruleset}:
+            raise ConfigError("trigger.sid", f"no rule with sid {self.trigger_sid}")
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
-_SECTIONS = {key.rsplit(".", 1)[0] for key in _FIELDS if "." in key}
+_SECTIONS = {key[:i] for key in _FIELDS for i, c in enumerate(key) if c == "."}
 
 
 def _flatten(doc, prefix: str = "") -> dict:
     """Map dotted key -> value, descending into the declared sections and
-    rejecting any key no Scenario field declares."""
+    rejecting any key no Scenario field declares, an empty section and a
+    null inside one: null keeps a default only outside every section."""
     if not isinstance(doc, dict):
         raise ConfigError(prefix.rstrip(".") or "document", "must be an object")
+    if prefix and not doc:
+        raise ConfigError(prefix[:-1], "sets no key")
     flat = {}
     for name, value in doc.items():
         key = prefix + name
-        if key in _FIELDS:
-            flat[key] = value
-        elif key not in _SECTIONS:
+        if key not in _FIELDS and key not in _SECTIONS:
             raise ConfigError(key, "unknown key")
-        elif value is not None:
+        if value is None:
+            if prefix:
+                raise ConfigError(key, "is null: leave it out to keep its default")
+        elif key in _FIELDS:
+            flat[key] = value
+        else:
             flat.update(_flatten(value, key + "."))
     return flat
 
@@ -300,7 +282,9 @@ class Simulation:
     def __init__(self, scenario: Scenario, seed: int, migration: bool = True):
         self.scenario = scenario
         self.engine = Engine(seed)
-        link_model = LinkModel(scenario.link_base_delay_us, scenario.link_jitter)
+        jitter = None if scenario.link_jitter_kind == "none" else Distribution(
+            scenario.link_jitter_kind, scenario.link_jitter_a, scenario.link_jitter_b)
+        link_model = LinkModel(scenario.link_base_delay_us, jitter)
         self.switch = Switch(self.engine)
         self.ids = Ids(self.engine)
         self.controller = Controller(
@@ -369,11 +353,11 @@ class Simulation:
 
             self.ids.subscribe(route)
 
-        if scenario.background:
-            spawn_background_load(
-                self.engine, self.switch, scenario.background, link_model,
+        if scenario.background_n_hosts is not None:
+            spawn_background_load(self.engine, self.switch, BackgroundLoadSpec(
+                scenario.background_n_hosts, scenario.background_procs_per_host), link_model,
                 register_host=lambda h: self.controller.register_port(h.addr.ip, h.port))
-        self.attacker.start(200_000 if scenario.background else 10_000)
+        self.attacker.start(10_000 if scenario.background_n_hosts is None else 200_000)
 
     def run(self) -> None:
         """Dispatch until no event is pending. Every event source is finite:

@@ -24,7 +24,6 @@ from honeysplice.harness import (
 )
 from honeysplice.ids import Threshold, parse_rule
 from honeysplice.netcore import HostAddr, TcpFlags
-from honeysplice.simnet import Distribution
 
 from random_scenarios import random_scenario
 from test_ids import MIGRATE_RULE_TEXT, data_seg, make_ids, reference_threshold_alerts
@@ -120,7 +119,7 @@ def test_criterion_1_e1_redirection_latency(e1):
     ok_exact = summary.ratio == 1.0
 
     jittered = replace(scenario, name="e1_redirect_jitter",
-                       link_jitter=Distribution("uniform", -100, 100))
+                       link_jitter_kind="uniform", link_jitter_a=-100, link_jitter_b=100)
     jtraces = run_experiment(jittered)
     jratio = summarize(jtraces, jittered.trigger_n).ratio
     ok_jitter = 0.95 <= jratio <= 1.05

@@ -1,5 +1,6 @@
 """Scenario loading/validation, aggregation, CSV export, CLI surface."""
 
+import copy
 import csv
 import gc
 import hashlib
@@ -40,6 +41,7 @@ from honeysplice.harness import (
     write_summary_csv,
 )
 from honeysplice.cli import main as cli_main
+from honeysplice.clonemgr import StrategyKind
 from honeysplice.endpoint import ServerApp
 from honeysplice.hosts import REQUEST_CACHE_SIZE, EchoHost, make_request
 from honeysplice.vswitch import Switch
@@ -74,7 +76,7 @@ def test_e1_shape():
     assert sc.trigger_n == 100
     assert sc.total_packets == 120
     assert sc.repetitions == 100
-    assert sc.link_jitter is None
+    assert sc.link_jitter_kind == "none"
 
 
 def test_missing_file_is_config_error():
@@ -110,7 +112,7 @@ def test_symmetric_jitter_is_unbiased():
     and the mean stays near 4,000 µs."""
     scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
                        repetitions=3,
-                       link_jitter=simnet.Distribution("uniform", -100, 100))
+                       link_jitter_kind="uniform", link_jitter_a=-100, link_jitter_b=100)
     rtts = [r.rtt_us for trace in run_experiment(scenario) for r in trace.records]
     assert len(rtts) == 360 and min(rtts) < 4000
     assert abs(math.fsum(rtts) / len(rtts) - 4000) <= 40
@@ -212,22 +214,34 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"seed": True}, "seed"),
     ({"name": 5}, "name"),
     ({"clone": {"failure_p": "0.5"}}, "clone.failure_p"),
-    ({"background": {"n_hosts": 1.9, "procs_per_host": 1}}, "background"),
-    ({"link": {"jitter": {"kind": "uniform", "a": "1", "b": 2}}}, "link.jitter"),
-    # a stray key inside a section parsed whole is named, with or without jitter
+    ({"background": {"n_hosts": 1.9, "procs_per_host": 1}}, "background.n_hosts"),
+    ({"link": {"jitter": {"kind": "uniform", "a": "1", "b": 2}}}, "link.jitter.a"),
+    # a stray key inside a section is named, with or without jitter
     ({"link": {"jitter": {"kind": "uniform", "a": 0, "b": 2, "sigma": 1}}},
      "link.jitter.sigma"),
     ({"link": {"jitter": {"kind": "none", "sigma": 1}}}, "link.jitter.sigma"),
     # JSON's NaN and Infinity literals load as floats, but no delay rounds them
-    ({"link": {"jitter": {"kind": "uniform", "a": math.nan, "b": 1}}}, "link.jitter"),
-    ({"link": {"jitter": {"kind": "normal", "a": 0, "b": math.inf}}}, "link.jitter"),
+    ({"link": {"jitter": {"kind": "uniform", "a": math.nan, "b": 1}}}, "link.jitter.a"),
+    ({"link": {"jitter": {"kind": "normal", "a": 0, "b": math.inf}}}, "link.jitter.b"),
     # upper bounds: no event of an accepted run lands past the drain bound
     ({"link": {"base_delay_us": 10**19}}, "link.base_delay_us"),
     ({"total_packets": 10**6 + 1}, "total_packets"),
     ({"request": {"interval_us": 10**12 + 1}}, "request.interval_us"),
     ({"controller_service_us": 10**13}, "controller_service_us"),
-    ({"link": {"jitter": {"kind": "uniform", "a": -10**13, "b": 0}}}, "link.jitter"),
+    ({"link": {"jitter": {"kind": "uniform", "a": -10**13, "b": 0}}}, "link.jitter.a"),
     ({"background": {"n_hosts": 1001, "procs_per_host": 1000}}, "background"),
+    # both directions' streams fit one 2**31 sequence window
+    ({"request": {"size": 10**12}}, "request.size"),
+    ({"total_packets": 10**6, "request": {"size": 2**11}}, "request.size"),
+    # a section object sets a key, and sets each key it names
+    *[({section: {}}, section) for section in ("trigger", "request", "link", "clone")],
+    ({"link": {"jitter": {}}}, "link.jitter"),
+    ({"background": {"n_hosts": None, "procs_per_host": None}}, "background.n_hosts"),
+    ({"link": {"jitter": {"kind": "uniform", "a": None, "b": 1}}}, "link.jitter.a"),
+    ({"request": {"size": None}}, "request.size"),
+    ({"background": {"n_hosts": 1}}, "background"),
+    # a and b are checked beside kind none too, though no draw reads them
+    ({"link": {"jitter": {"kind": "none", "a": math.nan}}}, "link.jitter.a"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -240,11 +254,71 @@ def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+SHIPPED_RULES = str(builtin_scenario_path("e1_redirect").parent / "migrate.rules")
+# valid documents that between them set every declared key
+VALID_DOCS = [
+    minimal_doc(restore_at=7, request={"size": 64, "random_size": True, "interval_us": 5000},
+                link={"base_delay_us": 700, "jitter": {"kind": "uniform", "a": 0, "b": 300}},
+                background={"n_hosts": 2, "procs_per_host": 3},
+                clone={"strategy": "SUSPENDED", "on_demand": True, "failure_p": 0.5},
+                containment="on_clone_ready", honey_addr_mode="distinct",
+                controller_service_us=100),
+    minimal_doc(trigger={"kind": "rule", "sid": 1000001}, ruleset=SHIPPED_RULES),
+]
+# a value of each JSON type, and the types each declared parser takes
+JSON_VALUES = {bool: True, int: 7, float: 2.5, str: "7", list: [7], dict: {"k": 7}}
+TAKES = {harness._int: (int,), harness._num: (int, float), harness._str: (str,),
+         harness._flag: (bool,), harness._RULES: (str,), StrategyKind: (str,)}
+
+
+def invalid_values(f):
+    """JSON values that the declaration of field ``f`` rejects: another JSON
+    type, a number outside its ``(least, most)`` pair (NaN included) or a
+    string outside its choices."""
+    parse, allowed = f.metadata["parse"], f.metadata["allowed"]
+    values = [st.sampled_from([v for t, v in JSON_VALUES.items() if t not in TAKES[parse]])]
+    if allowed is not None and isinstance(allowed[0], str):
+        values.append(st.text().filter(lambda v: v not in allowed))
+    elif allowed is not None:
+        least, most = allowed
+        numbers = st.integers() if parse is harness._int else st.integers() | st.floats()
+        values.append((st.sampled_from([least - 1, most + 1, math.nan]) | numbers).filter(
+            lambda v: type(v) in TAKES[parse] and not least <= v <= most))
+    return st.tuples(st.just(f), st.one_of(values))
+
+
+def with_value(doc, key, value):
+    doc = copy.deepcopy(doc)
+    *sections, leaf = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.sampled_from(VALID_DOCS), st.sampled_from(fields(Scenario)).flatmap(invalid_values))
+def test_declarations_hold_every_single_key_rule(doc, leaf):
+    """One invalid value in a valid document is rejected naming exactly its
+    key, by the loader and, for a value of the key's type, by validate()."""
+    f, value = leaf
+    key = f.metadata["key"]
+    valid = scenario_from_dict(doc)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(with_value(doc, key, value))
+    assert err.value.field_path == key
+    if f.metadata["allowed"] is not None and type(value) in TAKES[f.metadata["parse"]]:
+        with pytest.raises(ConfigError) as err:
+            replace(valid, **{f.name: value}).validate()
+        assert err.value.field_path == key
+
+
 def test_numbers_load_as_their_json_type():
     scenario = scenario_from_dict(minimal_doc(
         clone={"failure_p": 0}, link={"jitter": {"kind": "uniform", "a": 0, "b": 2.5}}))
     assert scenario.clone_failure_p == 0
-    assert (scenario.link_jitter.a, scenario.link_jitter.b) == (0.0, 2.5)
+    assert (scenario.link_jitter_a, scenario.link_jitter_b) == (0.0, 2.5)
 
 
 RULES = 'alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; sid:7;)\n'
@@ -346,12 +420,17 @@ def test_only_the_trigger_sid_migrates(tmp_path):
 
 
 def test_on_clone_ready_with_preinstantiated_clone_matches_immediate(tmp_path):
-    e1 = replace(load_scenario(builtin_scenario_path("e1_redirect")), repetitions=5)
-    immediate, on_ready = tmp_path / "immediate.csv", tmp_path / "on_ready.csv"
-    write_attacker_csv(run_experiment(e1), immediate)
-    write_attacker_csv(run_experiment(replace(e1, containment="on_clone_ready")),
-                       on_ready)
-    assert immediate.read_bytes() == on_ready.read_bytes()
+    """A pre-built clone is up at the alert, so either containment buffers
+    and splices inside the alert event: both modes export the same
+    attacker and controller CSVs."""
+    for name in ("e1_redirect", "e2_saturated", "e4_restore"):
+        scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=5)
+        exports = []
+        for containment in ("immediate", "on_clone_ready"):
+            run = replace(scenario, containment=containment)
+            files = export_run(run, run_experiment(run), tmp_path / name / containment)
+            exports.append([files[key].read_bytes() for key in ("attacker", "controller")])
+        assert exports[0] == exports[1], name
 
 
 def test_restore_alert_after_fail_open_is_ignored():
@@ -975,7 +1054,7 @@ JITTERED_E2_SHA256 = (
 def test_jittered_e2_exports_match_recorded_hashes(tmp_path):
     scenario = replace(load_scenario(builtin_scenario_path("e2_saturated")),
                        repetitions=3, seed=11,
-                       link_jitter=simnet.Distribution("uniform", 0, 300))
+                       link_jitter_kind="uniform", link_jitter_a=0, link_jitter_b=300)
     files = export_run(scenario, run_experiment(scenario), tmp_path)
     digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
                     for key in ("attacker", "controller", "summary", "meta"))
@@ -1287,6 +1366,16 @@ def test_cli_check_of_a_file_not_in_utf8_is_config_error(tmp_path, capsys):
                      .encode("latin-1"))
     assert cli_main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: path: ")
+
+
+@pytest.mark.parametrize("out", ["file", "file/x"])
+def test_cli_run_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert cli_main(["run", "e1_redirect", "--reps", "1",
+                     "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out: ")
+    assert captured.out == ""  # refused before any repetition runs
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
