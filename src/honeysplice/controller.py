@@ -17,11 +17,11 @@ Redirection, on an alert for an established connection:
      endpoint only, after it answers what reached it; the attacker-facing
      direction is never reset, so the attacker sees no change;
   3. splice -- once the clone is up, the controller forges a three-way
-     handshake with it while impersonating the attacker, replays the
-     recorded pre-alert payloads so the clone's application state matches
-     the victim's (the attacker already has their responses, which are
-     never built), and computes the stream offset between what the attacker
-     expects and where the clone's send sequence actually is;
+     handshake with it while impersonating the attacker, sets its endpoint
+     to the end of the recorded pre-alert window and hands the app that
+     window's requests in one call, so its state matches the victim's (the
+     attacker already has the responses, never built), and computes the
+     stream offset between what the attacker expects and the clone's snd_nxt;
   4. rewrite -- the attacker direction's rule and the new server's
      reverse rule translate seq/ack by that offset (and rewrite addresses
      when the honey server lives at a distinct internal address, whose
@@ -61,9 +61,9 @@ buffering: the triggering segment's seq when containing inside
 ``on_alert`` (that segment is still mid-pipeline and never reaches the
 victim), the attacker's snd_nxt when an on-demand clone comes up.
 Migration replays [ISS+1, victim_pos) into the clone and restore
-[victim_pos, restore trigger's seq) into the victim; each forged
-handshake starts one before its window, so the first segment the server
-sees lands at its rcv_nxt.
+[victim_pos, restore trigger's seq) into the victim. Each forged
+handshake ends at its window's start, and the recorded payloads must
+tile the window exactly, or the splice raises ``RestoreFailed``.
 
 Splice offsets are computed from stream *positions*, not ISNs: the
 server-to-attacker delta is (attacker's expected next peer seq) minus
@@ -74,6 +74,7 @@ victim connection never sent the responses the honey server did.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
@@ -86,8 +87,8 @@ from .ids import Alert
 
 
 class RestoreFailed(Exception):
-    """A server answered a forged SYN without a SYN-ACK, so the splice
-    has no handshake to build on."""
+    """A splice cannot rebuild the connection: the server refused the
+    forged handshake, or the record does not tile the replay window."""
 
 
 PHASE_IDLE = "IDLE"
@@ -135,12 +136,12 @@ class MigrationRecord:
     """Everything the controller knows about one tracked connection: what
     the mirrored segments show, and its migration state.
 
-    ``payloads`` are the attacker's (seq, payload) segments in stream
-    order and ``last_ack`` its latest ack (its rcv_nxt, in victim-anchored
-    coordinates). ``seq_delta`` is how far the serving endpoint's stream
-    runs ahead of the attacker's view (honey ISN - victim ISN right after
-    migration). Rules add it to attacker-to-server acks and subtract it
-    (mod 2**32) from server-to-attacker seqs.
+    ``payloads`` are the attacker's (seq, payload) segments in stream order,
+    kept so by ``ledger_tap`` when the uplink reorders; ``last_ack`` is its
+    latest ack (its rcv_nxt, in victim-anchored coordinates). ``seq_delta``
+    is how far the serving endpoint's stream runs ahead of the attacker's
+    view (honey ISN - victim ISN right after migration). Rules add it to
+    attacker-to-server acks and subtract it from server-to-attacker seqs.
     """
 
     def __init__(self, key: ConnKey, attacker_addr: HostAddr, server_addr: HostAddr,
@@ -155,6 +156,10 @@ class MigrationRecord:
         self.serving: Optional[ServerHost] = None  # set when contained, then by each splice
         # moves waiting for a quiet connection (see Controller._when_quiet)
         self.waiting: list[tuple[int, Callable[[], None]]] = []
+
+    def offset(self, entry: tuple[int, bytes]) -> int:
+        """The key that orders ``payloads``: an entry's offset from the ISS."""
+        return seq_sub(entry[0], self.attacker_iss)
 
     def transition(self, phase: str, now: int) -> None:
         self.phase = phase
@@ -211,10 +216,13 @@ class Controller:
             return
         record = self.records.get(key)
         if record is not None:
+            late = pkt.seq != record.attacker_snd_nxt  # a reordering uplink
             record.attacker_snd_nxt = seq_add(pkt.seq, seg_span(pkt))
             if pkt.flags & TcpFlags.ACK:
                 record.last_ack = pkt.ack
-            if pkt.payload:
+            if pkt.payload and late:
+                insort(record.payloads, (pkt.seq, pkt.payload), key=record.offset)
+            elif pkt.payload:
                 record.payloads.append((pkt.seq, pkt.payload))
             if record.waiting:
                 self._when_quiet(record)
@@ -302,9 +310,8 @@ class Controller:
 
         def close_victim():
             victim.deliver_oob(TcpSegment(
-                src=record.attacker_addr, dst=record.server_addr,
-                sport=key[1], dport=key[3], seq=record.attacker_snd_nxt,
-                ack=record.last_ack, flags=TcpFlags.RST | TcpFlags.ACK))
+                record.attacker_addr, record.server_addr, key[1], key[3],
+                record.attacker_snd_nxt, record.last_ack, TcpFlags.RST | TcpFlags.ACK))
             self.log("victim_closed", key)
 
         self._when_quiet(record, victim_pos, close_victim)
@@ -341,34 +348,29 @@ class Controller:
     def _splice(self, record: MigrationRecord, server: ServerHost,
                 replay_from: int, replay_upto: int, final_phase: str) -> None:
         """Forge a handshake with ``server`` as the attacker, replay the
-        logged payloads whose seq lies in [replay_from, replay_upto) (mod
-        2**32), rewrite by the new stream offset and release the buffer."""
-        key = record.key
-        window = seq_sub(replay_upto, replay_from)
-        entries = [(seq, payload) for seq, payload in record.payloads
-                   if seq_sub(seq, replay_from) < window]
+        logged payloads that tile [replay_from, replay_upto) (mod 2**32),
+        rewrite by the new stream offset and release the buffer."""
+        key, payloads, iss = record.key, record.payloads, record.attacker_iss
+        lo = bisect_left(payloads, seq_sub(replay_from, iss), key=record.offset)
+        hi = bisect_left(payloads, seq_sub(replay_upto, iss), lo, key=record.offset)
+        entries = payloads[lo:hi]
+        # the entries tile the window: each starts where the one before ends
+        if [seq for seq, _ in entries] + [replay_upto] != \
+                [replay_from] + [seq_add(seq, len(payload)) for seq, payload in entries]:
+            raise RestoreFailed(f"no recorded tiling of [{replay_from}, {replay_upto})")
 
-        forge_isn = seq_add(replay_from, -1)
-        syn = TcpSegment(src=record.attacker_addr, dst=server.addr,
-                         sport=key[1], dport=key[3], seq=forge_isn, ack=0,
-                         flags=TcpFlags.SYN)
-        replies = server.deliver_oob(syn)
+        attacker = record.attacker_addr
+        replies = server.deliver_oob(TcpSegment(attacker, server.addr, key[1], key[3],
+                                                seq_add(replay_from, -1), 0, TcpFlags.SYN))
         if not replies or not (replies[0].flags & TcpFlags.SYN):
             raise RestoreFailed(f"server {server.name} refused forged handshake")
-        conn = server.conns[(record.attacker_addr.ip, key[1])]
-        ack = TcpSegment(src=record.attacker_addr, dst=server.addr,
-                         sport=key[1], dport=key[3],
-                         seq=replay_from, ack=conn.snd_nxt,
-                         flags=TcpFlags.ACK)
-        server.deliver_oob(ack)
+        conn = server.conns[key[:2]]
+        server.deliver_oob(TcpSegment(attacker, server.addr, key[1], key[3],
+                                      replay_from, conn.snd_nxt, TcpFlags.ACK))
 
-        for seq, payload in entries:
-            # the previous incumbent already delivered the response to the
-            # attacker, so the server only moves its snd_nxt past it
-            server.replay_oob(TcpSegment(
-                src=record.attacker_addr, dst=server.addr, sport=key[1],
-                dport=key[3], seq=seq, ack=conn.snd_nxt,
-                flags=TcpFlags.PSH | TcpFlags.ACK, payload=payload))
+        # the previous incumbent already delivered the responses to the
+        # attacker, so the server only moves its positions past the window
+        server.replay_oob(key[:2], [payload for _, payload in entries])
         self.log("replayed", key, len(entries))
 
         # stream-position offsets: last_ack is the attacker's rcv_nxt in its

@@ -2,10 +2,10 @@
 
 The endpoint implements exactly the machinery the redirection mechanism
 exercises: three-way handshake, in-order data with cumulative acks,
-duplicate tolerance (a replayed splice can re-present segments), FIN/RST
-teardown. No retransmission, windows, congestion control or reassembly: a
-jittered ``simnet.Link`` may reorder packets, and a segment beyond ``rcv_nxt``
-is acked and dropped, so one reordering stalls the stream for good.
+duplicate and overlap tolerance, FIN/RST teardown. No retransmission,
+windows, congestion control or reassembly: a jittered ``simnet.Link`` may
+reorder packets, and a segment beyond ``rcv_nxt`` is acked and dropped, so
+one reordering stalls the stream for good.
 
 Receiving uses header prediction (Jacobson, 1990): in ESTABLISHED, a pure ACK
 returns at once and a data segment without FIN at ``rcv_nxt`` is delivered
@@ -195,16 +195,11 @@ class TcpEndpoint:
         return [], b""
 
     def _on_established_segment(self, seg: TcpSegment) -> tuple[list[TcpSegment], bytes]:
-        delivered = b""
-        advanced = False
+        delivered, advanced = b"", False
 
         if seg.payload:
-            end = seg_end(seg)
-            if seq_leq(end, self.rcv_nxt):
-                # pure duplicate (e.g. re-presented by a splice replay): re-ack
-                return [self.ack_now()], b""
-            if seq_lt(self.rcv_nxt, seg.seq):
-                # gap ahead of us; ack what we have, deliver nothing
+            if seq_leq(seg_end(seg), self.rcv_nxt) or seq_lt(self.rcv_nxt, seg.seq):
+                # a pure duplicate, or a gap ahead of us: ack what we have
                 return [self.ack_now()], b""
             # in order (possibly overlapping the left edge)
             offset = seq_sub(self.rcv_nxt, seg.seq)
@@ -238,23 +233,28 @@ class ServerApp:
     server it copies (once its request history has been replayed).
     """
 
+    _TAG = b"#%06d|"  # the running count each response carries
+
     def __init__(self, app_id: str):
         self.app_id = app_id
         self._prefix = app_id.encode("utf-8")
         self.request_count = 0
         self.request_log: list[bytes] = []
 
-    def _take(self, request: bytes) -> bytes:
-        """Count and log ``request``; return its response's tag."""
-        self.request_count += 1
-        self.request_log.append(request)
-        return b"#%06d|" % self.request_count
-
     def respond(self, request: bytes) -> bytes:
         """Echo the request tagged with the app id and a running count."""
         request = bytes(request)
-        return self._prefix + self._take(request) + request
+        self.request_count += 1
+        self.request_log.append(request)
+        return self._prefix + self._TAG % self.request_count + request
 
-    def respond_len(self, request: bytes) -> int:
-        """``respond`` without building the response: return its length."""
-        return len(self._prefix) + len(self._take(bytes(request))) + len(request)
+    def replay(self, requests: list[bytes]) -> int:
+        """``respond`` to each of ``requests`` in turn without building the
+        responses: return their total length."""
+        count, total = self.request_count, len(self._prefix) * len(requests)
+        self.request_count = last = count + len(requests)
+        self.request_log.extend(requests)
+        while count < last:  # the counts of one digit length share a tag width
+            count, done = min(last, 10 ** len(str(count + 1)) - 1), count
+            total += (count - done) * len(self._TAG % count)
+        return total + sum(map(len, requests))

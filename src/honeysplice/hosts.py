@@ -8,8 +8,8 @@ nothing out of it, so a request that reaches it schedules no delivery
 event. Servers can additionally be driven *out of band*, the seam the
 controller uses to splice without touching the data plane: deliver_oob
 processes a forged segment normally but returns its emissions instead of
-transmitting them (handshakes, RSTs), and replay_oob feeds a recorded
-request to the app and moves snd_nxt past its response, never built.
+transmitting them (handshakes, RSTs); replay_oob gives the app a recorded
+window in one call and moves both positions past it, building no response.
 """
 
 from __future__ import annotations
@@ -97,14 +97,12 @@ class ServerHost(Host):
         """Process a forged segment; return emissions instead of sending."""
         return self._handle(seg)
 
-    def replay_oob(self, seg: TcpSegment) -> None:
-        """Process a forged request whose response the peer already has:
-        the app takes it, and the endpoint's snd_nxt moves past the
-        response instead of emitting it."""
-        conn = self.conns[(seg.src.ip, seg.sport)]
-        delivered = conn.on_segment(seg)[1]
-        if delivered and conn.state is ConnState.ESTABLISHED:
-            conn.snd_nxt = seq_add(conn.snd_nxt, self.app.respond_len(delivered))
+    def replay_oob(self, peer: tuple[str, int], requests: list[bytes]) -> None:
+        """Replay ``requests``, the next bytes from ``peer`` (ip, port), which
+        has their responses: the app takes them and both positions move past."""
+        conn = self.conns[peer]
+        conn.rcv_nxt = seq_add(conn.rcv_nxt, sum(map(len, requests)))
+        conn.snd_nxt = seq_add(conn.snd_nxt, self.app.replay(requests))
 
 
 # payloads kept by make_request: above the shipped sessions' 120 requests,

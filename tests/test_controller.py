@@ -7,6 +7,7 @@ modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,10 @@ from honeysplice.controller import (
     PHASE_REDIRECTED,
     PHASE_RESTORED,
     PHASE_RESTORING,
+    RestoreFailed,
 )
-from honeysplice.endpoint import ServerApp, fixed_iss
+from honeysplice.endpoint import ServerApp, TcpEndpoint, fixed_iss
+from honeysplice.harness import builtin_scenario_path, load_scenario, run_experiment
 from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.ids import Alert, Ids
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add, seq_sub
@@ -445,3 +448,91 @@ def test_restore_twice_invalid():
     assert record.phase == PHASE_RESTORED
     assert record.times[PHASE_RESTORED] == record.times[PHASE_RESTORING]
     assert len(mini.events("restored")) == 1
+
+
+# -- the replay window ---------------------------------------------------------------
+
+
+def test_ledger_records_a_late_arrival_at_its_stream_position():
+    """The attacker's uplink may reorder: the ledger keeps its payloads in
+    stream order, here across the 2**32 wrap, whatever order they pass the
+    switch in."""
+    engine = Engine(5)
+    controller = Controller(engine, Switch(engine))
+    iss = 2**32 - 20
+    controller.ledger_tap(TcpSegment(ATT, VIC, 40001, 9000, iss, 0, TcpFlags.SYN))
+    chunks = [bytes([65 + k]) * 8 for k in range(5)]
+    for k in (0, 2, 1, 4, 3):
+        controller.ledger_tap(TcpSegment(ATT, VIC, 40001, 9000, seq_add(iss, 1 + 8 * k),
+                                         0, TcpFlags.PSH | TcpFlags.ACK, chunks[k]))
+    assert controller.records[CONN].payloads == \
+        [(seq_add(iss, 1 + 8 * k), chunks[k]) for k in range(5)]
+
+
+@pytest.mark.parametrize("fault", ["gap", "short", "overlap", "reorder"])
+def test_a_window_that_does_not_tile_its_range_fails_the_splice(fault):
+    """The replayed entries must cover [replay_from, replay_upto) exactly,
+    in order; otherwise nothing is forged and the splice raises."""
+    mini = Mini(trigger_n=None, total=6)
+    mini.run()
+    record = mini.controller.records[CONN]
+    payloads = record.payloads
+    if fault == "gap":
+        del payloads[2]
+    elif fault == "short":
+        del payloads[-1]
+    elif fault == "overlap":
+        payloads.insert(3, (seq_add(payloads[2][0], 1), payloads[2][1]))
+    else:
+        payloads[2], payloads[3] = payloads[3], payloads[2]
+    with pytest.raises(RestoreFailed):
+        mini.controller._splice(record, mini.honey, seq_add(100, 1),
+                                mini.attacker.conn.snd_nxt, PHASE_REDIRECTED)
+    assert mini.honey.conns == {} and mini.honey.app.request_count == 0
+
+
+def test_a_splice_costs_the_same_whatever_its_window(monkeypatch):
+    """Segments built and processed inside each splice, leaving out the
+    buffered segments ``release_buffer`` sends on: the forged handshake
+    alone, however many requests the window holds."""
+    costs, counting = [], [False]
+    splice, release = Controller._splice, Switch.release_buffer
+    init, on_segment = TcpSegment.__init__, TcpEndpoint.on_segment
+
+    def counted_splice(controller, *args):
+        costs[-1].append([0, 0])
+        counting.append(True)
+        try:
+            splice(controller, *args)
+        finally:
+            counting.pop()
+
+    def uncounted_release(switch, key):
+        counting.append(False)
+        try:
+            return release(switch, key)
+        finally:
+            counting.pop()
+
+    def counted_init(seg, *args, **kwargs):
+        if counting[-1]:
+            costs[-1][-1][0] += 1
+        init(seg, *args, **kwargs)
+
+    def counted_on_segment(conn, seg):
+        if counting[-1]:
+            costs[-1][-1][1] += 1
+        return on_segment(conn, seg)
+
+    monkeypatch.setattr(Controller, "_splice", counted_splice)
+    monkeypatch.setattr(Switch, "release_buffer", uncounted_release)
+    monkeypatch.setattr(TcpSegment, "__init__", counted_init)
+    monkeypatch.setattr(TcpEndpoint, "on_segment", counted_on_segment)
+    e1 = load_scenario(builtin_scenario_path("e1_redirect"))
+    e4 = load_scenario(builtin_scenario_path("e4_restore"))
+    for scenario in (replace(e1, trigger_n=10), e1, e4):
+        costs.append([])
+        run_experiment(replace(scenario, repetitions=1))
+    # the forged SYN, the server's SYN-ACK and the forged ACK; e4 splices
+    # twice, onto the honey and back onto the victim
+    assert costs == [[[3, 2]], [[3, 2]], [[3, 2], [3, 2]]]

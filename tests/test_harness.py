@@ -1103,6 +1103,45 @@ def test_tied_background_exports_match_recorded_hashes(tmp_path, service, jitter
     assert digests == TIED_BACKGROUND_SHA256[(service, jitter)]
 
 
+# SHA-256 of the attacker and controller exports of e1 restored at request
+# 110, 2 repetitions, seed 7, under on_clone_ready on links jittered by
+# uniform(-900, 900) µs: every repetition replays both the migration window
+# and the restore window on a reordering link (at 5,000 µs with pipelining
+# violations, hence not strict). The exports name no address, so both honey
+# modes share a digest. Keyed by request interval and clone.on_demand.
+JITTERED_SPLICE_SHA256 = {
+    (5_000, False): (
+        "261319d7aceaf5332059341e11407abad7cebb8f81730efbe3f580952108cc42",
+        "136a3ebaa48211718436e2a453206235d64159a6fc946af0727af3d5773f850a"),
+    (5_000, True): (
+        "d375872ed18c223bed158816e5dc4a053e8579e057c9ec550ece22b40fd47d2a",
+        "cd5100d0ba13eec87548088749a78e57bb4c8cf5a6bdb52f21b75c3a2924898b"),
+    (10_000, False): (
+        "a3207ee50648f4db32f3dce803b98eb9a8e62aed8747abd8a7b8250947f93203",
+        "1094b2bba5f66b5977324b31260a4c1947e3f42749274fd5fd7ec210d09231e6"),
+    (10_000, True): (
+        "4ebf164aedde48069db89f7bcbd42e8996c2ebe301fa8824dbeb6e61dd694520",
+        "7eb3359070018a648f5760dc8588026fe1d079fee3717dd7260f6b9c5e607bc6"),
+}
+
+
+@pytest.mark.parametrize("mode", ["same", "distinct"])
+@pytest.mark.parametrize("interval,on_demand", sorted(JITTERED_SPLICE_SHA256))
+def test_jittered_splice_exports_match_recorded_hashes(tmp_path, interval, on_demand, mode):
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       repetitions=2, seed=7, restore_at=110,
+                       request_interval_us=interval, honey_addr_mode=mode,
+                       clone_on_demand=on_demand, containment="on_clone_ready",
+                       link_jitter_kind="uniform", link_jitter_a=-900, link_jitter_b=900)
+    traces = run_experiment(scenario, strict=False)
+    for trace in traces:
+        assert {"redirected", "restored"} <= {e.kind for e in trace.controller_events}
+    files = export_run(scenario, traces, tmp_path)
+    digests = tuple(hashlib.sha256(files[key].read_bytes()).hexdigest()
+                    for key in ("attacker", "controller"))
+    assert digests == JITTERED_SPLICE_SHA256[(interval, on_demand)]
+
+
 def test_export_run_writes_file_set(tmp_path):
     scenario = scenario_from_dict(minimal_doc(repetitions=2))
     traces = run_experiment(scenario)

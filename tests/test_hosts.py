@@ -53,11 +53,10 @@ def test_server_acks_data_that_ends_the_stream():
 
 
 def test_replay_builds_no_segment(monkeypatch):
-    server, client = connected_server()
-    request = client.app_send(b"hello")
+    server, _ = connected_server()
     built = []
     monkeypatch.setattr(TcpSegment, "__init__", lambda seg, *a, **k: built.append(seg))
-    server.replay_oob(request)
+    server.replay_oob((ATT.ip, 40001), [b"hello"])
     assert built == []
     assert server.app.request_log == [b"hello"]
     assert server.conns[(ATT.ip, 40001)].snd_nxt == \
@@ -65,28 +64,25 @@ def test_replay_builds_no_segment(monkeypatch):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(segments=st.lists(st.tuples(st.integers(0, 70_000), st.integers(1, 70_000)),
-                         max_size=8),
+@given(sizes=st.lists(st.integers(1, 70_000), max_size=8),
        start=st.sampled_from([0, 999_998]))
-@example(segments=[(0, 5), (0, 70_000), (3, 9), (0, 1)], start=999_998)
-def test_replay_matches_delivery(segments, start):
-    """Replaying a request leaves a server where delivering it out of band
-    does, for duplicates and overlaps too, and across the widening of the
-    response tag at request 1,000,000. Each (back, size) segment starts
-    ``back`` bytes before the stream's end and carries ``size`` bytes."""
+@example(sizes=[5, 70_000, 9, 1], start=999_998)
+@example(sizes=[1] * 3, start=9_999_998)
+def test_replay_matches_delivery(sizes, start):
+    """Replaying a window of requests in one call leaves a server where
+    delivering each of them out of band does, across the widening of the
+    response tag at request 1,000,000 (and 10,000,000) too."""
     delivered, replayed = connected_server()[0], connected_server()[0]
     for server in (delivered, replayed):
         server.app.request_count = start
-    total = sum(size for _, size in segments)
-    stream = (bytes(range(251)) * (total // 251 + 1))[:total]
-    end = 0
-    for back, size in segments:
-        at = max(0, end - back)
-        seg = TcpSegment(ATT, SRV, 40001, 9000, seq_add(101, at), 0,
-                         TcpFlags.PSH | TcpFlags.ACK, stream[at:at + size])
-        delivered.deliver_oob(seg)
-        replayed.replay_oob(seg)
-        end = max(end, at + size)
+    stream = bytes(range(251)) * (sum(sizes) // 251 + 1)
+    requests, at = [], 0
+    for size in sizes:
+        requests.append(stream[at:at + size])
+        delivered.deliver_oob(TcpSegment(ATT, SRV, 40001, 9000, seq_add(101, at), 0,
+                                         TcpFlags.PSH | TcpFlags.ACK, requests[-1]))
+        at += size
+    replayed.replay_oob((ATT.ip, 40001), requests)
     d, r = ((s.app.request_count, s.app.request_log, s.conns[(ATT.ip, 40001)].rcv_nxt,
              s.conns[(ATT.ip, 40001)].snd_nxt) for s in (delivered, replayed))
     assert r == d
