@@ -79,8 +79,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
 from .hosts import ServerHost
-from .netcore import (ConnKey, HostAddr, TcpFlags, TcpSegment, five_tuple, seg_span,
-                      seq_add, seq_sub)
+from .netcore import ConnKey, HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_sub
 from .simnet import Engine
 from .vswitch import Buffer, Output, Rewrite, Switch
 from .ids import Alert
@@ -207,8 +206,7 @@ class Controller:
 
     # -- connection bookkeeping (mirror tap; runs before rule lookup) ---------
 
-    def ledger_tap(self, pkt: TcpSegment) -> None:
-        key = five_tuple(pkt)
+    def ledger_tap(self, pkt: TcpSegment, key: ConnKey) -> None:
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
             self.records[key] = MigrationRecord(
                 key=key, attacker_addr=pkt.src, server_addr=pkt.dst,

@@ -19,7 +19,6 @@ CLOSE_WAIT -> CLOSED_FINAL. RST jumps straight to CLOSED_FINAL.
 
 from __future__ import annotations
 
-import enum
 import random
 from typing import Callable
 
@@ -44,7 +43,11 @@ class EmptyPayload(Exception):
     """app_send called with zero bytes."""
 
 
-class ConnState(enum.Enum):
+class ConnState:
+    """Connection states as plain strings, each its own name; not an Enum,
+    like ``TcpFlags``, since every segment reads states and a member read
+    costs about five class attribute reads."""
+
     CLOSED = "CLOSED"
     SYN_SENT = "SYN_SENT"
     SYN_RCVD = "SYN_RCVD"
@@ -55,6 +58,7 @@ class ConnState(enum.Enum):
 
 
 IssPolicy = Callable[[], int]
+_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 
 
 def fixed_iss(value: int) -> IssPolicy:
@@ -95,14 +99,15 @@ class TcpEndpoint:
 
     def ack_now(self) -> TcpSegment:
         """A pure ACK of everything received so far."""
-        return self._make(TcpFlags.ACK, self.snd_nxt)
+        return TcpSegment(self.local, self.remote, self.lport, self.rport,
+                          self.snd_nxt, self.rcv_nxt, TcpFlags.ACK)
 
     # -- operations ------------------------------------------------------------
 
     def open(self) -> TcpSegment:
         """Active open: emit SYN with a fresh ISS, move to SYN_SENT."""
         if self.state is not ConnState.CLOSED:
-            raise InvalidState(f"open in {self.state.name}")
+            raise InvalidState(f"open in {self.state}")
         self.iss = self._iss_policy()
         seg = self._make(TcpFlags.SYN, self.iss)  # its ack, rcv_nxt, is still 0
         self.snd_nxt = seq_add(self.iss, 1)
@@ -112,17 +117,18 @@ class TcpEndpoint:
     def app_send(self, data: bytes) -> TcpSegment:
         """Send application bytes as one PSH-ACK segment."""
         if self.state is not ConnState.ESTABLISHED:
-            raise InvalidState(f"app_send in {self.state.name}")
+            raise InvalidState(f"app_send in {self.state}")
         if not data:
             raise EmptyPayload("refusing to send empty payload")
-        seg = self._make(TcpFlags.PSH | TcpFlags.ACK, self.snd_nxt, bytes(data))
+        seg = TcpSegment(self.local, self.remote, self.lport, self.rport,
+                         self.snd_nxt, self.rcv_nxt, _PSH_ACK, bytes(data))
         self.snd_nxt = seq_add(self.snd_nxt, len(data))
         return seg
 
     def close(self) -> TcpSegment:
         """Graceful close: FIN consumes one sequence unit."""
         if self.state is not ConnState.ESTABLISHED:
-            raise InvalidState(f"close in {self.state.name}")
+            raise InvalidState(f"close in {self.state}")
         seg = self._make(TcpFlags.FIN | TcpFlags.ACK, self.snd_nxt)
         self.snd_nxt = seq_add(self.snd_nxt, 1)
         self.state = ConnState.FIN_WAIT
@@ -131,7 +137,7 @@ class TcpEndpoint:
     def abort(self) -> TcpSegment:
         """Hard reset toward the peer; terminates immediately."""
         if self.state in (ConnState.CLOSED, ConnState.CLOSED_FINAL):
-            raise InvalidState(f"abort in {self.state.name}")
+            raise InvalidState(f"abort in {self.state}")
         seg = self._make(TcpFlags.RST | TcpFlags.ACK, self.snd_nxt)
         self.state = ConnState.CLOSED_FINAL
         return seg

@@ -251,7 +251,7 @@ def builtin_scenario_path(name: str) -> Path:
     return Path(__file__).parent / "scenarios" / f"{name}.json"
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     index: int
     send_us: int

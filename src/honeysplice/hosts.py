@@ -62,24 +62,18 @@ class ServerHost(Host):
         self._iss_policy = iss_policy
         self.conns: dict[tuple[str, int], TcpEndpoint] = {}
 
-    def _endpoint_for(self, seg: TcpSegment) -> Optional[TcpEndpoint]:
-        key = (seg.src.ip, seg.sport)
-        conn = self.conns.get(key)
-        is_syn = bool(seg.flags & TcpFlags.SYN) and not (seg.flags & TcpFlags.ACK)
-        if conn is None or (is_syn and conn.state is ConnState.CLOSED_FINAL):
-            if not is_syn:
-                return conn
-            conn = TcpEndpoint(self.addr, self.listen_port, seg.src, seg.sport,
-                               self._iss_policy)
-            self.conns[key] = conn
-        return conn
-
     def _handle(self, seg: TcpSegment) -> list[TcpSegment]:
         if seg.dport != self.listen_port:
             return []
-        conn = self._endpoint_for(seg)
-        if conn is None:
-            return []
+        key = (seg.src.ip, seg.sport)
+        conn = self.conns.get(key)
+        if conn is None or conn.state is ConnState.CLOSED_FINAL:
+            # only a bare SYN opens an endpoint, or replaces a closed one
+            if seg.flags & (TcpFlags.SYN | TcpFlags.ACK) == TcpFlags.SYN:
+                conn = self.conns[key] = TcpEndpoint(
+                    self.addr, self.listen_port, seg.src, seg.sport, self._iss_policy)
+            elif conn is None:
+                return []
         emitted, delivered = conn.on_segment(seg)
         if delivered:
             # the ack of delivered data is ours: one data segment == one
@@ -174,7 +168,7 @@ class AttackerHost(Host):
         self._request_by_end[seq_add(seg.seq, len(payload))] = k
         self.transmit(seg)
         if k < len(self.requests):
-            self.engine.schedule_in(self._send_next, self.requests[k][0])
+            self.engine.schedule(self._send_next, self.engine.now + self.requests[k][0])
 
     # -- inbound -----------------------------------------------------------
 

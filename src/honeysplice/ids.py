@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .netcore import ConnKey, TcpFlags, TcpSegment, five_tuple
+from .netcore import ConnKey, TcpFlags, TcpSegment
 
 _FLAG_CHARS = {
     "S": TcpFlags.SYN,
@@ -255,12 +255,13 @@ class Ids:
     def subscribe(self, sink: Callable[[Alert], None]) -> None:
         self._sinks.append(sink)
 
-    def tap(self, seg: TcpSegment) -> None:
+    def tap(self, seg: TcpSegment, conn: ConnKey) -> None:
         """Mirror-tap entry point from the switch."""
-        self.observe(seg, self._engine.now)
+        self.observe(seg, self._engine.now, conn)
 
-    def observe(self, seg: TcpSegment, now: int) -> list[Alert]:
-        """Run all detectors against one segment; returns fired alerts."""
+    def observe(self, seg: TcpSegment, now: int, conn: ConnKey) -> list[Alert]:
+        """Run all detectors against one segment, whose directed connection
+        key is ``conn`` (``five_tuple(seg)``); returns fired alerts."""
         fired: list[Alert] = []
         for rule in self.rules:
             if not _rule_matches(rule, seg):
@@ -274,11 +275,10 @@ class Ids:
                 fires = len(times) >= rule.threshold.count
             self._matches[key] = (count + 1, [] if fires else times)
             if fires:
-                fired.append(Alert(rule.sid, rule.msg, seg, five_tuple(seg), count + 1))
+                fired.append(Alert(rule.sid, rule.msg, seg, conn, count + 1))
 
         if seg.payload and (seg.flags & (TcpFlags.PSH | TcpFlags.ACK)) \
                 == (TcpFlags.PSH | TcpFlags.ACK):
-            conn = five_tuple(seg)
             for watch in self._watches:
                 if watch.dst_ip is not None and seg.dst.ip != watch.dst_ip:
                     continue

@@ -5,11 +5,11 @@ ip, dport) to one action list; installing actions for a key replaces
 whatever the key had. Processing order for every packet entering the
 switch:
 
-1. a TCP segment is handed, unmodified, to the mirror taps (detection and
-   connection bookkeeping live there; echo packets skip them) -- taps may
-   install or remove rules, and the subsequent lookup sees the updated
-   table, so a tap reacting to a segment can decide that same segment's fate;
-2. lookup of the packet's connection key;
+1. a TCP segment is handed, unmodified, to the mirror taps as
+   ``tap(segment, key)`` (detection and connection bookkeeping live there;
+   echo packets skip them) -- taps may install or remove rules, and the
+   lookup after them sees the new table, so a tap decides the segment's fate;
+2. lookup of ``key``, the packet's connection key;
 3. the key's actions run in order: REWRITE transforms a TCP segment,
    OUTPUT forwards the current form out a port, BUFFER parks it in a
    named queue.
@@ -99,7 +99,7 @@ class Switch:
         self._held: dict[int, tuple[object, int]] = {}
         self._next_hold = 1
         self._sweep_armed = False
-        self.mirror_taps: list[Callable[[TcpSegment], None]] = []
+        self.mirror_taps: list[Callable[[TcpSegment, ConnKey], None]] = []
         self.packet_in_handler: Optional[Callable[[object, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
 
@@ -147,10 +147,11 @@ class Switch:
 
     def process(self, pkt, mirror: bool = True) -> None:
         self.stats["processed"] += 1
+        key = (pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport)
         if mirror and isinstance(pkt, TcpSegment):
             for tap in self.mirror_taps:
-                tap(pkt)
-        actions = self._table.get((pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))
+                tap(pkt, key)
+        actions = self._table.get(key)
         if actions is None:
             self._escalate(pkt)
             return

@@ -26,7 +26,8 @@ from honeysplice.ids import Threshold, parse_rule
 from honeysplice.netcore import HostAddr, TcpFlags
 
 from random_scenarios import random_scenario
-from test_ids import MIGRATE_RULE_TEXT, data_seg, make_ids, reference_threshold_alerts
+from test_ids import (MIGRATE_RULE_TEXT, data_seg, make_ids, observe,
+                      reference_threshold_alerts)
 
 N_RANDOMIZED = 200
 
@@ -218,7 +219,7 @@ def test_criterion_7_ids_conformance():
             now += rng.randrange(0, 2 * seconds * 1_000_000 // 3 + 1)
             ip = rng.choice(hosts)
             events.append((now, ip))
-            if ids.observe(data_seg(dst=HostAddr(ip, "02:00")), now):
+            if observe(ids, data_seg(dst=HostAddr(ip, "02:00")), now):
                 fired_idx.append(i)
         if fired_idx != reference_threshold_alerts(events, count, seconds):
             failures += 1

@@ -460,11 +460,11 @@ def test_ledger_records_a_late_arrival_at_its_stream_position():
     engine = Engine(5)
     controller = Controller(engine, Switch(engine))
     iss = 2**32 - 20
-    controller.ledger_tap(TcpSegment(ATT, VIC, 40001, 9000, iss, 0, TcpFlags.SYN))
+    controller.ledger_tap(TcpSegment(ATT, VIC, 40001, 9000, iss, 0, TcpFlags.SYN), CONN)
     chunks = [bytes([65 + k]) * 8 for k in range(5)]
     for k in (0, 2, 1, 4, 3):
         controller.ledger_tap(TcpSegment(ATT, VIC, 40001, 9000, seq_add(iss, 1 + 8 * k),
-                                         0, TcpFlags.PSH | TcpFlags.ACK, chunks[k]))
+                                         0, TcpFlags.PSH | TcpFlags.ACK, chunks[k]), CONN)
     assert controller.records[CONN].payloads == \
         [(seq_add(iss, 1 + 8 * k), chunks[k]) for k in range(5)]
 

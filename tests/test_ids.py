@@ -19,7 +19,7 @@ from honeysplice.ids import (
     load_ruleset,
     parse_rule,
 )
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, five_tuple
 from honeysplice.simnet import Engine
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
@@ -37,6 +37,11 @@ def data_seg(dst=B, src=A, flags=TcpFlags.PSH | TcpFlags.ACK, payload=b"x",
              sport=40001, dport=9000):
     return TcpSegment(src, dst, sport, dport, seq=1, ack=1,
                       flags=flags, payload=payload)
+
+
+def observe(ids, seg, now):
+    """``ids.observe`` given the connection key the switch hands its taps."""
+    return ids.observe(seg, now, five_tuple(seg))
 
 
 def reference_threshold_alerts(events, count, window_s):
@@ -272,7 +277,7 @@ def test_threshold_fires_on_fifth_match():
     ids = make_ids()
     alerts = []
     for i in range(5):
-        alerts += ids.observe(data_seg(), now=i * 1_000_000)
+        alerts += observe(ids, data_seg(), now=i * 1_000_000)
     assert len(alerts) == 1
     assert alerts[0].ordinal == 5
     assert alerts[0].msg == "MIGRATE"
@@ -282,7 +287,7 @@ def test_threshold_resets_after_alert():
     ids = make_ids()
     fired = []
     for i in range(10):
-        fired += ids.observe(data_seg(), now=i * 1_000_000)
+        fired += observe(ids, data_seg(), now=i * 1_000_000)
     assert len(fired) == 2  # on the 5th and the 10th
 
 
@@ -291,8 +296,8 @@ def test_window_expiry_resets_count():
     ids = make_ids()
     fired = []
     for i in range(4):
-        fired += ids.observe(data_seg(), now=i * 1_000_000)
-    fired += ids.observe(data_seg(), now=500_000_000)  # 500 s later
+        fired += observe(ids, data_seg(), now=i * 1_000_000)
+    fired += observe(ids, data_seg(), now=500_000_000)  # 500 s later
     assert fired == []
 
 
@@ -300,8 +305,8 @@ def test_non_matching_segments_ignored():
     ids = make_ids()
     # wrong destination and missing PSH; a non-TCP packet never reaches
     # the tap (test_mirror_taps_see_tcp_segments_only in test_vswitch)
-    assert ids.observe(data_seg(dst=C), 0) == []
-    assert ids.observe(data_seg(flags=TcpFlags.ACK), 0) == []
+    assert observe(ids, data_seg(dst=C), 0) == []
+    assert observe(ids, data_seg(flags=TcpFlags.ACK), 0) == []
     assert ids.alerts == []
 
 
@@ -309,7 +314,7 @@ def test_no_threshold_alerts_every_match():
     ids = make_ids('alert tcp any -> 10.0.0.2 any (msg:"ALL"; flags:P.A.; sid:9;)')
     fired = []
     for i in range(3):
-        fired += ids.observe(data_seg(), now=i)
+        fired += observe(ids, data_seg(), now=i)
     assert len(fired) == 3
     assert [a.ordinal for a in fired] == [1, 2, 3]
 
@@ -326,7 +331,7 @@ def test_threshold_against_reference_counter():
         now += rng.randrange(0, 1_500_000)
         dst = rng.choice(dsts)
         events.append((now, dst.ip))
-        if ids.observe(data_seg(dst=dst), now):
+        if observe(ids, data_seg(dst=dst), now):
             engine_alert_idx.append(i)
     assert engine_alert_idx == reference_threshold_alerts(events, 3, 2)
 
@@ -349,7 +354,7 @@ def test_interleaved_destinations_do_not_perturb_each_other(steps):
             now += delta
             if key not in selected:
                 continue
-            for alert in ids.observe(data_seg(dst=hosts[key]), now):
+            for alert in observe(ids, data_seg(dst=hosts[key]), now):
                 fired.append((key, now, alert.ordinal))
         return [f for f in fired if f[0] == "d1"]
 
@@ -365,7 +370,7 @@ def test_nth_packet_watch_fires_once_at_n():
     ids.add_nth_packet_watch(100, sid=900, dst_ip=B.ip)
     fired = []
     for i in range(120):
-        fired += ids.observe(data_seg(), now=i)
+        fired += observe(ids, data_seg(), now=i)
     assert len(fired) == 1
     assert fired[0].ordinal == 100
     assert fired[0].sid == 900
@@ -375,15 +380,15 @@ def test_nth_packet_watch_n1():
     eng = Engine(1)
     ids = Ids(eng)
     ids.add_nth_packet_watch(1, sid=901)
-    assert len(ids.observe(data_seg(), 0)) == 1
+    assert len(observe(ids, data_seg(), 0)) == 1
 
 
 def test_nth_packet_watch_requires_data():
     eng = Engine(1)
     ids = Ids(eng)
     ids.add_nth_packet_watch(1, sid=901)
-    assert ids.observe(data_seg(payload=b"", flags=TcpFlags.ACK), 0) == []
-    assert ids.observe(data_seg(flags=TcpFlags.PSH), 0) == []
+    assert observe(ids, data_seg(payload=b"", flags=TcpFlags.ACK), 0) == []
+    assert observe(ids, data_seg(flags=TcpFlags.PSH), 0) == []
 
 
 def test_nth_packet_watch_per_connection():
@@ -391,10 +396,10 @@ def test_nth_packet_watch_per_connection():
     ids = Ids(eng)
     ids.add_nth_packet_watch(2, sid=902)
     fired = []
-    fired += ids.observe(data_seg(sport=1111), 0)
-    fired += ids.observe(data_seg(sport=2222), 0)
+    fired += observe(ids, data_seg(sport=1111), 0)
+    fired += observe(ids, data_seg(sport=2222), 0)
     assert fired == []
-    fired += ids.observe(data_seg(sport=1111), 0)
+    fired += observe(ids, data_seg(sport=1111), 0)
     assert len(fired) == 1
 
 
@@ -407,7 +412,7 @@ def test_nth5_matches_count5_threshold_on_uninterrupted_burst():
     ids.add_nth_packet_watch(5, sid=905, dst_ip=B.ip)
     by_sid = {}
     for i in range(8):
-        for alert in ids.observe(data_seg(), now=i * 10_000):
+        for alert in observe(ids, data_seg(), now=i * 10_000):
             by_sid.setdefault(alert.sid, []).append(i)
     assert by_sid[1000001][0] == by_sid[905][0] == 4
 
@@ -418,6 +423,6 @@ def test_sink_subscription():
     ids.add_nth_packet_watch(1, sid=42)
     got = []
     ids.subscribe(got.append)
-    ids.observe(data_seg(), 0)
+    observe(ids, data_seg(), 0)
     assert len(got) == 1 and isinstance(got[0], Alert)
     assert got[0].conn == ("10.0.0.1", 40001, "10.0.0.2", 9000)

@@ -3,6 +3,7 @@ it builds. Each check runs in a fresh interpreter, since this test
 session has long since loaded everything."""
 
 import dataclasses
+import enum
 import importlib
 import inspect
 import json
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import honeysplice
+from honeysplice.endpoint import ConnState
+from honeysplice.netcore import TcpFlags
 
 SRC = Path(honeysplice.__file__).resolve().parent.parent
 
@@ -81,3 +84,10 @@ def test_the_dataclasses_are_exactly_the_kept_ones():
                     and dataclasses.is_dataclass(obj)):
                 found.add(f"{info.name}.{name}")
     assert found == KEPT_DATACLASSES
+
+
+def test_per_packet_constants_are_not_enum_members():
+    # states and flags are read several times per segment, and an Enum
+    # member read costs about five plain class attribute reads
+    for cls in (ConnState, TcpFlags):
+        assert not issubclass(cls, enum.Enum)

@@ -5,7 +5,7 @@ against the modular-arithmetic oracle)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, five_tuple
 from honeysplice.simnet import EchoPacket, Engine, Link, LinkModel
 from honeysplice.vswitch import (
     MISS_HOLD_TIMEOUT_US,
@@ -102,13 +102,13 @@ def test_at_most_one_rule_fires():
 def test_mirror_sees_every_segment_exactly_once_pre_rewrite():
     eng, sw, sinks = make_switch()
     mirrored = []
-    sw.mirror_taps.append(mirrored.append)
+    sw.mirror_taps.append(lambda pkt, key: mirrored.append((pkt, key)))
     sw.install_rule(exact_match(), (Rewrite(seq_delta=500), Output(1)))
     s = seg(seq=1000)
     sw.process(s)
     eng.run_until(10)
-    assert mirrored == [s]               # the unmodified original
-    assert mirrored[0].seq == 1000
+    assert mirrored == [(s, five_tuple(s))]  # the unmodified original, with its key
+    assert mirrored[0][0].seq == 1000
     assert sinks[0][0].seq == 1500       # forwarded copy was rewritten
 
 
@@ -116,7 +116,7 @@ def test_mirror_taps_see_tcp_segments_only():
     # echo load is forwarded but never handed to the taps
     eng, sw, sinks = make_switch()
     mirrored = []
-    sw.mirror_taps.append(mirrored.append)
+    sw.mirror_taps.append(lambda pkt, key: mirrored.append(pkt))
     echo = EchoPacket(src=A, dst=B, sport=40001, dport=9000)
     sw.install_rule(exact_match(), (Output(1),))
     sw.process(echo)
@@ -129,7 +129,7 @@ def test_mirror_taps_see_tcp_segments_only():
 def test_buffered_release_is_not_mirrored_again():
     eng, sw, _ = make_switch()
     mirrored = []
-    sw.mirror_taps.append(mirrored.append)
+    sw.mirror_taps.append(lambda pkt, key: mirrored.append(pkt))
     sw.install_rule(exact_match(), (Buffer("q"),))
     sw.process(seg(b"a"))
     sw.install_rule(exact_match(), (Output(1),))
@@ -142,7 +142,7 @@ def test_tap_rule_change_affects_same_packet():
     eng, sw, sinks = make_switch()
     sw.install_rule(exact_match(), (Output(1),))
 
-    def tap(pkt):
+    def tap(pkt, key):
         if pkt.payload == b"trigger":
             sw.install_rule(exact_match(), (Buffer("held"),))
 
