@@ -14,9 +14,11 @@ CSV formats are pinned: attacker traces are
 ``rep,event,time_us,detail`` (UTF-8, header row, LF endings), where
 ``detail`` renders an event's fields as ``k=v`` joined by ``;`` in its
 kind's declared order (``controller.EVENT_FIELDS``), a connection as
-``a:p->b:q``. No field is ever quoted: a field that would need quoting (a
-comma, quote, CR or LF) raises ValueError instead, as does an event whose
-kind or field count matches no declaration.
+``a:p->b:q``. Rows render a chunk (up to 256) per ``%`` call, from
+per-kind templates built once from declared names, the rep written from
+an int: a value's ``%`` or ``{`` is written as it is. No field is ever
+quoted: one that would need it (comma, quote, CR, LF) raises ValueError,
+as does an event whose kind, field count or conn matches no declaration.
 Re-exporting the same data is byte-identical; a file is written whole (via
 ``<file>.tmp``) or not at all, and ``export_run`` renames its four only once
 all are written. Importing the package loads neither ``csv`` nor
@@ -31,7 +33,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -494,57 +495,64 @@ def _write_files(files: dict) -> None:
         raise
 
 
-def _csv(path, header: str, lines):
-    """``header``, then ``lines`` (CSV rows, each ending in LF), in chunks of
-    256. Each chunk is checked first: a field holding a comma, quote, CR or
-    LF raises ValueError naming the file."""
+def _csv(path, header: str, chunks):
+    """``header``, then each ``(template, values)`` of ``chunks`` rendered by
+    one ``template % values`` call and checked: a field holding a comma,
+    quote, CR or LF raises ValueError naming the file."""
     commas = header.count(",")
-    lines = iter(lines)
     yield header + "\n"
-    while batch := list(islice(lines, 256)):
-        chunk = "".join(batch)
-        n = len(batch)
+    for template, values in chunks:
+        chunk, n = template % tuple(values), template.count("\n")
         if (chunk.count(",") != commas * n or chunk.count("\n") != n
                 or '"' in chunk or "\r" in chunk):
             raise ValueError(f"{path}: a field holds a comma, quote, CR or LF")
         yield chunk
 
 
+def _batches(rows: list) -> list:
+    """``rows`` in slices of 256: one ``%`` call renders each."""
+    return [rows[i:i + 256] for i in range(0, len(rows), 256)]
+
+
 def _attacker_csv(traces: list[LatencyTrace], path):
-    return _csv(path, "rep,packet_index,send_us,recv_us,rtt_us",
-                (f"{trace.rep},{r.index},{r.send_us},{r.recv_us},{r.rtt_us}\n"
-                 for trace in traces for r in trace.records))
+    return _csv(path, "rep,packet_index,send_us,recv_us,rtt_us", (
+        (f"{int(t.rep)},%s,%s,%s,%s\n" * len(batch),
+         [v for r in batch for v in (r.index, r.send_us, r.recv_us, r.rtt_us)])
+        for t in traces for batch in _batches(t.records)))
 
 
 def write_attacker_csv(traces: list[LatencyTrace], path) -> None:
     _write_files({path: _attacker_csv(traces, path)})
 
 
-def _row_format(kind: str, names: tuple[str, ...]):
-    """The bound ``str.format`` of the kind's CSV row, which takes ``(rep,
-    time_us, *conn, *rest)``."""
-    rest = [name for name in names if name != "conn"]
-    detail = ";".join("conn={2}:{3}->{4}:{5}" if name == "conn"
-                      else f"{name}={{{6 + rest.index(name)}}}" for name in names)
-    return f"{{0}},{kind},{{1}},{detail}\n".format
-
-
-# (kind, number of fields besides conn) -> row format
-_ROW_FORMATS = {(kind, len(names) - 1): _row_format(kind, names)
-                for kind, names in EVENT_FIELDS.items()}
+# kind -> (number of fields besides conn, number before it, its row after
+# rep, which takes (time_us, *fields before conn, *conn, *fields after conn))
+_ROWS = {kind: (len(names) - 1, names.index("conn"), f",{kind},%s," + ";".join(
+    "conn=%s:%s->%s:%s" if name == "conn" else f"{name}=%s" for name in names) + "\n")
+    for kind, names in EVENT_FIELDS.items()}
 
 
 def _controller_csv(traces: list[LatencyTrace], path):
-    def lines():
+    def chunks():
         for trace in traces:
-            rep = trace.rep
-            for time_us, kind, conn, rest in trace.controller_events:
-                row = _ROW_FORMATS.get((kind, len(rest)))
-                if row is None:
-                    raise ValueError(f"{path}: controller event {kind!r} with "
-                                     f"{len(rest)} field(s) besides conn is not declared")
-                yield row(rep, time_us, *conn, *rest)
-    return _csv(path, "rep,event,time_us,detail", lines())
+            rep = str(int(trace.rep))
+            for batch in _batches(trace.controller_events):
+                template, values = [], []
+                for time_us, kind, conn, rest in batch:
+                    n, at, row = _ROWS.get(kind, (None, 0, ""))  # None: no count matches
+                    if len(rest) != n or len(conn) != 4:
+                        raise ValueError(
+                            f"{path}: controller event {kind!r} with {len(rest)} field(s) "
+                            f"besides a {len(conn)}-part conn is not declared")
+                    template.append(row)
+                    values.append(time_us)
+                    if at:  # the fields declared before conn
+                        values += rest[:at]
+                        rest = rest[at:]
+                    values += conn
+                    values += rest
+                yield rep + rep.join(template), values  # the rep begins each row
+    return _csv(path, "rep,event,time_us,detail", chunks())
 
 
 def write_controller_csv(traces: list[LatencyTrace], path) -> None:
@@ -553,8 +561,8 @@ def write_controller_csv(traces: list[LatencyTrace], path) -> None:
 
 def _summary_csv(summary: Summary, path):
     return _csv(path, "packet_index,mean_rtt_us,min_rtt_us,max_rtt_us,stddev_rtt_us,samples",
-                (f"{s.index},{s.mean:.3f},{s.min},{s.max},{s.stddev:.3f},{s.samples}\n"
-                 for s in summary.per_index))
+                (("%s,%.3f,%s,%s,%.3f,%s\n" * len(batch), [v for s in batch for v in s])
+                 for batch in _batches(summary.per_index)))
 
 
 def write_summary_csv(summary: Summary, path) -> None:
@@ -580,12 +588,9 @@ def export_run(scenario: Scenario, traces: list[LatencyTrace], out_dir,
     replaced together or, when one fails, not at all."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "attacker": out / "attacker_trace.csv",
-        "controller": out / "controller_events.csv",
-        "summary": out / "summary.csv",
-        "meta": out / "meta.json",
-    }
+    files = {"attacker": out / "attacker_trace.csv",
+             "controller": out / "controller_events.csv",
+             "summary": out / "summary.csv", "meta": out / "meta.json"}
     if summary is None:
         summary = summarize(traces, scenario.trigger_index)
     meta = {"scenario": scenario.name, "seed": scenario.seed,

@@ -261,7 +261,7 @@ class Ids:
 
     def observe(self, seg: TcpSegment, now: int, conn: ConnKey) -> list[Alert]:
         """Run all detectors against one segment, whose directed connection
-        key is ``conn`` (``five_tuple(seg)``); returns fired alerts."""
+        key is ``conn``, as ``Switch.process`` builds it; returns fired alerts."""
         fired: list[Alert] = []
         for rule in self.rules:
             if not _rule_matches(rule, seg):

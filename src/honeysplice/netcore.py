@@ -135,8 +135,3 @@ def seg_end(seg: TcpSegment) -> int:
 
 ConnKey = tuple[str, int, str, int]
 """A directed connection: (src ip, sport, dst ip, dport)."""
-
-
-def five_tuple(seg) -> ConnKey:
-    """Directed flow key (src ip, sport, dst ip, dport) of any packet."""
-    return (seg.src.ip, seg.sport, seg.dst.ip, seg.dport)

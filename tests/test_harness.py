@@ -922,6 +922,65 @@ def test_exports_equal_the_csv_module_byte_for_byte(tmp_path, export_inputs):
     assert kinds == CONTROLLER_EVENT_KINDS
 
 
+# format syntax of both %-templates and str.format, as a value may hold it
+FORMAT_SYNTAX = ("%", "%s", "%%", "%d", "%(x)s", "{0}", "{", "}", "{rep}")
+
+
+def test_values_holding_format_syntax_are_written_literally(tmp_path):
+    # a value is only ever an argument of a row template, never its text;
+    # rep 10's 300 events span two chunks, and reps 10 and 123 take the
+    # rep's digits into the template
+    events = [ControllerEvent(i, "packet_in", CONN) for i in range(300)]
+    for i, value in enumerate(FORMAT_SYNTAX):
+        events[10 * i] = ControllerEvent(10 * i, "clone_failed", CONN, (value,))
+        events[270 + i] = ControllerEvent(270 + i, "alert_ignored", CONN, (value, 1000001))
+    events[290] = ControllerEvent(290, "clone_latency", CONN, ("{0}%s",))
+    events[291] = ControllerEvent(291, "packet_in", ("%s", "{1}", "%", "}"))
+    records = [PacketRecord(i, v, f"{v}{v}", v) for i, v in enumerate(FORMAT_SYNTAX)]
+    traces = [LatencyTrace(10, records, events),
+              LatencyTrace(123, records[:2], [ControllerEvent(5, "restore_ignored",
+                                                              CONN, ("%s{0}",))])]
+    summary = Summary([harness.IndexStats(v, 4000.5, v, v, 0.25, v) for v in FORMAT_SYNTAX],
+                      None, None, None, None)
+    paths = [tmp_path / f"{part}.csv" for part in ("a", "c", "s")]
+    write_attacker_csv(traces, paths[0])
+    write_controller_csv(traces, paths[1])
+    write_summary_csv(summary, paths[2])
+    written = [p.read_bytes() for p in paths]
+    assert written == csv_module_exports(traces, summary)
+    controller = written[1].decode()
+    assert "\n10,clone_failed,0,conn=10.0.0.1:40001->10.0.0.2:9000;policy=%\n" in controller
+    assert "\n10,alert_ignored,278,conn=10.0.0.1:40001->10.0.0.2:9000;phase={rep};" \
+           "sid=1000001\n" in controller
+    assert "\n10,packet_in,291,conn=%s:{1}->%:}\n" in controller
+    assert controller.endswith("\n123,restore_ignored,5,conn=10.0.0.1:40001->"
+                               "10.0.0.2:9000;phase=%s{0}\n")
+
+
+def test_an_undeclared_field_count_in_a_later_chunk_of_a_later_rep_leaves_no_file(tmp_path):
+    # rep 2's event 300 lies in its second 256-row chunk, after rep 1's
+    # chunks and rep 2's first have passed; alert declares two fields besides conn
+    events = [ControllerEvent(i, "packet_in", CONN) for i in range(600)]
+    failing = list(events)
+    failing[300] = ControllerEvent(300, "alert", CONN, (1000001,))
+    path = tmp_path / "controller_events.csv"
+    with pytest.raises(ValueError, match=re.escape("'alert' with 1 field(s)")):
+        write_controller_csv([LatencyTrace(1, [], events), LatencyTrace(2, [], failing)],
+                             path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_conn_of_other_than_four_parts_raises_naming_the_kind(tmp_path):
+    # in one chunk, a 5-part conn and a 3-part one give the template its
+    # total count of values, each in the wrong field after the first
+    events = [ControllerEvent(1, "packet_in", (*CONN, "x")),
+              ControllerEvent(2, "flow_rules", CONN[:3])]
+    with pytest.raises(ValueError,
+                       match=re.escape("'packet_in' with 0 field(s) besides a 5-part conn")):
+        write_controller_csv([LatencyTrace(1, [], events)], tmp_path / "c.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_kind_table_declares_every_logged_kind():
     assert set(EVENT_FIELDS) == CONTROLLER_EVENT_KINDS
     assert all(names.count("conn") == 1 for names in EVENT_FIELDS.values())

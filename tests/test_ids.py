@@ -19,8 +19,10 @@ from honeysplice.ids import (
     load_ruleset,
     parse_rule,
 )
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, five_tuple
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
 from honeysplice.simnet import Engine
+
+from flow_key import five_tuple
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 B = HostAddr("10.0.0.2", "02:00:00:00:00:02")

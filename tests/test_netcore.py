@@ -17,13 +17,14 @@ from honeysplice.netcore import (
     HostAddr,
     TcpFlags,
     TcpSegment,
-    five_tuple,
     seg_span,
     seq_add,
     seq_lt,
 )
 from honeysplice.simnet import EchoPacket
 from honeysplice.vswitch import Rewrite
+
+from flow_key import five_tuple
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 B = HostAddr("10.0.0.2", "02:00:00:00:00:02")

@@ -5,7 +5,7 @@ against the modular-arithmetic oracle)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, five_tuple
+from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment
 from honeysplice.simnet import EchoPacket, Engine, Link, LinkModel
 from honeysplice.vswitch import (
     MISS_HOLD_TIMEOUT_US,
@@ -16,6 +16,8 @@ from honeysplice.vswitch import (
     UnknownQueue,
     UnknownRule,
 )
+
+from flow_key import five_tuple
 
 A = HostAddr("10.0.0.1", "02:00:00:00:00:01")
 B = HostAddr("10.0.0.2", "02:00:00:00:00:02")
