@@ -230,6 +230,14 @@ class TcpEndpoint:
         return [], b""
 
 
+# requests kept by hosts.make_request, responses by ServerApp.respond: above
+# the shipped sessions' 120 requests, so every repetition shares them
+PAYLOAD_CACHE_SIZE = 256
+# (app_id, count, id(request)) -> (request, response), oldest first; holding
+# the request keeps its id from being reused while the entry lives
+_RESPONSES: dict[tuple[str, int, int], tuple[bytes, bytes]] = {}
+
+
 class ServerApp:
     """Deterministic request/response application.
 
@@ -237,6 +245,11 @@ class ServerApp:
     produce byte-identical responses; that determinism is what makes a
     freshly instantiated clone behaviorally indistinguishable from the
     server it copies (once its request history has been replayed).
+
+    ``respond`` returns each response from a process-wide cache keyed by
+    ``(app_id, count, id(request))``, as every repetition sends the same
+    request objects. The key names everything a response depends on: app
+    state that a response comes to depend on must extend it.
     """
 
     _TAG = b"#%06d|"  # the running count each response carries
@@ -252,7 +265,15 @@ class ServerApp:
         request = bytes(request)
         self.request_count += 1
         self.request_log.append(request)
-        return self._prefix + self._TAG % self.request_count + request
+        key = (self.app_id, self.request_count, id(request))
+        hit = _RESPONSES.get(key)
+        if hit is not None:
+            return hit[1]
+        response = self._prefix + self._TAG % self.request_count + request
+        _RESPONSES[key] = request, response
+        if len(_RESPONSES) > PAYLOAD_CACHE_SIZE:
+            del _RESPONSES[next(iter(_RESPONSES))]
+        return response
 
     def replay(self, requests: list[bytes]) -> int:
         """``respond`` to each of ``requests`` in turn without building the

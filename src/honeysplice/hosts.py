@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Optional, Sequence
 
-from .endpoint import ConnState, IssPolicy, ServerApp, TcpEndpoint
+from .endpoint import PAYLOAD_CACHE_SIZE, ConnState, IssPolicy, ServerApp, TcpEndpoint
 from .netcore import HostAddr, TcpFlags, TcpSegment, seq_add
 from .simnet import BackgroundLoadSpec, EchoPacket, Engine, Link, LinkModel
 from .vswitch import Switch
@@ -99,17 +99,13 @@ class ServerHost(Host):
         conn.snd_nxt = seq_add(conn.snd_nxt, self.app.replay(requests))
 
 
-# payloads kept by make_request: above the shipped sessions' 120 requests,
-# so every repetition of one shares them
-REQUEST_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=REQUEST_CACHE_SIZE)
+@functools.lru_cache(maxsize=PAYLOAD_CACHE_SIZE)
 def make_request(index: int, size: int) -> bytes:
     """Deterministic request payload k of a session, exactly ``size`` bytes.
 
     A pure function of its arguments, cached: the payloads are immutable
-    bytes, so every repetition of a run sends the same objects.
+    bytes, so every repetition of a run sends the same objects, and a
+    server's ``ServerApp.respond`` finds their responses in its own cache.
     """
     stamp = b"r%06d-" % index
     reps = size // len(stamp) + 1
@@ -132,8 +128,9 @@ class AttackerHost(Host):
 
     Violations are collected, not raised, so a run can report all of them.
     It also records ``sent_requests``, ``send_ts``/``recv_ts`` and, in
-    ``received``, each delivered payload in order, by reference: a server's
-    ``TcpEndpoint.app_send`` copies with ``bytes()``, so none can change.
+    ``received``, each delivered payload in order, by reference: each is an
+    immutable ``bytes``, so none can change, though a server's response
+    cache shares it with every repetition that gets the same response.
     """
 
     def __init__(self, engine: Engine, name: str, addr: HostAddr,

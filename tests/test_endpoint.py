@@ -11,7 +11,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from honeysplice import endpoint
 from honeysplice.endpoint import (
+    PAYLOAD_CACHE_SIZE,
     ConnState,
     EmptyPayload,
     InvalidState,
@@ -395,3 +397,46 @@ def test_respond_tags_app_id_and_count():
     assert app.respond(b"req") == b"svc#000001|req"
     assert app.respond(b"req") == b"svc#000002|req"
     assert app.request_log == [b"req", b"req"]
+
+
+def test_respond_answers_content_not_identity():
+    """A request equal in content to a cached one, but another object, gets
+    equal bytes; so does a bytearray or memoryview, each read afresh."""
+    request = b"abc" * 1000
+    expected = b"cache#000001|" + request
+    assert ServerApp("cache").respond(request) == expected
+    assert ServerApp("cache").respond(bytes(bytearray(request))) == expected
+    buf = bytearray(b"first")
+    assert ServerApp("cache").respond(buf) == b"cache#000001|first"
+    buf[:] = b"again"
+    assert ServerApp("cache").respond(buf) == b"cache#000001|again"
+    assert ServerApp("cache").respond(memoryview(buf)) == b"cache#000001|again"
+    app = ServerApp("cache")
+    app.respond(memoryview(b"one"))
+    assert app.request_log == [b"one"] and type(app.request_log[0]) is bytes
+
+
+def test_respond_cache_keys_app_id_and_count():
+    request = b"same object"
+    assert ServerApp("one").respond(request) == b"one#000001|same object"
+    assert ServerApp("two").respond(request) == b"two#000001|same object"
+    for _ in range(2):  # a miss, then hits, give the widened tag
+        app = ServerApp("wide")
+        app.request_count = 999_998
+        assert app.respond(request) == b"wide#999999|same object"
+        assert app.respond(request) == b"wide#1000000|same object"
+
+
+def test_respond_cache_is_bounded_and_keys_hold_no_payload():
+    app = ServerApp("bound")
+    requests = [b"%d" % i * 50 for i in range(1000)]
+    responses = [app.respond(r) for r in requests]
+    assert len(endpoint._RESPONSES) <= PAYLOAD_CACHE_SIZE
+    # oldest first out: the newest entries are the ones kept
+    assert ("bound", 1000, id(requests[-1])) in endpoint._RESPONSES
+    assert ("bound", 1, id(requests[0])) not in endpoint._RESPONSES
+    for key in endpoint._RESPONSES:
+        assert [type(part) for part in key] == [str, int, int]
+    again = ServerApp("bound")
+    again.request_count = 999
+    assert again.respond(requests[-1]) is responses[-1]

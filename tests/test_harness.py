@@ -42,8 +42,8 @@ from honeysplice.harness import (
 )
 from honeysplice.cli import main as cli_main
 from honeysplice.clonemgr import StrategyKind
-from honeysplice.endpoint import ServerApp
-from honeysplice.hosts import REQUEST_CACHE_SIZE, EchoHost, make_request
+from honeysplice.endpoint import PAYLOAD_CACHE_SIZE, ServerApp
+from honeysplice.hosts import EchoHost, make_request
 from honeysplice.vswitch import Switch
 
 from random_scenarios import random_scenario
@@ -519,7 +519,7 @@ def test_on_demand_clone_ready_beside_an_ack_splices_at_a_current_offset(tmp_pat
 
 def test_request_payloads_are_cached_and_shared_across_reps():
     assert make_request(7, 64) is make_request(7, 64)
-    assert make_request.cache_info().maxsize == REQUEST_CACHE_SIZE > 0
+    assert make_request.cache_info().maxsize == PAYLOAD_CACHE_SIZE > 0
     # random sizes: each rep draws other (index, size) keys from one cache
     scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
                        request_size_random=True)
@@ -607,6 +607,29 @@ def test_bulk_view_is_held_by_reference_and_joined_on_read():
     assert not attacker.received_stream.endswith(b"?")
     sim.run()
     assert bytes(attacker.received_stream) == expected
+
+
+@pytest.mark.parametrize("size", [32, 65_536])
+def test_migrated_stream_equals_the_literal_formats(size):
+    """The attacker's stream, with migration, equals responses built from
+    the literal request and response formats alone; rep 2 gets the responses
+    rep 1 built."""
+    scenario = replace(load_scenario(builtin_scenario_path("e1_redirect")),
+                       request_size=size)
+    expected = b"".join(b"tcp-echo-v1#%06d|" % k + (b"r%06d-" % k * (size // 8 + 1))[:size]
+                        for k in range(1, scenario.total_packets + 1))
+    for rep in (1, 2):
+        sim = run_single(scenario, rep)
+        assert not sim.trace(rep).violations
+        assert [e.kind for e in sim.controller.events].count("replayed") == 1
+        assert bytes(sim.attacker.received_stream) == expected
+
+
+def test_a_repetition_gets_the_response_objects_of_the_last():
+    scenario = load_scenario(builtin_scenario_path("e1_redirect"))
+    first, second = (run_single(scenario, rep).attacker.received for rep in (1, 2))
+    assert len(first) == len(second) == scenario.total_packets
+    assert all(a is b for a, b in zip(first, second))
 
 
 @pytest.mark.parametrize("name, size, victim, honey, replayed", [
