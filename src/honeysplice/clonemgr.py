@@ -43,9 +43,9 @@ class CloneManager:
     """Instantiates honey servers on demand (or hands out a pre-built one).
 
     ``make_host`` is supplied by the topology layer: it builds a copy of
-    the victim host it is handed and attaches it to the switch. At most
-    one clone is in flight per connection; the controller's phase machine
-    enforces that.
+    the victim host it is handed and attaches it to the switch. Each
+    request (each migration, re-migrations too) builds a fresh clone; a
+    pre-built honey server is handed out again every time.
     """
 
     def __init__(self, engine: Engine, latency_us: int,

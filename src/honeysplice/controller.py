@@ -29,12 +29,15 @@ Redirection, on an alert for an established connection:
      removed), the buffered segments are released through them, and the
      attacker-visible byte stream continues without a seam.
 
-The RST and every splice (migration, restore) wait until the connection
-is quiet: the serving server has consumed every attacker byte the switch
-let through, and the attacker's latest ack at the switch covers the
-server's snd_nxt. Then nothing is in flight either way, and ``last_ack``
-is the attacker's rcv_nxt. Waiting moves sit in the record's ``waiting``
-list; ``ledger_tap`` runs them on the segment that quiets it.
+Every move -- migration onto the clone, restore onto the victim, a later
+re-migration -- is one operation: move the connection to server S. It
+buffers the attacker's direction (or joins the buffer already there),
+waits in the record's ``moves`` list until the connection is quiet,
+resets the server it leaves and splices onto S. Quiet: the serving server
+has consumed every attacker byte the switch let through, and the
+attacker's latest ack at the switch covers its snd_nxt, so nothing is in
+flight either way and ``last_ack`` is the attacker's rcv_nxt.
+``ledger_tap`` runs the moves on the segment that quiets the connection.
 
 Containment timing is configurable: "immediate" contains at alert time
 (the victim never sees the triggering segment), "on_clone_ready" lets the
@@ -43,27 +46,24 @@ on instantiation). With a pre-instantiated honey server both behave
 identically: the clone manager returns it at once, so on a quiet
 connection the whole redirect completes within the alert event.
 
-Restore (reverse migration) buffers the attacker's direction from the
-restore trigger's seq and, once the honey server is quiet, re-splices the
-connection onto a fresh victim-side connection with the same recipe --
-forge, replay whatever the victim has not seen, recompute offsets.
+A record's ``phase`` names where its last requested move goes: IDLE,
+CLONING (to the honey: a clone booting or a move waiting), REDIRECTED,
+RESTORING (back to the victim, from the restore trigger's seq) and
+RESTORED. Neither entry point raises. An alert on no established
+connection (the attacker's SYN, the server's direction) or on one on or
+bound for the honey is logged as ``alert_ignored``; a restore on one
+neither on nor bound for the honey as ``restore_ignored``. Neither changes
+anything. So a restore while the clone boots queues behind the migration,
+and an alert on a restored connection migrates it again.
 
-A record's ``phase`` is its whole migration state: IDLE, CLONING,
-REDIRECTED, RESTORING (a restore waiting for a quiet honey) and RESTORED.
-Neither entry point raises. An alert the controller cannot act on -- on
-the attacker's SYN, on the server's direction, or on a connection already
-migrating -- is logged as ``alert_ignored``; a restore outside REDIRECTED
-as ``restore_ignored``. Neither changes anything.
-
-Both replay windows are ranges of the attacker's stream positions. At
-containment the record notes ``victim_pos``, where the switch starts
-buffering: the triggering segment's seq when containing inside
-``on_alert`` (that segment is still mid-pipeline and never reaches the
-victim), the attacker's snd_nxt when an on-demand clone comes up.
-Migration replays [ISS+1, victim_pos) into the clone and restore
-[victim_pos, restore trigger's seq) into the victim. Each forged
-handshake ends at its window's start, and the recorded payloads must
-tile the window exactly, or the splice raises ``RestoreFailed``.
+The replay window is [S's consumed position, ``buffered_from``) in the
+attacker's stream: S's consumed position is its old endpoint's rcv_nxt,
+or ISS+1 if it has none; ``buffered_from`` is where the switch began
+buffering, the triggering segment's seq when an entry point holds (that
+segment, still mid-pipeline, never reaches the server left behind) or the
+attacker's snd_nxt when an on-demand clone comes up. The forged handshake
+ends at the window's start, and the recorded payloads must tile the
+window exactly, or the splice raises ``RestoreFailed``.
 
 Splice offsets are computed from stream *positions*, not ISNs: the
 server-to-attacker delta is (attacker's expected next peer seq) minus
@@ -75,9 +75,10 @@ victim connection never sent the responses the honey server did.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
+from .endpoint import ConnState
 from .hosts import ServerHost
 from .netcore import ConnKey, HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_sub
 from .simnet import Engine
@@ -141,20 +142,23 @@ class MigrationRecord:
     is how far the serving endpoint's stream runs ahead of the attacker's
     view (honey ISN - victim ISN right after migration). Rules add it to
     attacker-to-server acks and subtract it from server-to-attacker seqs.
+    ``times`` holds the latest time of each phase.
     """
 
     def __init__(self, key: ConnKey, attacker_addr: HostAddr, server_addr: HostAddr,
-                 attacker_iss: int, attacker_snd_nxt: int) -> None:
+                 attacker_iss: int, attacker_snd_nxt: int,
+                 serving: Optional[ServerHost]) -> None:
         self.key, self.attacker_addr, self.server_addr = key, attacker_addr, server_addr
         self.attacker_iss, self.attacker_snd_nxt = attacker_iss, attacker_snd_nxt
         self.last_ack, self.seq_delta, self.phase = 0, 0, PHASE_IDLE
         self.payloads: list[tuple[int, bytes]] = []
         self.times: dict[str, int] = {}
-        # attacker stream position the victim consumes up to; None until contained
-        self.victim_pos: Optional[int] = None
-        self.serving: Optional[ServerHost] = None  # set when contained, then by each splice
-        # moves waiting for a quiet connection (see Controller._when_quiet)
-        self.waiting: list[tuple[int, Callable[[], None]]] = []
+        # attacker stream position the switch buffers from; None while it forwards
+        self.buffered_from: Optional[int] = None
+        self.serving = serving  # the server the connection is on
+        # [server, phase] moves waiting for a quiet connection, in request
+        # order (see Controller._when_quiet); server is None while its clone boots
+        self.moves: list[list] = []
 
     def offset(self, entry: tuple[int, bytes]) -> int:
         """The key that orders ``payloads``: an entry's offset from the ISS."""
@@ -210,7 +214,8 @@ class Controller:
         if (pkt.flags & TcpFlags.SYN) and not (pkt.flags & TcpFlags.ACK):
             self.records[key] = MigrationRecord(
                 key=key, attacker_addr=pkt.src, server_addr=pkt.dst,
-                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1))
+                attacker_iss=pkt.seq, attacker_snd_nxt=seq_add(pkt.seq, 1),
+                serving=self.server_hosts.get(pkt.dst.ip))
             return
         record = self.records.get(key)
         if record is not None:
@@ -222,7 +227,7 @@ class Controller:
                 insort(record.payloads, (pkt.seq, pkt.payload), key=record.offset)
             elif pkt.payload:
                 record.payloads.append((pkt.seq, pkt.payload))
-            if record.waiting:
+            if record.moves:
                 self._when_quiet(record)
 
     # -- reactive forwarding ---------------------------------------------------
@@ -259,96 +264,111 @@ class Controller:
         if self.switch.release_held(hold_id):  # not when the hold has expired
             events.append(tuple.__new__(ControllerEvent, (now, "packet_in", key, ())))
 
-    # -- migration --------------------------------------------------------------
+    # -- moving the connection -------------------------------------------------
 
     def on_alert(self, alert: Alert) -> None:
-        """Start the migration for the alerted connection. An alert on no
-        established attacker connection (a SYN, the server's direction) or
-        on one already migrating is logged as ``alert_ignored``. Every
-        attacker segment but the SYN carries ACK. A clone that cannot be
-        built changes nothing: the victim keeps the connection."""
+        """Move the alerted connection onto a clone of the victim. An alert on
+        no established attacker connection (a SYN, the server's direction) or
+        on one on or bound for the honey is logged as ``alert_ignored``; every
+        attacker segment but the SYN carries ACK. A clone that cannot be built
+        changes nothing: the victim keeps the connection."""
         key = alert.conn
         record = self.records.get(key)
         if record is None or not (alert.segment.flags & TcpFlags.ACK) \
-                or record.phase != PHASE_IDLE:
+                or record.phase in (PHASE_CLONING, PHASE_REDIRECTED):
             phase = record.phase if record is not None else PHASE_IDLE
             self.log("alert_ignored", key, phase, alert.sid)
             return
         self.log("alert", key, alert.sid, alert.ordinal)
         record.transition(PHASE_CLONING, self.engine.now)
-        victim = self.server_hosts[record.server_addr.ip]
+        move = [None, PHASE_REDIRECTED]
         try:
             host = self.clonemgr.request_clone(
-                victim, lambda host, lat: self._on_clone_ready(record, host, lat))
+                self.server_hosts[record.server_addr.ip],
+                lambda host, lat: self._on_clone_ready(record, move, host, lat))
         except CloneFailed:
             self.log("clone_failed", key, "open")
-            record.transition(PHASE_RESTORED, self.engine.now)
+            # the victim keeps the connection, or a waiting restore takes it back
+            phase = PHASE_RESTORING if record.moves else PHASE_RESTORED
+            record.transition(phase, self.engine.now)
             return
+        record.moves.append(move)
 
         # This call is inside the triggering segment's mirror tap, so the
-        # segment is still in flight through the switch. Containing now
-        # ("immediate", or a pre-built clone in either mode) keeps it from
-        # the victim: the victim consumes the stream up to its seq.
+        # segment is still in flight through the switch. Holding now ("immediate",
+        # or a pre-built clone in either mode) keeps it from the server left.
         if self.containment == "immediate" or host is not None:
-            self._contain(record, alert.segment.seq)
+            self._hold(record, alert.segment.seq, "buffer_installed")
         self.log("clone_requested", key)
         if host is not None:
-            self._on_clone_ready(record, host, 0)
+            self._on_clone_ready(record, move, host, 0)
 
-    def _contain(self, record: MigrationRecord, victim_pos: int) -> None:
-        """Protect the victim: buffer the attacker's direction, and once the
-        victim has answered everything up to ``victim_pos``, forge an RST
-        toward the victim only."""
-        key = record.key
-        self.switch.create_queue(key)
-        self.switch.install_rule(key, (Buffer(key),))
-        record.victim_pos = victim_pos
-        record.serving = victim = self.server_hosts[record.server_addr.ip]
-        self.log("buffer_installed", key)
+    def restore_original(self, alert: Alert) -> None:
+        """Move the connection back onto the original server; like ``on_alert``,
+        this runs inside the trigger's mirror tap. A connection neither on nor
+        bound for the honey (IDLE, RESTORING, RESTORED, or a failed clone the
+        victim kept) has nothing to restore: it is logged as ``restore_ignored``."""
+        key = alert.conn
+        record = self.records.get(key)
+        if record is None or record.phase not in (PHASE_CLONING, PHASE_REDIRECTED):
+            phase = record.phase if record is not None else PHASE_IDLE
+            self.log("restore_ignored", key, phase)
+            return
+        record.transition(PHASE_RESTORING, self.engine.now)
+        record.moves.append([self.server_hosts[record.server_addr.ip], PHASE_RESTORED])
+        self._hold(record, alert.segment.seq, "restore_armed")
 
-        def close_victim():
-            victim.deliver_oob(TcpSegment(
-                record.attacker_addr, record.server_addr, key[1], key[3],
-                record.attacker_snd_nxt, record.last_ack, TcpFlags.RST | TcpFlags.ACK))
-            self.log("victim_closed", key)
-
-        self._when_quiet(record, victim_pos, close_victim)
-
-    def _on_clone_ready(self, record: MigrationRecord, host: ServerHost,
+    def _on_clone_ready(self, record: MigrationRecord, move: list, host: ServerHost,
                         latency_us: int) -> None:
         self.log("clone_latency", record.key, latency_us)
-        if record.victim_pos is None:  # an on-demand clone, under on_clone_ready
-            self._contain(record, record.attacker_snd_nxt)
+        if record.buffered_from is None:  # an on-demand clone, under on_clone_ready
+            self._hold(record, record.attacker_snd_nxt, "buffer_installed")
         self.log("splice_started", record.key)
-        self._when_quiet(record, record.victim_pos, lambda: self._splice(
-            record, host, seq_add(record.attacker_iss, 1), record.victim_pos,
-            PHASE_REDIRECTED))
+        move[0] = host
+        self._when_quiet(record)
 
-    # -- waiting for a quiet connection -------------------------------------------
+    def _hold(self, record: MigrationRecord, pos: int, log_kind: str) -> None:
+        """Buffer the attacker's direction from ``pos`` unless the switch already
+        buffers it, log ``log_kind``, and run what a quiet connection allows."""
+        if record.buffered_from is None:
+            self.switch.create_queue(record.key)
+            self.switch.install_rule(record.key, (Buffer(record.key),))
+            record.buffered_from = pos
+        self.log(log_kind, record.key)
+        self._when_quiet(record)
 
-    def _when_quiet(self, record: MigrationRecord, *move) -> None:
-        """Queue ``move`` -- (pos, fn), where ``pos`` is where the switch
-        began buffering -- if given, then run the queued moves in order
-        while the connection is quiet (see the module docstring)."""
-        if move:
-            record.waiting.append(move)
-        while record.waiting:
-            pos, fn = record.waiting[0]
-            conn = record.serving.conns[(record.attacker_addr.ip, record.key[1])]
-            if conn.rcv_nxt != pos or \
+    def _when_quiet(self, record: MigrationRecord) -> None:
+        """While the connection is quiet (see the module docstring), reset the
+        server it leaves, once, then run each head move whose server is up."""
+        key, moves = record.key, record.moves
+        while moves:
+            serving = record.serving
+            conn = serving.conns[(record.attacker_addr.ip, key[1])]
+            if conn.rcv_nxt != record.buffered_from or \
                     conn.snd_nxt != seq_add(record.last_ack, record.seq_delta):
                 return
-            del record.waiting[0]
-            fn()
+            if conn.state is not ConnState.CLOSED_FINAL:
+                # after it answers what reached it; the attacker is never reset
+                serving.deliver_oob(TcpSegment(
+                    record.attacker_addr, serving.addr, key[1], key[3],
+                    record.attacker_snd_nxt, conn.snd_nxt, TcpFlags.RST | TcpFlags.ACK))
+                self.log("victim_closed", key)
+            if moves[0][0] is None:  # its clone still boots
+                return
+            self._splice(record, *moves.pop(0))
 
-    # -- the splice (shared by migration and restore) -----------------------------
+    # -- the splice (every move's) -------------------------------------------------
 
-    def _splice(self, record: MigrationRecord, server: ServerHost,
-                replay_from: int, replay_upto: int, final_phase: str) -> None:
+    def _splice(self, record: MigrationRecord, server: ServerHost, phase: str) -> None:
         """Forge a handshake with ``server`` as the attacker, replay the
-        logged payloads that tile [replay_from, replay_upto) (mod 2**32),
-        rewrite by the new stream offset and release the buffer."""
+        logged payloads that tile [server's consumed position,
+        ``buffered_from``) (mod 2**32) and rewrite by the new stream offset;
+        unless a move waits behind this one, forward to ``server``, release
+        the buffer and enter ``phase``."""
         key, payloads, iss = record.key, record.payloads, record.attacker_iss
+        old = server.conns.get(key[:2])
+        replay_from = seq_add(iss, 1) if old is None else old.rcv_nxt
+        replay_upto = record.buffered_from
         lo = bisect_left(payloads, seq_sub(replay_from, iss), key=record.offset)
         hi = bisect_left(payloads, seq_sub(replay_upto, iss), lo, key=record.offset)
         entries = payloads[lo:hi]
@@ -381,40 +401,19 @@ class Controller:
             # another address, under another key
             self.switch.remove_rule((record.serving.addr.ip, key[3], key[0], key[1]))
         distinct = server.addr != record.server_addr
-        self.switch.install_rule(key, (
-            Rewrite(ack_delta=record.seq_delta,
-                    new_dst=server.addr if distinct else None),
-            Output(server.port)))
         self.switch.install_rule(rkey, (
             Rewrite(seq_delta=seq_sub(0, record.seq_delta),
                     new_src=record.server_addr if distinct else None),
             Output(self.port_map[record.attacker_addr.ip])))
         self.log("rewrite_rules", key, record.seq_delta)
 
-        record.serving = server
-        record.transition(final_phase, self.engine.now)
-        released = self.switch.release_buffer(key)
-        self.log("redirected" if final_phase == PHASE_REDIRECTED else "restored",
-                 key, released)
-
-    # -- reverse migration -------------------------------------------------------
-
-    def restore_original(self, alert: Alert) -> None:
-        """Move a redirected connection back to the original server; like
-        ``on_alert``, this runs inside the trigger's mirror tap. Outside
-        REDIRECTED (a clone booting or a migration waiting, a restore
-        already waiting, or a failed clone the victim kept) there is
-        nothing to restore: it is logged as ``restore_ignored``."""
-        key = alert.conn
-        record = self.records.get(key)
-        if record is None or record.phase != PHASE_REDIRECTED:
-            phase = record.phase if record is not None else PHASE_IDLE
-            self.log("restore_ignored", key, phase)
-            return
-        record.transition(PHASE_RESTORING, self.engine.now)
-        self.log("restore_armed", key)
-        self.switch.install_rule(key, (Buffer(key),))
-        victim = self.server_hosts[record.server_addr.ip]
-        pos = alert.segment.seq
-        self._when_quiet(record, pos, lambda: self._splice(
-            record, victim, record.victim_pos, pos, PHASE_RESTORED))
+        record.serving, released = server, 0
+        if not record.moves:
+            self.switch.install_rule(key, (
+                Rewrite(ack_delta=record.seq_delta,
+                        new_dst=server.addr if distinct else None),
+                Output(server.port)))
+            record.transition(phase, self.engine.now)
+            record.buffered_from = None
+            released = self.switch.release_buffer(key)
+        self.log("redirected" if phase == PHASE_REDIRECTED else "restored", key, released)

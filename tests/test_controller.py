@@ -6,6 +6,7 @@ its own fixed ISN; delta expectations below were computed with the
 modular-arithmetic oracle (plain bignum arithmetic mod 2**32).
 """
 
+import json
 import sys
 from dataclasses import replace
 
@@ -21,7 +22,13 @@ from honeysplice.controller import (
     RestoreFailed,
 )
 from honeysplice.endpoint import ServerApp, TcpEndpoint, fixed_iss
-from honeysplice.harness import builtin_scenario_path, load_scenario, run_experiment
+from honeysplice.harness import (
+    builtin_scenario_path,
+    load_scenario,
+    run_experiment,
+    run_single,
+    scenario_from_dict,
+)
 from honeysplice.hosts import AttackerHost, ServerHost
 from honeysplice.ids import Alert, Ids
 from honeysplice.netcore import HostAddr, TcpFlags, TcpSegment, seq_add, seq_sub
@@ -420,6 +427,67 @@ def test_restore_recomputes_deltas_against_new_isn():
     assert not mini.attacker.violations
 
 
+@pytest.mark.parametrize("rep", (1, 2, 3))
+@pytest.mark.parametrize("containment", ("immediate", "on_clone_ready"))
+def test_a_restore_while_the_clone_boots_queues_behind_the_migration(containment, rep):
+    """Requests 500 µs apart reach the restore trigger (request 8) while the
+    on-demand clone still boots: the restore joins the buffer and queues
+    behind the migration, which splices onto the clone and straight back."""
+    scenario = scenario_from_dict({
+        "name": "restore_while_cloning", "total_packets": 12, "seed": 3,
+        "trigger": {"kind": "nth_packet", "n": 5}, "restore_at": 8,
+        "request": {"interval_us": 500}, "clone": {"on_demand": True},
+        "containment": containment})
+    sim = run_single(scenario, rep)
+    oracle = run_single(scenario, rep, migration=False)
+    (record,) = sim.controller.records.values()
+    assert record.phase == PHASE_RESTORED
+    kinds = [ev.kind for ev in sim.controller.events]
+    assert "restore_ignored" not in kinds
+    assert [k for k in kinds if k in ("redirected", "restored")] == ["redirected", "restored"]
+    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
+    # requests closer than the round trip: the no-migration run's own
+    # pipelined acks lag snd_nxt just as often
+    assert len(sim.attacker.violations) == len(oracle.attacker.violations)
+
+
+@pytest.mark.parametrize("containment", ("immediate", "on_clone_ready"))
+@pytest.mark.parametrize("on_demand", (False, True), ids=("pre", "on_demand"))
+@pytest.mark.parametrize("mode", ("same", "distinct"))
+def test_a_restored_connection_migrates_again(mode, on_demand, containment):
+    """e1 with the shipped rule (every 5th data segment) restored at request
+    50: the alert on request 55 moves the connection onto a clone again, a
+    pre-built honey handed out again or a fresh on-demand clone."""
+    path = builtin_scenario_path("e1_redirect")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(trigger={"kind": "rule", "sid": 1000001}, ruleset="migrate.rules",
+               restore_at=50, honey_addr_mode=mode, containment=containment,
+               clone={"on_demand": on_demand})
+    scenario = scenario_from_dict(doc, path.parent)
+    sim = run_single(scenario, 1)
+    oracle = run_single(scenario, 1, migration=False)
+    events = sim.controller.events
+    assert [ev.kind for ev in events if ev.kind in ("redirected", "restored")] == \
+        ["redirected", "restored", "redirected"]
+    assert not [ev for ev in events
+                if ev.kind == "alert_ignored" and ev.fields["phase"] == PHASE_RESTORED]
+    assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
+    violations, expected = sim.attacker.violations, len(oracle.attacker.violations)
+    if on_demand and containment == "immediate":
+        # the pipelined requests wait in the buffer while each clone boots,
+        # so the acks that follow lag the attacker's snd_nxt: 3 per migration
+        expected += 2 * 3
+    assert len(violations) == expected
+    assert all("ack discontinuity" in v for v in violations)
+    # the honey server (the fresh clone, when on demand) replays only what
+    # it has not consumed: each request reaches its app once
+    assert sim.honey.app.request_log == sim.attacker.sent_requests
+    if containment == "immediate":
+        # the victim serves up to the migration, from the restore trigger
+        # up to the re-migration trigger, and never sees request 55
+        assert sim.victim.app.request_log == sim.attacker.sent_requests[:54]
+
+
 def restore_alert(seq=0):
     seg = TcpSegment(ATT, VIC, 40001, 9000, seq=seq, ack=0, flags=TcpFlags.ACK)
     return Alert(sid=2, msg="RESTORE", segment=seg, conn=CONN, ordinal=1)
@@ -471,8 +539,9 @@ def test_ledger_records_a_late_arrival_at_its_stream_position():
 
 @pytest.mark.parametrize("fault", ["gap", "short", "overlap", "reorder"])
 def test_a_window_that_does_not_tile_its_range_fails_the_splice(fault):
-    """The replayed entries must cover [replay_from, replay_upto) exactly,
-    in order; otherwise nothing is forged and the splice raises."""
+    """The replayed entries must cover [the server's consumed position,
+    buffered_from) exactly, in order; otherwise nothing is forged and the
+    splice raises."""
     mini = Mini(trigger_n=None, total=6)
     mini.run()
     record = mini.controller.records[CONN]
@@ -485,9 +554,10 @@ def test_a_window_that_does_not_tile_its_range_fails_the_splice(fault):
         payloads.insert(3, (seq_add(payloads[2][0], 1), payloads[2][1]))
     else:
         payloads[2], payloads[3] = payloads[3], payloads[2]
+    # the honey has no endpoint for the connection: the window starts at ISS+1
+    record.buffered_from = mini.attacker.conn.snd_nxt
     with pytest.raises(RestoreFailed):
-        mini.controller._splice(record, mini.honey, seq_add(100, 1),
-                                mini.attacker.conn.snd_nxt, PHASE_REDIRECTED)
+        mini.controller._splice(record, mini.honey, PHASE_REDIRECTED)
     assert mini.honey.conns == {} and mini.honey.app.request_count == 0
 
 

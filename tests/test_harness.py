@@ -1099,7 +1099,7 @@ EXPORT_SHA256 = {
         "fcc878ecbefb710dd8101e5d8db4605709ed9c2ec81c204f690f514145f4e44b"),
     "e4_restore": (
         "871b77c16f6d51b62a68bdebd125fd3cd8bf830b0d438bdddce1ca23bd542cc4",
-        "5b1e8217cd8000ab2ccc8f2e4494c8bb54950877f5c4e960548cba5c06707300",
+        "ea1645e45a70aee9ef52c9fa6b1e8ad6f53a366d3914fb0329f289471b1f76f7",
         SUMMARY_SHA256,
         "b753fc8e676c4d6b0f1d7f70d790f73557b78f3be2cdcd3b0ae1fce0702880cc"),
 }
@@ -1190,20 +1190,22 @@ def test_tied_background_exports_match_recorded_hashes(tmp_path, service, jitter
 # uniform(-900, 900) µs: every repetition replays both the migration window
 # and the restore window on a reordering link (at 5,000 µs with pipelining
 # violations, hence not strict). The exports name no address, so both honey
-# modes share a digest. Keyed by request interval and clone.on_demand.
+# modes share a digest. Every move resets the server it leaves, so each
+# restore logs a victim_closed for the honey server. Keyed by request
+# interval and clone.on_demand.
 JITTERED_SPLICE_SHA256 = {
     (5_000, False): (
         "261319d7aceaf5332059341e11407abad7cebb8f81730efbe3f580952108cc42",
-        "136a3ebaa48211718436e2a453206235d64159a6fc946af0727af3d5773f850a"),
+        "75c6c2ddb42c8bca50c79c0da9585783a26a80c2644785e0ff3220903fb88570"),
     (5_000, True): (
         "d375872ed18c223bed158816e5dc4a053e8579e057c9ec550ece22b40fd47d2a",
-        "cd5100d0ba13eec87548088749a78e57bb4c8cf5a6bdb52f21b75c3a2924898b"),
+        "37ab0cd139ef4d0b0b9dbadba106991ef60a937d0357a71797522a7d9de0e928"),
     (10_000, False): (
         "a3207ee50648f4db32f3dce803b98eb9a8e62aed8747abd8a7b8250947f93203",
-        "1094b2bba5f66b5977324b31260a4c1947e3f42749274fd5fd7ec210d09231e6"),
+        "279b82ee90c29ead5a079abc3da4482389ce5a1f34fdd3292fbb4eaa741959b3"),
     (10_000, True): (
         "4ebf164aedde48069db89f7bcbd42e8996c2ebe301fa8824dbeb6e61dd694520",
-        "7eb3359070018a648f5760dc8588026fe1d079fee3717dd7260f6b9c5e607bc6"),
+        "68d5720cf6598ec1816fc20cf766b0a57eb8b4427e0f4666417df1fad29e46ec"),
 }
 
 
