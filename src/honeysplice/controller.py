@@ -4,7 +4,10 @@ Reactive forwarding: a table miss goes to the controller, which installs
 an OUTPUT rule for the flow, and for TCP one back (nothing answers an
 echo), never over a rule a splice installed, and releases the held
 packet. This path carries the background load, the only one here with a
-modeled service time (a FIFO queue, ``service_us`` per packet-in).
+modeled service time (a FIFO queue, ``service_us`` per packet-in). A
+miss waits in it as (packet, the key the switch built, hold id), and each
+completion is an ``on_packet_in_served`` event: completion times never
+decrease and equal times run in insertion order, so it serves the oldest.
 
 Redirection, on an alert for an established connection:
 
@@ -75,6 +78,7 @@ victim connection never sent the responses the honey server did.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import deque
 from typing import NamedTuple, Optional
 
 from .clonemgr import CloneFailed, CloneManager
@@ -187,6 +191,8 @@ class Controller:
         self._forward: dict[int, tuple[Output]] = {}
         self.server_hosts: dict[str, ServerHost] = {}
         self._busy_until = 0
+        # (packet, key, hold id) of each packet-in in service, in arrival order
+        self._packet_ins: deque[tuple[object, ConnKey, int]] = deque()
         self.packet_in_count = 0
         self.events: list[ControllerEvent] = []
         self._rules = switch.rules()
@@ -232,16 +238,20 @@ class Controller:
 
     # -- reactive forwarding ---------------------------------------------------
 
-    def on_packet_in(self, pkt, hold_id: int) -> None:
+    def on_packet_in(self, pkt, key: ConnKey, hold_id: int) -> None:
         self.packet_in_count += 1
         now, busy = self.engine.now, self._busy_until
         done = (busy if busy > now else now) + self.service_us
         self._busy_until = done
-        self.engine.schedule(lambda: self._handle_packet_in(pkt, hold_id), done)
+        self._packet_ins.append((pkt, key, hold_id))
+        self.engine.schedule(self.on_packet_in_served, done)
 
-    def _handle_packet_in(self, pkt, hold_id: int) -> None:
-        src, dst = pkt.src.ip, pkt.dst.ip
-        key = (src, pkt.sport, dst, pkt.dport)
+    def on_packet_in_served(self) -> None:
+        """Serve the oldest packet-in: its service time has passed. The
+        benchmark bills this event to packet-in handling by the
+        ``Controller.on_packet_in`` prefix of its name."""
+        pkt, key, hold_id = self._packet_ins.popleft()
+        src, sport, dst, dport = key
         record = self.records.get(key)
         if record is not None and record.phase != PHASE_IDLE:
             # a migrated flow should never miss; don't disturb the splice
@@ -258,7 +268,7 @@ class Controller:
                 return
             self.switch.install_rule(key, self._forward[dst_port])
             if isinstance(pkt, TcpSegment):  # nothing answers an echo request
-                self.switch.install_rule((dst, pkt.dport, src, pkt.sport),
+                self.switch.install_rule((dst, dport, src, sport),
                                          self._forward[src_port])
             events.append(tuple.__new__(ControllerEvent, (now, "flow_rules", key, ())))
         if self.switch.release_held(hold_id):  # not when the hold has expired

@@ -368,12 +368,14 @@ class Simulation:
 
     def close(self) -> None:
         """Drop the wiring ``__init__`` built, each part of a reference
-        cycle: pending events, the switch's ports, taps and packet-in
-        handler, the IDS sinks (``route`` holds the simulation) and the
-        clone manager (``make_honey`` does too). The simulation cannot run
-        again; its hosts' and controller's records stay readable.
+        cycle: pending events with the controller's queue of packet-ins
+        they would serve, the switch's ports, taps and packet-in handler,
+        the IDS sinks (``route`` holds the simulation) and the clone
+        manager (``make_honey`` does too). The simulation cannot run again;
+        its hosts' and controller's records stay readable.
         """
         self.engine.clear()
+        self.controller._packet_ins.clear()
         self.switch._ports.clear()
         self.switch.mirror_taps.clear()
         self.switch.packet_in_handler = None

@@ -29,8 +29,12 @@ deadline loses. That is the order a timer event per hold would give, since
 it is queued at the miss, before any event that could release the hold.
 So ``stats["hold_expired"]`` is exact between events.
 
-Packets re-entering via ``release_buffer``/``release_held`` are *not*
-mirrored again: the taps saw them on first entry.
+A packet released by ``release_held`` or ``release_buffer`` re-enters
+``process`` with its key: the taps saw it on first entry, so it goes
+straight to the lookup and its actions. A hold keeps the key the packet
+missed under, and the packet-in handler gets it with the packet, as Open
+vSwitch hands a miss upcall the flow key it extracted, so no later step
+builds it again.
 """
 
 from __future__ import annotations
@@ -95,12 +99,12 @@ class Switch:
         self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
         self._rules = MappingProxyType(self._table)
         self._buffers: dict[Hashable, list] = {}
-        # hold id -> (packet, deadline), in miss order, so in deadline order
-        self._held: dict[int, tuple[object, int]] = {}
+        # hold id -> (packet, key, deadline), in miss order, so in deadline order
+        self._held: dict[int, tuple[object, ConnKey, int]] = {}
         self._next_hold = 1
         self._sweep_armed = False
         self.mirror_taps: list[Callable[[TcpSegment, ConnKey], None]] = []
-        self.packet_in_handler: Optional[Callable[[object, int], None]] = None
+        self.packet_in_handler: Optional[Callable[[object, ConnKey, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
 
     # -- topology ----------------------------------------------------------
@@ -140,20 +144,25 @@ class Switch:
         pkts = self._buffers[queue_id]
         self._buffers[queue_id] = []
         for pkt in pkts:
-            self.process(pkt, mirror=False)
+            # its key as buffered, which a rewrite before the buffer may change
+            self.process(pkt, (pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport))
         return len(pkts)
 
     # -- data path ---------------------------------------------------------------
 
-    def process(self, pkt, mirror: bool = True) -> None:
+    def process(self, pkt, key: Optional[ConnKey] = None) -> None:
+        """Run one packet through the switch. A packet off a link comes
+        without ``key``: its key is built and the taps see it. A released
+        one comes with its key and skips the taps."""
         self.stats["processed"] += 1
-        key = (pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport)
-        if mirror and isinstance(pkt, TcpSegment):
-            for tap in self.mirror_taps:
-                tap(pkt, key)
+        if key is None:
+            key = (pkt.src.ip, pkt.sport, pkt.dst.ip, pkt.dport)
+            if isinstance(pkt, TcpSegment):
+                for tap in self.mirror_taps:
+                    tap(pkt, key)
         actions = self._table.get(key)
         if actions is None:
-            self._escalate(pkt)
+            self._escalate(pkt, key)
             return
         for act in actions:
             if isinstance(act, Output):
@@ -166,25 +175,25 @@ class Switch:
                 self._buffers.setdefault(act.queue, []).append(pkt)
                 return
 
-    def _escalate(self, pkt) -> None:
+    def _escalate(self, pkt, key: ConnKey) -> None:
         self.stats["miss"] += 1
         hold_id = self._next_hold
         self._next_hold += 1
         deadline = self._engine.now + MISS_HOLD_TIMEOUT_US
-        self._held[hold_id] = (pkt, deadline)
+        self._held[hold_id] = (pkt, key, deadline)
         if not self._sweep_armed:
             # no sweep pending means no hold pending: this one is the oldest
             self._sweep_armed = True
             self._engine.schedule(self._sweep_holds, deadline)
         if self.packet_in_handler is not None:
-            self.packet_in_handler(pkt, hold_id)
+            self.packet_in_handler(pkt, key, hold_id)
 
     def _sweep_holds(self) -> None:
         """Expire every hold whose deadline has come; re-arm at the oldest
         deadline left."""
         now = self._engine.now
         expired = []
-        for hold_id, (_, deadline) in self._held.items():
+        for hold_id, (_, _, deadline) in self._held.items():
             if deadline > now:
                 self._engine.schedule(self._sweep_holds, deadline)
                 break
@@ -196,21 +205,22 @@ class Switch:
         self.stats["hold_expired"] += len(expired)
 
     def release_held(self, hold_id: int) -> bool:
-        """Re-process a held miss packet (post rule install). False when the
-        hold is gone (an unknown id pops as no packet with a past deadline)
-        or its deadline has come (then it counts as expired)."""
-        pkt, deadline = self._held.pop(hold_id, (None, -1))
+        """Re-process a held miss packet (post rule install) under the key it
+        missed with, skipping the taps. False when the hold is gone (an
+        unknown id pops as no packet with a past deadline) or its deadline
+        has come (then it counts as expired)."""
+        pkt, key, deadline = self._held.pop(hold_id, (None, None, -1))
         if self._engine.now >= deadline:
             if pkt is not None:
                 self.stats["hold_expired"] += 1
             return False
-        self.process(pkt, mirror=False)
+        self.process(pkt, key)
         return True
 
     def drop_held(self, hold_id: int) -> bool:
         """Discard a held miss packet; True exactly when ``release_held``
         would have released it."""
-        pkt, deadline = self._held.pop(hold_id, (None, -1))
+        pkt, _, deadline = self._held.pop(hold_id, (None, None, -1))
         if self._engine.now >= deadline:
             if pkt is not None:
                 self.stats["hold_expired"] += 1

@@ -1,0 +1,94 @@
+"""Numbers a run must reproduce from a closed form worked out by hand, and
+relations between a run and a transformed run where no closed form
+exists (metamorphic relations)."""
+
+from dataclasses import replace
+
+import pytest
+
+from honeysplice.harness import (ATTACKER_SPORT, builtin_scenario_path, load_scenario,
+                                 run_single)
+
+
+# -- the controller's packet-in queue --------------------------------------------------
+
+
+def lindley(arrivals: list[int], service_us: int) -> tuple[list[int], list[int]]:
+    """Completion times and waits of a FIFO single server with a constant
+    service time: done_k = max(done_{k-1}, arrival_k) + service."""
+    done, completions, waits = 0, [], []
+    for arrival in arrivals:
+        start = max(done, arrival)
+        waits.append(start - arrival)
+        done = start + service_us
+        completions.append(done)
+    return completions, waits
+
+
+# (controller_service_us, link base delay, largest wait, completions due one
+# link delay after their arrival). The last count is of completions that go on
+# the engine's constant-delay lane; the others go on its heap. At (150, 100) the
+# completions stay on the heap while the deliveries take a 100 µs lane, so
+# dispatch merges the two.
+PACKET_IN_CASES = [
+    (0, 1000, 0, 0),
+    (50, 1000, 0, 0),  # as shipped
+    (100, 1000, 40_571, 0),
+    (100, 100, 40_571, 2),  # the first echo and the SYN find the controller idle
+    (150, 100, 110_521, 0),
+]
+
+
+@pytest.mark.parametrize("service_us, link_us, max_wait, on_lane", PACKET_IN_CASES)
+def test_e2_packet_ins_complete_as_a_fifo_queue(service_us, link_us, max_wait, on_lane):
+    scenario = replace(load_scenario(builtin_scenario_path("e2_saturated")),
+                       controller_service_us=service_us, link_base_delay_us=link_us)
+    sim = run_single(scenario, 1)
+    rows = [ev for ev in sim.controller.events if ev.kind == "packet_in"]
+    # echo flow k's request reaches the switch one link delay after it
+    # leaves at 71k µs; the attacker's SYN leaves at 200 ms, after them all
+    n_flows = scenario.background_n_hosts * scenario.background_procs_per_host
+    arrivals = [71 * k + link_us for k in range(n_flows)] + [200_000 + link_us]
+    completions, waits = lindley(arrivals, service_us)
+    assert [ev.time_us for ev in rows] == completions
+    # the k-th completion serves the k-th miss; echo flow k sends from port 10,000 + k
+    assert [ev.conn[1] for ev in rows] == \
+        [10_000 + k for k in range(n_flows)] + [ATTACKER_SPORT]
+    assert max(waits) == max_wait
+    assert sum(w + service_us == link_us for w in waits) == on_lane
+    assert not sim.trace(1).violations
+    sim.close()
+
+
+def test_shipped_e2_packet_ins_never_wait():
+    scenario = load_scenario(builtin_scenario_path("e2_saturated"))
+    shipped = (scenario.controller_service_us, scenario.link_base_delay_us)
+    assert [case[2] for case in PACKET_IN_CASES if case[:2] == shipped] == [0]
+
+
+# -- round-trip times without jitter ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["e1_redirect", "e3_copy_on_demand", "e4_restore"])
+@pytest.mark.parametrize("link_us", [500, 1000, 2000])
+def test_unjittered_rtts_are_four_link_delays_in_either_address_mode(name, link_us):
+    """A request and its response each cross two links, before and after the
+    redirect; the honey server's address changes neither the attacker's
+    stream nor one RTT."""
+    scenario = replace(load_scenario(builtin_scenario_path(name)),
+                       link_base_delay_us=link_us)
+    assert scenario.link_jitter_kind == "none"
+    for rep in (1, 2):
+        views = []
+        for mode in ("same", "distinct"):
+            sim = run_single(replace(scenario, honey_addr_mode=mode), rep)
+            trace = sim.trace(rep)
+            assert not trace.violations
+            assert len(trace.records) == scenario.total_packets
+            # the relation says nothing unless the connection moved
+            assert any(ev.kind == "redirected" for ev in trace.controller_events)
+            rtts = [record.rtt_us for record in trace.records]
+            assert set(rtts) == {4 * link_us}
+            views.append((bytes(sim.attacker.received_stream), rtts))
+            sim.close()
+        assert views[0] == views[1]

@@ -677,10 +677,10 @@ def test_each_background_flow_sends_one_request(monkeypatch):
     echoes = []
     process = Switch.process
 
-    def recording(switch, pkt, mirror=True):
-        if mirror and isinstance(pkt, simnet.EchoPacket):  # off a link, not re-processed
+    def recording(switch, pkt, key=None):
+        if key is None and isinstance(pkt, simnet.EchoPacket):  # off a link, not released
             echoes.append((switch._engine.now, pkt))
-        process(switch, pkt, mirror)
+        process(switch, pkt, key)
     monkeypatch.setattr(Switch, "process", recording)
     scenario = scenario_from_dict(minimal_doc(
         background={"n_hosts": 3, "procs_per_host": 4}))

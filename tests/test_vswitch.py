@@ -139,6 +139,33 @@ def test_buffered_release_is_not_mirrored_again():
     assert len(mirrored) == 1
 
 
+def test_released_hold_is_not_mirrored_again_and_keeps_its_key():
+    eng, sw, sinks = make_switch()
+    mirrored, escalated = [], []
+    sw.mirror_taps.append(lambda pkt, key: mirrored.append(key))
+    sw.packet_in_handler = lambda pkt, key, hold: escalated.append((key, hold))
+    sw.process(seg(b"a"))
+    assert escalated == [(exact_match(), 1)] and mirrored == [exact_match()]
+    sw.install_rule(exact_match(), (Output(1),))
+    assert sw.release_held(1) is True
+    eng.run_until(10)
+    assert [p.payload for p in sinks[0]] == [b"a"]
+    assert len(mirrored) == 1
+    assert sw.stats["processed"] == 2  # a release still counts as processed
+
+
+def test_rewritten_then_buffered_packet_is_released_under_its_new_key():
+    eng, sw, sinks = make_switch()
+    C = HostAddr("10.0.0.3", "02:00:00:00:00:03")
+    sw.install_rule(exact_match(), (Rewrite(new_dst=C), Buffer("q")))
+    sw.process(seg(b"a"))
+    # the original key would buffer it again; the rewritten one forwards it
+    sw.install_rule(exact_match(dst=C), (Output(2),))
+    assert sw.release_buffer("q") == 1
+    eng.run_until(10)
+    assert [(p.dst, p.payload) for p in sinks[1]] == [(C, b"a")]
+
+
 def test_tap_rule_change_affects_same_packet():
     # a tap may mutate the table; the packet then sees the new table
     eng, sw, sinks = make_switch()
@@ -194,7 +221,7 @@ def test_rewrite_addresses():
 def test_miss_escalates_and_holds_until_release():
     eng, sw, sinks = make_switch()
     escalated = []
-    sw.packet_in_handler = lambda pkt, hold: escalated.append((pkt, hold))
+    sw.packet_in_handler = lambda pkt, key, hold: escalated.append((pkt, hold))
     sw.process(seg(b"first"))
     assert len(escalated) == 1
     assert sinks[0] == []  # held, not forwarded
@@ -231,25 +258,25 @@ class OneEventPerHold(Switch):
     """Reference hold expiry: one timer event per miss, queued at the miss,
     as the switch did before its single sweep."""
 
-    def _escalate(self, pkt) -> None:
+    def _escalate(self, pkt, key) -> None:
         self.stats["miss"] += 1
         hold_id = self._next_hold
         self._next_hold += 1
-        self._held[hold_id] = pkt
+        self._held[hold_id] = (pkt, key)
         self._engine.schedule_in(lambda h=hold_id: self._expire_hold(h),
                                  MISS_HOLD_TIMEOUT_US)
         if self.packet_in_handler is not None:
-            self.packet_in_handler(pkt, hold_id)
+            self.packet_in_handler(pkt, key, hold_id)
 
     def _expire_hold(self, hold_id: int) -> None:
         if self._held.pop(hold_id, None) is not None:
             self.stats["hold_expired"] += 1
 
     def release_held(self, hold_id: int) -> bool:
-        pkt = self._held.pop(hold_id, None)
-        if pkt is None:
+        held = self._held.pop(hold_id, None)
+        if held is None:
             return False
-        self.process(pkt, mirror=False)
+        self.process(*held)
         return True
 
     def drop_held(self, hold_id: int) -> bool:
@@ -267,7 +294,7 @@ class HoldBench:
         self.switch.attach(Link(self.engine, "out", LinkModel(0),
                                 lambda p: self.forwarded.append(p.sport)))
         self.holds = []
-        self.switch.packet_in_handler = lambda pkt, hold: self.holds.append(hold)
+        self.switch.packet_in_handler = lambda pkt, key, hold: self.holds.append(hold)
         self.timed = []  # (time, op, hold, result) of the timed calls
 
     def miss(self, sport):
