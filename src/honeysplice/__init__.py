@@ -10,7 +10,7 @@ attacker. Experiments measure exactly that invisibility.
 """
 
 from .netcore import HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_lt
-from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel
+from .simnet import Distribution, Engine, LinkModel
 from .endpoint import ConnState, ServerApp, TcpEndpoint
 from .vswitch import Switch
 from .ids import Ids, IdsRule, parse_rule
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HostAddr", "TcpFlags", "TcpSegment", "seg_span", "seq_add", "seq_lt",
-    "BackgroundLoadSpec", "Distribution", "Engine", "LinkModel",
+    "Distribution", "Engine", "LinkModel",
     "ConnState", "ServerApp", "TcpEndpoint",
     "Switch",
     "Ids", "IdsRule", "parse_rule",

@@ -146,7 +146,6 @@ class MigrationRecord:
     is how far the serving endpoint's stream runs ahead of the attacker's
     view (honey ISN - victim ISN right after migration). Rules add it to
     attacker-to-server acks and subtract it from server-to-attacker seqs.
-    ``times`` holds the latest time of each phase.
     """
 
     def __init__(self, key: ConnKey, attacker_addr: HostAddr, server_addr: HostAddr,
@@ -156,7 +155,6 @@ class MigrationRecord:
         self.attacker_iss, self.attacker_snd_nxt = attacker_iss, attacker_snd_nxt
         self.last_ack, self.seq_delta, self.phase = 0, 0, PHASE_IDLE
         self.payloads: list[tuple[int, bytes]] = []
-        self.times: dict[str, int] = {}
         # attacker stream position the switch buffers from; None while it forwards
         self.buffered_from: Optional[int] = None
         self.serving = serving  # the server the connection is on
@@ -167,10 +165,6 @@ class MigrationRecord:
     def offset(self, entry: tuple[int, bytes]) -> int:
         """The key that orders ``payloads``: an entry's offset from the ISS."""
         return seq_sub(entry[0], self.attacker_iss)
-
-    def transition(self, phase: str, now: int) -> None:
-        self.phase = phase
-        self.times[phase] = now
 
 
 class Controller:
@@ -290,7 +284,7 @@ class Controller:
             self.log("alert_ignored", key, phase, alert.sid)
             return
         self.log("alert", key, alert.sid, alert.ordinal)
-        record.transition(PHASE_CLONING, self.engine.now)
+        record.phase = PHASE_CLONING
         move = [None, PHASE_REDIRECTED]
         try:
             host = self.clonemgr.request_clone(
@@ -299,8 +293,7 @@ class Controller:
         except CloneFailed:
             self.log("clone_failed", key, "open")
             # the victim keeps the connection, or a waiting restore takes it back
-            phase = PHASE_RESTORING if record.moves else PHASE_RESTORED
-            record.transition(phase, self.engine.now)
+            record.phase = PHASE_RESTORING if record.moves else PHASE_RESTORED
             return
         record.moves.append(move)
 
@@ -324,7 +317,7 @@ class Controller:
             phase = record.phase if record is not None else PHASE_IDLE
             self.log("restore_ignored", key, phase)
             return
-        record.transition(PHASE_RESTORING, self.engine.now)
+        record.phase = PHASE_RESTORING
         record.moves.append([self.server_hosts[record.server_addr.ip], PHASE_RESTORED])
         self._hold(record, alert.segment.seq, "restore_armed")
 
@@ -423,7 +416,7 @@ class Controller:
                 Rewrite(ack_delta=record.seq_delta,
                         new_dst=server.addr if distinct else None),
                 Output(server.port)))
-            record.transition(phase, self.engine.now)
+            record.phase = phase
             record.buffered_from = None
             released = self.switch.release_buffer(key)
         self.log("redirected" if phase == PHASE_REDIRECTED else "restored", key, released)

@@ -42,7 +42,7 @@ from .endpoint import ServerApp, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
 from .ids import Ids, IdsRule, ParseError, load_ruleset_file
 from .netcore import HostAddr
-from .simnet import BackgroundLoadSpec, Distribution, Engine, LinkModel, derive_seed
+from .simnet import Distribution, Engine, LinkModel, derive_seed
 from .vswitch import Switch
 
 ATTACKER_ADDR = HostAddr("10.0.0.1", "02:00:00:00:00:01")
@@ -177,8 +177,10 @@ class Scenario:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
         elif self.ruleset is None:
             raise ConfigError("ruleset", "required for a rule trigger")
-        elif self.trigger_sid not in {rule.sid for rule in self.ruleset}:
+        elif self.trigger_sid not in (sids := {rule.sid for rule in self.ruleset}):
             raise ConfigError("trigger.sid", f"no rule with sid {self.trigger_sid}")
+        elif self.restore_at is not None and RESTORE_WATCH_SID in sids:
+            raise ConfigError("ruleset", f"sid {RESTORE_WATCH_SID} is the restore_at watch's")
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
@@ -336,28 +338,21 @@ class Simulation:
                 self.ids.add_nth_packet_watch(scenario.trigger_n,
                                               sid=MIGRATE_WATCH_SID, msg="MIGRATE",
                                               dst_ip=VICTIM_ADDR.ip)
+                self.ids.subscribe(MIGRATE_WATCH_SID, self.controller.on_alert)
             else:
                 self.ids.load_rules(scenario.ruleset)
+                self.ids.subscribe(scenario.trigger_sid, self.controller.on_alert)
             if scenario.restore_at is not None:
                 self.ids.add_nth_packet_watch(scenario.restore_at,
                                               sid=RESTORE_WATCH_SID, msg="RESTORE",
                                               dst_ip=VICTIM_ADDR.ip)
-
-            migrate_sid = (MIGRATE_WATCH_SID if scenario.trigger_kind == "nth_packet"
-                           else scenario.trigger_sid)
-
-            def route(alert):
-                if alert.sid == migrate_sid:
-                    self.controller.on_alert(alert)
-                elif alert.sid == RESTORE_WATCH_SID:
-                    self.controller.restore_original(alert)
-
-            self.ids.subscribe(route)
+                self.ids.subscribe(RESTORE_WATCH_SID, self.controller.restore_original)
 
         if scenario.background_n_hosts is not None:
-            spawn_background_load(self.engine, self.switch, BackgroundLoadSpec(
-                scenario.background_n_hosts, scenario.background_procs_per_host), link_model,
-                register_host=lambda h: self.controller.register_port(h.addr.ip, h.port))
+            for host in spawn_background_load(
+                    self.engine, self.switch, scenario.background_n_hosts,
+                    scenario.background_procs_per_host, link_model):
+                self.controller.register_port(host.addr.ip, host.port)
         self.attacker.start(10_000 if scenario.background_n_hosts is None else 200_000)
 
     def run(self) -> None:
@@ -370,16 +365,15 @@ class Simulation:
         """Drop the wiring ``__init__`` built, each part of a reference
         cycle: pending events with the controller's queue of packet-ins
         they would serve, the switch's ports, taps and packet-in handler,
-        the IDS sinks (``route`` holds the simulation) and the clone
-        manager (``make_honey`` does too). The simulation cannot run again;
-        its hosts' and controller's records stay readable.
+        and the clone manager (``make_honey`` holds the simulation). The
+        simulation cannot run again; its hosts' and controller's records
+        stay readable.
         """
         self.engine.clear()
         self.controller._packet_ins.clear()
         self.switch._ports.clear()
         self.switch.mirror_taps.clear()
         self.switch.packet_in_handler = None
-        self.ids._sinks.clear()
         self.controller.clonemgr = None
 
     def trace(self, rep: int) -> LatencyTrace:

@@ -1,6 +1,7 @@
 """Hosts attached to the switch: the attacker, which plays a request
 schedule, TCP servers (victim and honey alike), and the echo hosts that
-send background load: one request per flow, which nothing answers.
+send background load (one request per flow, which nothing answers),
+returned by ``spawn_background_load`` for the caller to register.
 
 Each host owns an uplink toward the switch; the switch owns the downlink
 back. An echo host takes a port with no downlink: the switch forwards
@@ -15,11 +16,11 @@ window in one call and moves both positions past it, building no response.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .endpoint import PAYLOAD_CACHE_SIZE, ConnState, IssPolicy, ServerApp, TcpEndpoint
 from .netcore import HostAddr, TcpFlags, TcpSegment, seq_add
-from .simnet import BackgroundLoadSpec, EchoPacket, Engine, Link, LinkModel
+from .simnet import EchoPacket, Engine, Link, LinkModel
 from .vswitch import Switch
 
 
@@ -245,10 +246,10 @@ class _EchoEmitter:
             host.engine.schedule(self.emit, k * 71)
 
 
-def spawn_background_load(engine: Engine, switch: Switch,
-                          spec: BackgroundLoadSpec, link_model: LinkModel,
-                          register_host: Callable[[Host], None]) -> None:
-    """Create n_hosts x procs_per_host echo flows of one request each.
+def spawn_background_load(engine: Engine, switch: Switch, n: int, procs: int,
+                          link_model: LinkModel) -> list[EchoHost]:
+    """Create n x procs echo flows of one request each, from n echo hosts
+    attached to ``switch``; returns the hosts.
 
     Every flow gets a unique source port, so its request misses the flow
     table and takes the controller's packet-in path. That is the only load
@@ -257,14 +258,13 @@ def spawn_background_load(engine: Engine, switch: Switch,
     output reads. Flow k's request leaves at k * 71 µs, a stagger that
     keeps the event order stable and the controller queue realistic.
     """
-    n, procs = spec.n_hosts, spec.procs_per_host
     hosts = [EchoHost(engine, f"bg{i}",
                       HostAddr(f"10.1.0.{i + 1}", f"02:00:01:00:00:{i + 1:02x}"))
              for i in range(n)]
     for host in hosts:
         host.attach(switch, link_model)
-        register_host(host)
     flows = [(host, hosts[(i + 1 + p % (n - 1)) % n].addr if n > 1 else host.addr)
              for i, host in enumerate(hosts) for p in range(procs)]
     if flows:
         engine.schedule(_EchoEmitter(flows).emit, 0)
+    return hosts

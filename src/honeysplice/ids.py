@@ -227,7 +227,8 @@ class _NthWatch:
 
 
 class Ids:
-    """Observes mirrored packets, emits alerts to subscribed sinks.
+    """Observes mirrored packets and hands each alert to the sinks subscribed
+    under its sid; an alert of a sid without sinks is only recorded (``alerts``).
 
     Holds two kinds of detectors: parsed rules (with optional threshold
     tracking per destination) and nth-packet watches counting PSH-ACK data
@@ -238,7 +239,7 @@ class Ids:
         self._engine = engine
         self.rules: list[IdsRule] = []
         self._watches: list[_NthWatch] = []
-        self._sinks: list[Callable[[Alert], None]] = []
+        self._sinks: dict[int, list[Callable[[Alert], None]]] = {}
         # per (sid, dst ip): (cumulative match count, in-window match times)
         self._matches: dict[tuple[int, str], tuple[int, list[int]]] = {}
         self.alerts: list[Alert] = []
@@ -252,8 +253,9 @@ class Ids:
             raise ValueError("n must be >= 1")
         self._watches.append(_NthWatch(n=n, sid=sid, msg=msg, dst_ip=dst_ip))
 
-    def subscribe(self, sink: Callable[[Alert], None]) -> None:
-        self._sinks.append(sink)
+    def subscribe(self, sid: int, sink: Callable[[Alert], None]) -> None:
+        """Call ``sink`` with each alert of ``sid``, after its earlier sinks."""
+        self._sinks.setdefault(sid, []).append(sink)
 
     def tap(self, seg: TcpSegment, conn: ConnKey) -> None:
         """Mirror-tap entry point from the switch."""
@@ -289,6 +291,6 @@ class Ids:
 
         for alert in fired:
             self.alerts.append(alert)
-            for sink in self._sinks:
+            for sink in self._sinks.get(alert.sid, ()):
                 sink(alert)
         return fired

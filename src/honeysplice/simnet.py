@@ -70,18 +70,6 @@ class LinkModel(NamedTuple):
     jitter: Optional[Distribution] = None
 
 
-class BackgroundLoadSpec(NamedTuple):
-    """Echo load used to keep the controller busy.
-
-    Spawning it creates exactly ``n_hosts * procs_per_host`` flows of one
-    echo request each, which takes the switch's table-miss path so the
-    controller carries the flow's setup.
-    """
-
-    n_hosts: int
-    procs_per_host: int
-
-
 @dataclass(slots=True)
 class EchoPacket:
     """ICMP-echo-like request; carries no TCP state, and nothing answers it.

@@ -2,10 +2,12 @@
 relations between a run and a transformed run where no closed form
 exists (metamorphic relations)."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from honeysplice.clonemgr import CLONE_LATENCY_US, StrategyKind
 from honeysplice.harness import (ATTACKER_SPORT, builtin_scenario_path, load_scenario,
                                  run_single)
 
@@ -92,3 +94,40 @@ def test_unjittered_rtts_are_four_link_delays_in_either_address_mode(name, link_
             views.append((bytes(sim.attacker.received_stream), rtts))
             sim.close()
         assert views[0] == views[1]
+
+
+# -- an on-demand clone's latency ------------------------------------------------------
+
+# (request interval, link base delay) pairs whose interval exceeds four base
+# delays: each request's round trip ends before the next request leaves
+CLONE_GRID = [(interval, delay) for interval in (4_500, 10_000, 50_000)
+              for delay in (500, 1_000, 2_000) if interval > 4 * delay]
+
+
+@pytest.mark.parametrize("containment", ["on_clone_ready", "immediate"])
+@pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda s: s.value)
+@pytest.mark.parametrize("interval, delay", CLONE_GRID)
+def test_e3_exposure_and_wait_follow_the_clone_latency(interval, delay, strategy,
+                                                        containment):
+    """With L the clone latency, N requests and the trigger n, exposure is
+    the requests from n on that the victim serves. Under on_clone_ready it
+    serves each one sent while the clone boots, the trigger included:
+    min(ceil(L / interval), N - n + 1). Under immediate it serves none, and
+    the trigger's request waits out the boot: the largest RTT is
+    L + 4 base delays."""
+    scenario = replace(load_scenario(builtin_scenario_path("e3_copy_on_demand")),
+                       request_interval_us=interval, link_base_delay_us=delay,
+                       clone_strategy=strategy, containment=containment)
+    latency, n, total = CLONE_LATENCY_US[strategy], scenario.trigger_n, scenario.total_packets
+    sim = run_single(scenario, 1)
+    trace = sim.trace(1)
+    exposure = sim.victim.app.request_count - (n - 1)
+    if containment == "on_clone_ready":
+        assert not trace.violations
+        assert exposure == min(math.ceil(latency / interval), total - n + 1)
+    else:
+        # violations unchecked: the acks of the requests that piled up
+        # during the boot reach the attacker as ack discontinuities
+        assert exposure == 0
+        assert max(record.rtt_us for record in trace.records) == latency + 4 * delay
+    sim.close()

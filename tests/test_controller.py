@@ -18,7 +18,6 @@ from honeysplice.controller import (
     PHASE_IDLE,
     PHASE_REDIRECTED,
     PHASE_RESTORED,
-    PHASE_RESTORING,
     RestoreFailed,
 )
 from honeysplice.endpoint import ServerApp, TcpEndpoint, fixed_iss
@@ -89,17 +88,11 @@ class Mini:
         if trigger_n is not None:
             self.ids.add_nth_packet_watch(trigger_n, sid=1, msg="MIGRATE",
                                           dst_ip=VIC.ip)
+            self.ids.subscribe(1, self.controller.on_alert)
         if restore_at is not None:
             self.ids.add_nth_packet_watch(restore_at, sid=2, msg="RESTORE",
                                           dst_ip=VIC.ip)
-
-        def route(alert):
-            if alert.sid == 2:
-                self.controller.restore_original(alert)
-            else:
-                self.controller.on_alert(alert)
-
-        self.ids.subscribe(route)
+            self.ids.subscribe(2, self.controller.restore_original)
         self.attacker.start(10_000)
 
     def run(self):
@@ -108,6 +101,11 @@ class Mini:
 
     def events(self, kind):
         return [ev for ev in self.controller.events if ev.kind == kind]
+
+    def time_of(self, kind):
+        """The time of the one event of ``kind``."""
+        (event,) = self.events(kind)
+        return event.time_us
 
     def reverse_delta(self):
         """The seq delta of the rule carrying the serving server's segments
@@ -241,8 +239,9 @@ def test_migration_phases_and_timestamps():
     mini.run()
     record = mini.controller.records[CONN]
     assert record.phase == PHASE_REDIRECTED
-    assert set(record.times) == {"CLONING", "REDIRECTED"}
-    assert record.times["CLONING"] <= record.times["REDIRECTED"]
+    moves = {"alert", "restore_armed", "redirected", "restored"}
+    assert {ev.kind for ev in mini.controller.events} & moves == {"alert", "redirected"}
+    assert mini.time_of("alert") <= mini.time_of("redirected")
 
 
 def test_flow_rules_after_migration_and_restore_at_distinct_address():
@@ -253,10 +252,9 @@ def test_flow_rules_after_migration_and_restore_at_distinct_address():
 
     def snapshot(alert):
         # subscribed after the controller: the migration has spliced
-        if alert.sid == 1:
-            migrated.append(dict(mini.switch.rules()))
+        migrated.append(dict(mini.switch.rules()))
 
-    mini.ids.subscribe(snapshot)
+    mini.ids.subscribe(1, snapshot)
     mini.run()
     att_port = mini.attacker.port
     (rules,) = migrated
@@ -404,7 +402,7 @@ def test_restore_waits_for_a_quiet_honey():
         mini.run()
         record = mini.controller.records[CONN]
         assert record.phase == PHASE_RESTORED
-        assert record.times[PHASE_RESTORED] > record.times[PHASE_RESTORING]
+        assert mini.time_of("restored") > mini.time_of("restore_armed")
         assert mini.honey.app.request_log == mini.attacker.sent_requests[:7]
         assert mini.victim.app.request_log == mini.attacker.sent_requests
         assert bytes(mini.attacker.received_stream) == \
@@ -514,7 +512,7 @@ def test_restore_twice_invalid():
     assert len(mini.events("restore_armed")) == 1
     record = mini.controller.records[CONN]
     assert record.phase == PHASE_RESTORED
-    assert record.times[PHASE_RESTORED] == record.times[PHASE_RESTORING]
+    assert mini.time_of("restored") == mini.time_of("restore_armed")
     assert len(mini.events("restored")) == 1
 
 

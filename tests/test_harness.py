@@ -25,6 +25,7 @@ from honeysplice.harness import (
     InvariantViolation,
     LatencyTrace,
     PacketRecord,
+    RESTORE_WATCH_SID,
     Scenario,
     Simulation,
     Summary,
@@ -139,7 +140,9 @@ def test_derived_restore_grace_runs_clean_and_equals_oracle(delay, interval,
     assert bytes(sim.attacker.received_stream) == bytes(oracle.attacker.received_stream)
     (record,) = sim.controller.records.values()
     assert record.phase == "RESTORED"
-    assert record.times["RESTORED"] == record.times["RESTORING"]
+    (armed,) = (ev.time_us for ev in sim.controller.events if ev.kind == "restore_armed")
+    (restored,) = (ev.time_us for ev in sim.controller.events if ev.kind == "restored")
+    assert restored == armed
 
 
 @pytest.mark.parametrize("honey_addr_mode", ["same", "distinct"])
@@ -329,6 +332,10 @@ RULES = 'alert tcp any -> 10.0.0.2 any (msg:"MIGRATE"; sid:7;)\n'
     ({"m.rules": "alert tcp nonsense\n"}, {"ruleset": "m.rules"}, "ruleset"),
     ({"m.rules": RULES}, {"ruleset": "m.rules", "trigger": {"kind": "rule", "sid": 8}},
      "trigger.sid"),
+    # sid 9,000,002 is the restore watch's once a restore is armed
+    ({"m.rules": RULES + RULES.replace("sid:7", "sid:9000002")},
+     {"ruleset": "m.rules", "trigger": {"kind": "rule", "sid": 7}, "restore_at": 8},
+     "ruleset"),
 ])
 def test_bad_referenced_file_names_the_key(tmp_path, files, overrides, key):
     for name, text in files.items():
@@ -400,19 +407,23 @@ def test_rule_trigger_migrates_on_fifth_packet(tmp_path):
     assert not sim.trace(1).violations
 
 
-def test_only_the_trigger_sid_migrates(tmp_path):
+@pytest.mark.parametrize("other_sid", [7, RESTORE_WATCH_SID])
+def test_only_the_trigger_sid_migrates(tmp_path, other_sid):
     shipped = builtin_scenario_path("e1_redirect").parent / "migrate.rules"
     rules = tmp_path / "m.rules"
     rules.write_text(
         shipped.read_text(encoding="utf-8")
         + 'alert tcp any -> 10.0.0.2 any (msg:"OTHER"; flags:P.A.; '
-          'threshold:type threshold, track by_dst, count 3, seconds 120; sid:7;)\n',
+          'threshold:type threshold, track by_dst, count 3, seconds 120; '
+          f'sid:{other_sid};)\n',
         encoding="utf-8")
     doc = minimal_doc(trigger={"kind": "rule", "sid": 1000001}, ruleset="m.rules")
     sim = run_single(scenario_from_dict(doc, base_dir=tmp_path), 1)
-    # sid 7 fires at ordinal 3 but only sid 1000001 (ordinal 5) migrates
+    # the other sid fires at ordinal 3 but only sid 1000001 (ordinal 5)
+    # migrates; without restore_at, the restore watch's sid restores nothing
     assert sim.victim.app.request_count == 4
-    assert 7 in {alert.sid for alert in sim.ids.alerts}
+    assert other_sid in {alert.sid for alert in sim.ids.alerts}
+    assert not [ev for ev in sim.controller.events if ev.kind == "restore_armed"]
     assert not sim.trace(1).violations
 
 

@@ -420,11 +420,17 @@ def test_nth5_matches_count5_threshold_on_uninterrupted_burst():
 
 
 def test_sink_subscription():
+    """A sink gets the alerts of the sid it subscribed under, and only
+    those; an alert of a sid with no sink is only recorded."""
     eng = Engine(1)
     ids = Ids(eng)
     ids.add_nth_packet_watch(1, sid=42)
-    got = []
-    ids.subscribe(got.append)
+    ids.add_nth_packet_watch(1, sid=43)
+    got, other = [], []
+    ids.subscribe(42, got.append)
+    ids.subscribe(44, other.append)
     observe(ids, data_seg(), 0)
-    assert len(got) == 1 and isinstance(got[0], Alert)
+    assert len(got) == 1 and isinstance(got[0], Alert) and got[0].sid == 42
     assert got[0].conn == ("10.0.0.1", 40001, "10.0.0.2", 9000)
+    assert other == []
+    assert [alert.sid for alert in ids.alerts] == [42, 43]
