@@ -10,11 +10,11 @@ attacker. Experiments measure exactly that invisibility.
 """
 
 from .netcore import HostAddr, TcpFlags, TcpSegment, seg_span, seq_add, seq_lt
-from .simnet import Distribution, Engine, LinkModel
+from .simnet import Engine, LinkModel
 from .endpoint import ConnState, ServerApp, TcpEndpoint
 from .vswitch import Switch
 from .ids import Ids, IdsRule, parse_rule
-from .clonemgr import CloneManager, StrategyKind
+from .clonemgr import CloneManager
 from .controller import Controller, MigrationRecord
 from .harness import (
     Scenario,
@@ -28,11 +28,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HostAddr", "TcpFlags", "TcpSegment", "seg_span", "seq_add", "seq_lt",
-    "Distribution", "Engine", "LinkModel",
+    "Engine", "LinkModel",
     "ConnState", "ServerApp", "TcpEndpoint",
     "Switch",
     "Ids", "IdsRule", "parse_rule",
-    "CloneManager", "StrategyKind",
+    "CloneManager",
     "Controller", "MigrationRecord",
     "Scenario", "load_scenario", "run_experiment", "run_single", "summarize",
     "__version__",

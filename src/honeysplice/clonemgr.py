@@ -8,12 +8,12 @@ takes to bring a clone up.
   DISK_COPY     snapshot the live disk on demand: the slowest.
 
 The latencies in ``CLONE_LATENCY_US`` are configuration, not measurement:
-only their ordering is contractual.
+only their ordering is contractual. Its keys are the values the scenario
+key ``clone.strategy`` accepts.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Optional
 
 from .hosts import ServerHost
@@ -24,18 +24,11 @@ class CloneFailed(Exception):
     """Clone instantiation failed (injected via failure_p, default off)."""
 
 
-class StrategyKind(enum.Enum):
-    INFO_CONFIG = "INFO_CONFIG"
-    VICTIM_IMAGE = "VICTIM_IMAGE"
-    SUSPENDED = "SUSPENDED"
-    DISK_COPY = "DISK_COPY"
-
-
-CLONE_LATENCY_US: dict[StrategyKind, int] = {
-    StrategyKind.INFO_CONFIG: 120_000,
-    StrategyKind.VICTIM_IMAGE: 30_000,
-    StrategyKind.SUSPENDED: 5_000,
-    StrategyKind.DISK_COPY: 300_000,
+CLONE_LATENCY_US: dict[str, int] = {
+    "INFO_CONFIG": 120_000,
+    "VICTIM_IMAGE": 30_000,
+    "SUSPENDED": 5_000,
+    "DISK_COPY": 300_000,
 }
 
 

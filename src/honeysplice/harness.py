@@ -36,13 +36,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
+from .clonemgr import CLONE_LATENCY_US, CloneManager
 from .controller import EVENT_FIELDS, Controller, ControllerEvent
 from .endpoint import ServerApp, random_iss
 from .hosts import AttackerHost, ServerHost, spawn_background_load
 from .ids import Ids, IdsRule, ParseError, load_ruleset_file
 from .netcore import HostAddr
-from .simnet import Distribution, Engine, LinkModel, derive_seed
+from .simnet import Engine, LinkModel, derive_seed
 from .vswitch import Switch
 
 ATTACKER_ADDR = HostAddr("10.0.0.1", "02:00:00:00:00:01")
@@ -122,15 +122,13 @@ class Scenario:
     request_size_random: bool = _opt("request.random_size", False, _flag)
     request_interval_us: int = _opt("request.interval_us", 10_000, _int, (1, _MOST_US))
     link_base_delay_us: int = _opt("link.base_delay_us", 1_000, _int, (0, _MOST_US))
-    link_jitter_kind: str = _opt("link.jitter.kind", "none", _str,
-                                 ("none", "fixed", "uniform", "normal"))
+    link_jitter_kind: str = _opt("link.jitter.kind", "none", _str, ("none", "uniform", "normal"))
     link_jitter_a: float = _opt("link.jitter.a", 0.0, _num, (-_MOST_US, _MOST_US))
     link_jitter_b: float = _opt("link.jitter.b", 0.0, _num, (-_MOST_US, _MOST_US))
     background_n_hosts: Optional[int] = _opt("background.n_hosts", None, _int, (0, _MOST_N))
     background_procs_per_host: Optional[int] = _opt("background.procs_per_host", None,
                                                     _int, (0, math.inf))
-    clone_strategy: StrategyKind = _opt("clone.strategy", StrategyKind.VICTIM_IMAGE,
-                                        StrategyKind)
+    clone_strategy: str = _opt("clone.strategy", "VICTIM_IMAGE", _str, tuple(CLONE_LATENCY_US))
     clone_on_demand: bool = _opt("clone.on_demand", False, _flag)
     clone_failure_p: float = _opt("clone.failure_p", 0.0, _num, (0, 1))
     containment: str = _opt("containment", "immediate", _str, ("immediate", "on_clone_ready"))
@@ -285,9 +283,8 @@ class Simulation:
     def __init__(self, scenario: Scenario, seed: int, migration: bool = True):
         self.scenario = scenario
         self.engine = Engine(seed)
-        jitter = None if scenario.link_jitter_kind == "none" else Distribution(
-            scenario.link_jitter_kind, scenario.link_jitter_a, scenario.link_jitter_b)
-        link_model = LinkModel(scenario.link_base_delay_us, jitter)
+        link_model = LinkModel(scenario.link_base_delay_us, scenario.link_jitter_kind,
+                               scenario.link_jitter_a, scenario.link_jitter_b)
         self.switch = Switch(self.engine)
         self.ids = Ids(self.engine)
         self.controller = Controller(

@@ -36,38 +36,18 @@ def derive_seed(root: int, tag: str) -> int:
     return (zlib.crc32(tag.encode("utf-8")) ^ root) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True, slots=True)
-class Distribution:
-    """A latency/jitter distribution: fixed(a), uniform(a, b) or normal(a, b).
+class LinkModel(NamedTuple):
+    """Delivery delay model for one link: the ``link.*`` scenario leaves.
 
-    ``sample`` returns integer microseconds, negative ones too: a link
-    clamps only their sum with its base delay at zero. ``fixed`` never
-    touches the RNG, so a no-jitter link makes no draws at all.
+    Kind ``none`` delays every delivery by exactly ``base_delay_us``;
+    ``uniform`` and ``normal`` add ``round`` of a ``uniform(a, b)`` or
+    ``normalvariate(a, b)`` draw, negative ones too.
     """
 
-    kind: str  # "fixed" | "uniform" | "normal"
-    a: float = 0.0
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "uniform", "normal"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-
-    def sample(self, rng: random.Random) -> int:
-        if self.kind == "fixed":
-            v = self.a
-        elif self.kind == "uniform":
-            v = rng.uniform(self.a, self.b)
-        else:
-            v = rng.normalvariate(self.a, self.b)
-        return round(v)
-
-
-class LinkModel(NamedTuple):
-    """Delivery delay model for one link: base delay plus optional jitter."""
-
     base_delay_us: int = 1000
-    jitter: Optional[Distribution] = None
+    jitter_kind: str = "none"
+    jitter_a: float = 0.0
+    jitter_b: float = 0.0
 
 
 @dataclass(slots=True)
@@ -103,7 +83,7 @@ class Engine:
         self._seed = seed & 0xFFFFFFFF
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._lane: deque[tuple[int, int, Callable[[], None]]] = deque()
-        self._lane_delay: Optional[int] = None  # set by the first fixed Link
+        self._lane_delay: Optional[int] = None  # set by the first Link without jitter
         self._order = 0
         self._streams: dict[str, random.Random] = {}
 
@@ -171,31 +151,31 @@ class Link:
     on the link may reorder.
     """
 
-    __slots__ = ("_engine", "_base", "_jitter", "_deliver", "_rng", "_delay", "name")
+    __slots__ = ("_engine", "_base", "_a", "_b", "_draw", "_deliver", "_delay", "name")
 
     def __init__(self, engine: Engine, name: str, model: LinkModel,
                  deliver: Callable[[object], None]):
         self._engine = engine
         # copied into slots: a jittered send reads them, not the model
-        self._base, self._jitter = model.base_delay_us, model.jitter
+        self._base, self._a, self._b = model.base_delay_us, model.jitter_a, model.jitter_b
         self._deliver = deliver
         # None when every delivery takes the base delay; a link without
         # jitter makes no draws, so it needs no stream
         self._delay: Optional[int] = None
-        self._rng: Optional[random.Random] = None
-        if model.jitter is None:
+        if model.jitter_kind == "none":
             self._delay = model.base_delay_us
             if engine._lane_delay is None:
                 engine._lane_delay = model.base_delay_us
         else:
-            self._rng = engine.stream(f"link:{name}")
+            rng = engine.stream(f"link:{name}")
+            self._draw = {"uniform": rng.uniform, "normal": rng.normalvariate}[model.jitter_kind]
         self.name = name
 
     def send(self, pkt) -> None:
         engine = self._engine
         delay = self._delay
         if delay is None:
-            delay = max(0, self._base + self._jitter.sample(self._rng))
+            delay = max(0, self._base + round(self._draw(self._a, self._b)))
         engine.schedule(_Delivery(self._deliver, pkt), engine.now + delay)
 
 

@@ -6,7 +6,6 @@ from honeysplice.clonemgr import (
     CLONE_LATENCY_US,
     CloneFailed,
     CloneManager,
-    StrategyKind,
 )
 from honeysplice.endpoint import ServerApp, fixed_iss
 from honeysplice.hosts import ServerHost
@@ -19,10 +18,8 @@ VICTIM = ServerHost(Engine(0), "victim", VIC, 9000, ServerApp("svc"), fixed_iss(
 
 def test_default_table_latency_ordering():
     lat = CLONE_LATENCY_US
-    assert lat.keys() == set(StrategyKind)
-    assert lat[StrategyKind.SUSPENDED] < lat[StrategyKind.VICTIM_IMAGE]
-    assert lat[StrategyKind.VICTIM_IMAGE] < lat[StrategyKind.INFO_CONFIG]
-    assert lat[StrategyKind.INFO_CONFIG] < lat[StrategyKind.DISK_COPY]
+    assert lat.keys() == {"INFO_CONFIG", "VICTIM_IMAGE", "SUSPENDED", "DISK_COPY"}
+    assert lat["SUSPENDED"] < lat["VICTIM_IMAGE"] < lat["INFO_CONFIG"] < lat["DISK_COPY"]
 
 
 # -- instantiation ------------------------------------------------------------------------

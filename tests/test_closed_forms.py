@@ -3,11 +3,12 @@ relations between a run and a transformed run where no closed form
 exists (metamorphic relations)."""
 
 import math
+import statistics
 from dataclasses import replace
 
 import pytest
 
-from honeysplice.clonemgr import CLONE_LATENCY_US, StrategyKind
+from honeysplice.clonemgr import CLONE_LATENCY_US
 from honeysplice.harness import (ATTACKER_SPORT, builtin_scenario_path, load_scenario,
                                  run_single)
 
@@ -96,6 +97,65 @@ def test_unjittered_rtts_are_four_link_delays_in_either_address_mode(name, link_
         assert views[0] == views[1]
 
 
+# -- round-trip times under jitter -----------------------------------------------------
+
+# (kind, a, b): narrow and wide jitter symmetric about 0, and a one-sided one
+JITTERS = [("uniform", -100, 100), ("normal", 0, 300), ("uniform", 0, 900)]
+
+
+def jittered(name: str, kind: str, a: float, b: float):
+    return replace(load_scenario(builtin_scenario_path(name)),
+                   link_jitter_kind=kind, link_jitter_a=a, link_jitter_b=b)
+
+
+@pytest.mark.parametrize("name", ["e1_redirect", "e3_copy_on_demand", "e4_restore"])
+@pytest.mark.parametrize("kind, a, b", JITTERS)
+def test_jittered_address_modes_give_the_attacker_one_view(name, kind, a, b):
+    """On jittered links too, the honey server's address changes neither
+    the attacker's stream nor when any request leaves or its response
+    arrives."""
+    scenario = jittered(name, kind, a, b)
+    for rep in (1, 2, 3):
+        views = []
+        for mode in ("same", "distinct"):
+            sim = run_single(replace(scenario, honey_addr_mode=mode), rep)
+            # the relation says nothing unless the connection moved
+            assert any(ev.kind == "redirected" for ev in sim.controller.events)
+            attacker = sim.attacker
+            assert len(attacker.recv_ts) == scenario.total_packets
+            views.append((bytes(attacker.received_stream), attacker.send_ts, attacker.recv_ts))
+            sim.close()
+        assert views[0] == views[1]
+
+
+# (kind, a, b, the draw's mean, the draw's variance)
+JITTER_MOMENTS = [("uniform", -100, 100, 0, 200**2 / 12), ("normal", 0, 300, 0, 300**2),
+                  ("uniform", 0, 900, 450, 900**2 / 12)]
+
+
+@pytest.mark.parametrize("kind, a, b, jitter_mean, jitter_var", JITTER_MOMENTS)
+def test_pre_trigger_rtts_are_four_jittered_link_crossings(kind, a, b, jitter_mean,
+                                                           jitter_var):
+    """Before the trigger a request and its response cross four links, each
+    taking base + round(draw) µs. The RTTs' mean is four times base plus the
+    draw's mean, and their variance four times the draw's plus the
+    rounding's 1/12: the mean within four standard errors, the sample
+    variance within four of its relative standard errors."""
+    scenario = jittered("e1_redirect", kind, a, b)
+    rtts = []
+    for rep in (1, 2, 3):
+        sim = run_single(scenario, rep)
+        rtts += [record.rtt_us for record in sim.trace(rep).records
+                 if record.index < scenario.trigger_n]
+        sim.close()
+    n = len(rtts)
+    assert n == 3 * (scenario.trigger_n - 1)
+    want_mean = 4 * (scenario.link_base_delay_us + jitter_mean)
+    want_var = 4 * (jitter_var + 1 / 12)
+    assert abs(statistics.fmean(rtts) - want_mean) <= 4 * math.sqrt(want_var / n)
+    assert abs(statistics.variance(rtts) / want_var - 1) <= 4 * math.sqrt(2 / (n - 1))
+
+
 # -- an on-demand clone's latency ------------------------------------------------------
 
 # (request interval, link base delay) pairs whose interval exceeds four base
@@ -105,7 +165,7 @@ CLONE_GRID = [(interval, delay) for interval in (4_500, 10_000, 50_000)
 
 
 @pytest.mark.parametrize("containment", ["on_clone_ready", "immediate"])
-@pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", list(CLONE_LATENCY_US))
 @pytest.mark.parametrize("interval, delay", CLONE_GRID)
 def test_e3_exposure_and_wait_follow_the_clone_latency(interval, delay, strategy,
                                                         containment):

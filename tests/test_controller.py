@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager, StrategyKind
+from honeysplice.clonemgr import CLONE_LATENCY_US, CloneManager
 from honeysplice.controller import (
     Controller,
     PHASE_IDLE,
@@ -48,7 +48,7 @@ class Mini:
 
     def __init__(self, attacker_iss=100, victim_iss=7000, honey_iss=9000,
                  trigger_n=None, restore_at=None, total=10, interval_us=10_000,
-                 clone_latency_us=CLONE_LATENCY_US[StrategyKind.VICTIM_IMAGE],
+                 clone_latency_us=CLONE_LATENCY_US["VICTIM_IMAGE"],
                  pre_instantiated=True, failure_p=0.0, honey_addr=None, **ctl_kwargs):
         self.engine = Engine(5)
         self.switch = Switch(self.engine)

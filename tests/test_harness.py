@@ -42,7 +42,6 @@ from honeysplice.harness import (
     write_summary_csv,
 )
 from honeysplice.cli import main as cli_main
-from honeysplice.clonemgr import StrategyKind
 from honeysplice.endpoint import PAYLOAD_CACHE_SIZE, ServerApp
 from honeysplice.hosts import EchoHost, make_request
 from honeysplice.vswitch import Switch
@@ -245,6 +244,8 @@ def test_invalid_json_is_config_error(tmp_path):
     ({"background": {"n_hosts": 1}}, "background"),
     # a and b are checked beside kind none too, though no draw reads them
     ({"link": {"jitter": {"kind": "none", "a": math.nan}}}, "link.jitter.a"),
+    # a constant offset is link.base_delay_us: there is no fixed kind
+    ({"link": {"jitter": {"kind": "fixed", "a": 5}}}, "link.jitter.kind"),
 ])
 def test_malformed_document_names_the_key(tmp_path, capsys, overrides, key):
     doc = minimal_doc(**overrides)
@@ -271,7 +272,7 @@ VALID_DOCS = [
 # a value of each JSON type, and the types each declared parser takes
 JSON_VALUES = {bool: True, int: 7, float: 2.5, str: "7", list: [7], dict: {"k": 7}}
 TAKES = {harness._int: (int,), harness._num: (int, float), harness._str: (str,),
-         harness._flag: (bool,), harness._RULES: (str,), StrategyKind: (str,)}
+         harness._flag: (bool,), harness._RULES: (str,)}
 
 
 def invalid_values(f):

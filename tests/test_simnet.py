@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from honeysplice import simnet
 from honeysplice.simnet import (
-    Distribution,
     Engine,
     Link,
     LinkModel,
@@ -139,7 +138,7 @@ def drive(engine_cls, links, starts, reactions, chunks):
     wires = []
     for i, (delay, jitter) in enumerate(links):
         wires.append(Link(eng, f"l{i}", LinkModel(
-            delay, Distribution("uniform", -30, 30) if jitter else None), fire))
+            delay, "uniform" if jitter else "none", -30, 30), fire))
         act(*starts[i % len(starts)])  # events queued while links are built
     for action in starts:
         act(*action)
@@ -169,8 +168,8 @@ ACTION = st.tuples(st.sampled_from(["send", "send", "now", "lane", "at"]),
          reactions=[[("send", 0), ("send", 1)], [("lane", 0), ("at", 7)], []],
          chunks=[0, 25, 1])
 def test_engine_dispatches_like_a_single_heap(links, starts, reactions, chunks):
-    """Links with and without jitter (the first fixed one claims the lane;
-    another fixed delay uses the heap), callbacks that schedule at now, one
+    """Links with and without jitter (the first one without claims the lane;
+    another constant delay uses the heap), callbacks that schedule at now, one
     lane delay ahead and elsewhere, and ``run_until`` stopping partway: the
     dispatch order and every chunk's count equal a heap-only engine's."""
     got = drive(Engine, links, starts, reactions, chunks)
@@ -213,44 +212,47 @@ def test_derive_seed_stable():
     assert derive_seed(7, "rep:1") != derive_seed(7, "rep:2")
 
 
-def test_distribution_fixed_and_clamp():
-    rng = Engine(1).stream("d")
-    assert Distribution("fixed", 30_000).sample(rng) == 30_000
-    # a draw may be negative; the link clamps the total delay at 0
-    assert Distribution("fixed", -5).sample(rng) == -5
+def test_link_clamps_a_negative_draw_at_zero():
+    # uniform(a, a) is the constant offset a, negative ones too: the link
+    # clamps only the sum with its base delay at zero
     eng = Engine(1)
     arrivals = []
-    link = Link(eng, "l0", LinkModel(3, Distribution("fixed", -5)), arrivals.append)
-    eng.schedule(lambda: link.send(eng.now), 100)
-    eng.run_until(10_000)
-    assert arrivals == [100] and eng.now == 100
+
+    def deliver(tag):
+        arrivals.append((eng.now, tag))
+
+    far = Link(eng, "far", LinkModel(0, "uniform", 30_000, 30_000), deliver)
+    near = Link(eng, "near", LinkModel(3, "uniform", -5, -5), deliver)
+    eng.schedule(lambda: (far.send("far"), near.send("near")), 100)
+    eng.run_until(10**6)
+    assert arrivals == [(100, "near"), (30_100, "far")]
 
 
-def test_distribution_uniform_bounds():
-    rng = Engine(1).stream("d")
-    dist = Distribution("uniform", -100, 100)
-    samples = [dist.sample(rng) for _ in range(200)]
-    assert all(-100 <= s <= 100 for s in samples)
+def test_uniform_jitter_stays_in_bounds():
+    eng = Engine(1)
+    delays = []
+    link = Link(eng, "l0", LinkModel(1000, "uniform", -100, 100),
+                lambda sent: delays.append(eng.now - sent))
+    for t in range(0, 2_000_000, 10_000):
+        eng.schedule(lambda: link.send(eng.now), t)
+    eng.run_until(10**9)
+    assert len(delays) == 200 and all(900 <= d <= 1100 for d in delays)
 
 
 def test_latency_samples_nonnegative():
     # draws from normal(1000, 5000) are often negative, but no link delivers
     # a packet before it was sent
-    dist = Distribution("normal", 1000, 5000)
-    rng = Engine(3).stream("t")
-    assert min(dist.sample(rng) for _ in range(200)) < 0
+    ref = random.Random(derive_seed(3, "link:l0"))
+    draws = [round(ref.normalvariate(1000, 5000)) for _ in range(200)]
+    assert min(draws) < 0
     eng = Engine(3)
     delays = []
-    link = Link(eng, "l0", LinkModel(0, dist), lambda sent: delays.append(eng.now - sent))
-    for t in range(0, 200_000, 1000):
+    link = Link(eng, "l0", LinkModel(0, "normal", 1000, 5000),
+                lambda sent: delays.append(eng.now - sent))
+    for t in range(0, 20_000_000, 100_000):
         eng.schedule(lambda: link.send(eng.now), t)
     eng.run_until(10**9)
-    assert len(delays) == 200 and min(delays) == 0
-
-
-def test_distribution_unknown_kind():
-    with pytest.raises(ValueError):
-        Distribution("exponential", 1.0)
+    assert delays == [max(0, d) for d in draws]
 
 
 def test_link_exact_delay_without_jitter():
@@ -296,7 +298,7 @@ def test_link_send_queues_one_delivery_through_schedule(monkeypatch):
 
 
 def test_jittered_link_draws_from_its_named_stream():
-    model = LinkModel(1000, Distribution("uniform", -300, 300))
+    model = LinkModel(1000, "uniform", -300, 300)
     eng = Engine(7)
     arrivals = []
     link = Link(eng, "l0", model, lambda p: arrivals.append((eng.now, p)))
@@ -305,6 +307,6 @@ def test_jittered_link_draws_from_its_named_stream():
     eng.run_until(10_000)
     ref = random.Random(derive_seed(7, "link:l0"))
     assert sorted(arrivals) == sorted(
-        (max(0, 1000 + model.jitter.sample(ref)), i) for i in range(6))
+        (max(0, 1000 + round(ref.uniform(-300, 300))), i) for i in range(6))
     # the link consumed exactly those draws from the engine's stream
     assert eng.stream("link:l0").random() == ref.random()

@@ -21,12 +21,12 @@ SRC = Path(honeysplice.__file__).resolve().parent.parent
 
 # The dataclasses that stay: Scenario's fields are the scenario schema and
 # callers replace() it; the per-packet types are read slot by slot on every
-# packet; Distribution rejects unknown kinds in __post_init__; IdsRule is
-# read on every mirrored segment; PacketRecord is built 120 times a rep.
+# packet; IdsRule is read on every mirrored segment; PacketRecord is built
+# 120 times a rep.
 KEPT_DATACLASSES = {
     "harness.Scenario", "harness.PacketRecord", "ids.IdsRule",
     "netcore.HostAddr", "netcore.TcpSegment", "simnet.EchoPacket",
-    "simnet.Distribution", "vswitch.Output", "vswitch.Rewrite",
+    "vswitch.Output", "vswitch.Rewrite",
 }
 
 
