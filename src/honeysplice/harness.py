@@ -90,7 +90,7 @@ _int, _num, _str, _flag = _json(int), _json(int, float), _json(str), _json(bool)
 # request gaps sum to <= 1e6 x 1e12 µs, the controller serves <= 1e6 echo
 # misses and a few TCP ones at <= 1e12 each, and an event chain adds a few
 # dozen crossings of <= 1e12 + 13.2e12 (a normal draw lies within 12.2
-# sigma), clones and hold sweeps: ~2e18.
+# sigma) and clones: ~2e18.
 _MOST_US, _MOST_N = 10**12, 10**6
 
 
@@ -164,13 +164,19 @@ class Scenario:
             raise ConfigError("background", "n_hosts and procs_per_host are set together")
         if (self.background_n_hosts or 0) * (self.background_procs_per_host or 0) > _MOST_N:
             raise ConfigError("background", f"n_hosts x procs_per_host must be <= {_MOST_N}")
-        if self.trigger_kind == "nth_packet":
+        rule, no_jitter = self.trigger_kind == "rule", self.link_jitter_kind == "none"
+        for key, unread, reader in (  # the IDS loads the rules for a rule trigger only
+                ("ruleset", self.ruleset is not None and not rule, "a rule trigger"),
+                ("trigger.sid", self.trigger_sid and not rule, "a rule trigger"),
+                ("trigger.n", self.trigger_n and rule, "an nth_packet trigger"),
+                ("link.jitter.a", self.link_jitter_a and no_jitter, "a drawn jitter"),
+                ("link.jitter.b", self.link_jitter_b and no_jitter, "a drawn jitter")):
+            if unread:
+                raise ConfigError(key, f"only read by {reader}")
+        if not rule:
             if not 1 <= self.trigger_n <= self.total_packets:
                 raise ConfigError("trigger.n",
                                   f"must be in 1..total_packets ({self.total_packets})")
-            # only a rule trigger loads the rules into the IDS
-            if self.ruleset is not None:
-                raise ConfigError("ruleset", "only read by a rule trigger")
             if self.restore_at is not None and self.restore_at <= self.trigger_n:
                 raise ConfigError("restore_at", "must be > the migration trigger index")
         elif self.ruleset is None:
@@ -354,7 +360,7 @@ class Simulation:
 
     def run(self) -> None:
         """Dispatch until no event is pending. Every event source is finite:
-        the attacker's timer, echo emitter and hold sweep each stop, and
+        the attacker's timer stops, each background flow sends once, and
         nothing answers a pure ACK or sends a packet back into the switch."""
         self.engine.run_until(sys.maxsize)  # int, not math.inf: compares int to int
 

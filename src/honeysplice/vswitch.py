@@ -17,17 +17,13 @@ switch:
 A port may have no link: it is a sink, and OUTPUT to it sends nothing.
 
 On a table miss the packet is held (not dropped) and escalated; the
-controller is expected to install rules and release it. A hold timeout
-(``MISS_HOLD_TIMEOUT_US``, one simulated second) guards against a dead
-controller. Each hold records its deadline, miss time plus the timeout.
-One sweep event per switch expires holds: a miss arms it when none is
-pending, it fires at the oldest pending deadline, drops every hold whose
-deadline has come and re-arms at the oldest one left. ``release_held``
-and ``drop_held`` at or after a hold's deadline find it expired, and count
-it, even if the sweep has not run yet: a release in the same µs as the
-deadline loses. That is the order a timer event per hold would give, since
-it is queued at the miss, before any event that could release the hold.
-So ``stats["hold_expired"]`` is exact between events.
+controller is expected to install rules and release it. A hold expires
+``MISS_HOLD_TIMEOUT_US`` (one simulated second) after its miss, and no
+event watches it: as an OpenFlow controller learns that a buffer is gone
+only when its packet-out names it, ``release_held`` or ``drop_held`` at
+or after the deadline finds the hold expired (a release in the same µs
+loses) and counts it in ``stats["hold_expired"]``. Every packet-in the
+controller queues is resolved once, so the count is exact once all are.
 
 A packet released by ``release_held`` or ``release_buffer`` re-enters
 ``process`` with its key: the taps saw it on first entry, so it goes
@@ -99,10 +95,9 @@ class Switch:
         self._table: dict[ConnKey, tuple[FlowAction, ...]] = {}
         self._rules = MappingProxyType(self._table)
         self._buffers: dict[Hashable, list] = {}
-        # hold id -> (packet, key, deadline), in miss order, so in deadline order
+        # hold id -> (packet, key, deadline)
         self._held: dict[int, tuple[object, ConnKey, int]] = {}
         self._next_hold = 1
-        self._sweep_armed = False
         self.mirror_taps: list[Callable[[TcpSegment, ConnKey], None]] = []
         self.packet_in_handler: Optional[Callable[[object, ConnKey, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
@@ -179,53 +174,33 @@ class Switch:
         self.stats["miss"] += 1
         hold_id = self._next_hold
         self._next_hold += 1
-        deadline = self._engine.now + MISS_HOLD_TIMEOUT_US
-        self._held[hold_id] = (pkt, key, deadline)
-        if not self._sweep_armed:
-            # no sweep pending means no hold pending: this one is the oldest
-            self._sweep_armed = True
-            self._engine.schedule(self._sweep_holds, deadline)
+        self._held[hold_id] = (pkt, key, self._engine.now + MISS_HOLD_TIMEOUT_US)
         if self.packet_in_handler is not None:
             self.packet_in_handler(pkt, key, hold_id)
 
-    def _sweep_holds(self) -> None:
-        """Expire every hold whose deadline has come; re-arm at the oldest
-        deadline left."""
-        now = self._engine.now
-        expired = []
-        for hold_id, (_, _, deadline) in self._held.items():
-            if deadline > now:
-                self._engine.schedule(self._sweep_holds, deadline)
-                break
-            expired.append(hold_id)
-        else:
-            self._sweep_armed = False
-        for hold_id in expired:
-            del self._held[hold_id]
-        self.stats["hold_expired"] += len(expired)
+    def _resolve(self, hold_id: int) -> Optional[tuple[object, ConnKey]]:
+        """Pop a hold: its packet and key before its deadline, else None; a
+        known hold at or past its deadline counts as expired."""
+        pkt, key, deadline = self._held.pop(hold_id, (None, None, -1))
+        if self._engine.now < deadline:
+            return pkt, key
+        if pkt is not None:
+            self.stats["hold_expired"] += 1
+        return None
 
     def release_held(self, hold_id: int) -> bool:
         """Re-process a held miss packet (post rule install) under the key it
-        missed with, skipping the taps. False when the hold is gone (an
-        unknown id pops as no packet with a past deadline) or its deadline
-        has come (then it counts as expired)."""
-        pkt, key, deadline = self._held.pop(hold_id, (None, None, -1))
-        if self._engine.now >= deadline:
-            if pkt is not None:
-                self.stats["hold_expired"] += 1
+        missed with, skipping the taps; False when the hold is gone."""
+        held = self._resolve(hold_id)
+        if held is None:
             return False
-        self.process(pkt, key)
+        self.process(*held)
         return True
 
     def drop_held(self, hold_id: int) -> bool:
         """Discard a held miss packet; True exactly when ``release_held``
         would have released it."""
-        pkt, _, deadline = self._held.pop(hold_id, (None, None, -1))
-        if self._engine.now >= deadline:
-            if pkt is not None:
-                self.stats["hold_expired"] += 1
-            return False
-        return True
+        return self._resolve(hold_id) is not None
 
     def send_out(self, port: int, pkt) -> None:
         """Direct transmit on a port (controller-originated packets)."""

@@ -191,3 +191,46 @@ def test_e3_exposure_and_wait_follow_the_clone_latency(interval, delay, strategy
         assert exposure == 0
         assert max(record.rtt_us for record in trace.records) == latency + 4 * delay
     sim.close()
+
+
+# -- seeds and time scales -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["e1_redirect", "e2_saturated", "e3_copy_on_demand",
+                                  "e4_restore"])
+def test_another_seed_moves_the_isn_but_no_rtt(name):
+    """The root seed reaches the attacker's ISN, but no link of a shipped
+    scenario draws: every RTT and the violation count are seed-free."""
+    scenario = load_scenario(builtin_scenario_path(name))
+    isns, views = set(), []
+    for seed in (7, 8, 123):
+        sim = run_single(replace(scenario, seed=seed), 1)
+        trace = sim.trace(1)
+        isns.add(sim.attacker.conn.iss)
+        views.append(([record.rtt_us for record in trace.records], len(trace.violations)))
+        sim.close()
+    assert len(isns) == 3
+    assert views[0] == views[1] == views[2]
+    assert len(views[0][0]) == scenario.total_packets
+
+
+@pytest.mark.parametrize("name", ["e1_redirect", "e4_restore"])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_scaling_link_delay_and_interval_scales_every_rtt(name, k):
+    """With a pre-built clone the redirect costs no time of its own, so a
+    run whose link delay and request interval are k times longer is the
+    same run on a k times slower clock: each RTT is k times as long."""
+    scenario = load_scenario(builtin_scenario_path(name))
+    assert not scenario.clone_on_demand
+    scaled = replace(scenario, link_base_delay_us=k * scenario.link_base_delay_us,
+                     request_interval_us=k * scenario.request_interval_us)
+    rtts = []
+    for case in (scenario, scaled):
+        sim = run_single(case, 1)
+        trace = sim.trace(1)
+        # the relation says nothing unless the connection moved
+        assert any(ev.kind == "redirected" for ev in trace.controller_events)
+        rtts.append([record.rtt_us for record in trace.records])
+        sim.close()
+    assert len(rtts[0]) == scenario.total_packets
+    assert rtts[1] == [k * rtt for rtt in rtts[0]]

@@ -218,7 +218,7 @@ def test_close_before_established_invalid():
 # -- stream integrity vs the reference reassembler --------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=50),
        st.data())
 def test_stream_integrity_with_duplicates(payloads, data):
@@ -325,7 +325,7 @@ SEGMENT = st.tuples(st.just(0) | st.integers(-12, 12), st.integers(0, 12),
                     st.sampled_from([0, 0, -1, 1, -3000, 3000]))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(client_iss=st.integers(2**32 - 200, 2**32 - 1) | st.integers(0, 2**32 - 1),
        handshake_data=st.integers(0, 8),
        handshake_fin=st.sampled_from([False] * 4 + [True]),

@@ -113,7 +113,7 @@ def test_replay_builds_no_segment(monkeypatch):
         seq_add(7001, len(b"svc#000001|hello"))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(sizes=st.lists(st.integers(1, 70_000), max_size=8),
        start=st.sampled_from([0, 999_998]))
 @example(sizes=[5, 70_000, 9, 1], start=999_998)

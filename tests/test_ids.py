@@ -338,7 +338,7 @@ def test_threshold_against_reference_counter():
     assert engine_alert_idx == reference_threshold_alerts(events, 3, 2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(st.integers(0, 3_000_000), st.sampled_from(["d1", "d2"])),
                 min_size=1, max_size=60))
 def test_interleaved_destinations_do_not_perturb_each_other(steps):

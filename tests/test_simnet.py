@@ -153,7 +153,7 @@ ACTION = st.tuples(st.sampled_from(["send", "send", "now", "lane", "at"]),
                    st.integers(0, 60))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(links=st.lists(st.tuples(st.sampled_from([0, 10, 25, 40]), st.booleans()),
                       min_size=1, max_size=4),
        starts=st.lists(ACTION, min_size=1, max_size=6),

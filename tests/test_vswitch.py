@@ -238,25 +238,34 @@ def test_hold_expires_after_timeout():
     sink = []
     sw.attach(Link(eng, "p", LinkModel(0), sink.append))
     sw.process(seg())
+    sw.install_rule(exact_match(), (Output(1),))
+    eng.schedule(lambda: None, 2_000_000)
     eng.run_until(2_000_000)
-    assert sw.stats["hold_expired"] == 1
-    # too late: the packet is gone
+    # no event watches the deadline: the hold expires when it is resolved
+    assert sw.stats["hold_expired"] == 0
+    # too late: the packet is gone, and counts once
     assert sw.release_held(1) is False
+    assert sw.release_held(1) is False
+    assert sw.stats["hold_expired"] == 1
+    assert sink == []
 
 
-def test_one_sweep_expires_every_hold_of_a_burst():
+def test_a_burst_of_holds_schedules_no_event():
     eng = Engine(1)
     sw = Switch(eng)
     for sport in range(50):
         sw.process(seg(sport=sport))
-    # one sweep event, not one timer per miss
-    assert eng.run_until(2_000_000) == 1
+    # the marker is the first event the engine ever queued
+    assert eng.schedule(lambda: None, MISS_HOLD_TIMEOUT_US) == 1
+    assert eng.run_until(MISS_HOLD_TIMEOUT_US) == 1
+    assert sw.stats["hold_expired"] == 0
+    assert [sw.drop_held(hold) for hold in range(1, 51)] == [False] * 50
     assert sw.stats["hold_expired"] == 50
 
 
 class OneEventPerHold(Switch):
     """Reference hold expiry: one timer event per miss, queued at the miss,
-    as the switch did before its single sweep."""
+    that drops the hold and counts it at its deadline."""
 
     def _escalate(self, pkt, key) -> None:
         self.stats["miss"] += 1
@@ -314,8 +323,11 @@ class HoldBench:
         self.engine.schedule(call, t)
 
     def state(self):
-        return (self.engine.now, self.switch.stats, self.holds, self.forwarded,
-                self.timed)
+        """All but ``hold_expired``, which the reference counts at each
+        deadline and the switch when the expired hold is resolved."""
+        stats = self.switch.stats
+        return (self.engine.now, stats["processed"], stats["miss"], self.holds,
+                self.forwarded, self.timed)
 
 
 # A step names holds by a number taken modulo the holds so far, so steps
@@ -331,11 +343,18 @@ HOLD_STEPS = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(HOLD_STEPS, max_size=40))
-def test_hold_sweep_matches_one_expiry_event_per_hold(steps):
+def test_holds_resolve_as_one_expiry_event_per_hold(steps):
     ref, new = HoldBench(OneEventPerHold), HoldBench(Switch)
     deadlines = []  # index: hold id - 1
+    resolved = {}  # hold id -> time of its first release or drop
+
+    def expired():
+        for t, _, hold, _ in new.timed:
+            resolved.setdefault(hold, t)
+        return sum(t >= deadlines[hold - 1] for hold, t in resolved.items())
+
     for step in steps:
         now = new.engine.now
         kind = step[0]
@@ -350,6 +369,8 @@ def test_hold_sweep_matches_one_expiry_event_per_hold(steps):
             # the id past the last miss is unknown to both
             hold = step[1] % (len(deadlines) + 1) + 1
             assert getattr(ref.switch, kind)(hold) == getattr(new.switch, kind)(hold)
+            if hold <= len(deadlines):
+                resolved.setdefault(hold, now)
         elif deadlines:
             hold = step[1] % len(deadlines) + 1
             t = max(now, deadlines[hold - 1] + step[2])
@@ -361,25 +382,40 @@ def test_hold_sweep_matches_one_expiry_event_per_hold(steps):
                     # every controller release is; at the deadline it loses
                     bench.call_at(t, kind.split()[0], hold)
         assert ref.state() == new.state()
+        assert new.switch.stats["hold_expired"] == expired()
     end = max(deadlines, default=0) + 1
     for bench in (ref, new):
         bench.advance(max(end, bench.engine.now))
     assert ref.state() == new.state()
+    assert new.switch.stats["hold_expired"] == expired()
+    # resolve every hold: each one left is past its deadline
+    for hold in range(1, len(deadlines) + 1):
+        assert ref.switch.drop_held(hold) is new.switch.drop_held(hold) is False
+        resolved.setdefault(hold, new.engine.now)
+    assert ref.state() == new.state()
+    assert new.switch.stats["hold_expired"] == expired() == \
+        ref.switch.stats["hold_expired"]
 
 
-def test_release_at_the_deadline_loses_before_the_sweep_runs():
-    bench = HoldBench(Switch)
-    bench.miss(sport=1)
-    bench.advance(10)
-    bench.miss(sport=2)
-    deadline = 10 + MISS_HOLD_TIMEOUT_US
-    # queued now, so it runs before the sweep that the first hold's
-    # expiry re-arms for this deadline
-    bench.call_at(deadline, "release_held", 2)
-    bench.advance(deadline)
-    assert bench.timed == [(deadline, "release_held", 2, False)]
-    assert bench.switch.stats["hold_expired"] == 2
-    assert bench.forwarded == []
+def test_release_at_the_deadline_loses():
+    """A release queued for a hold's deadline runs after the reference's
+    timer, queued at the miss, and loses on both; one µs earlier it wins."""
+    for switch_cls in (OneEventPerHold, Switch):
+        bench = HoldBench(switch_cls)
+        bench.miss(sport=1)
+        bench.advance(10)
+        bench.miss(sport=2)
+        bench.miss(sport=3)
+        deadline = 10 + MISS_HOLD_TIMEOUT_US
+        bench.call_at(deadline - 1, "release_held", 3)
+        bench.call_at(deadline, "release_held", 2)
+        bench.call_at(deadline, "drop_held", 1)
+        bench.advance(deadline)
+        assert bench.timed == [(deadline - 1, "release_held", 3, True),
+                               (deadline, "release_held", 2, False),
+                               (deadline, "drop_held", 1, False)], switch_cls
+        assert bench.switch.stats["hold_expired"] == 2, switch_cls
+        assert bench.forwarded == [3], switch_cls
 
 
 # -- buffering ------------------------------------------------------------------------------
