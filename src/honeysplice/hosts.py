@@ -1,7 +1,8 @@
 """Hosts attached to the switch: the attacker, which plays a request
 schedule, TCP servers (victim and honey alike), and the echo hosts that
 send background load (one request per flow, which nothing answers),
-returned by ``spawn_background_load`` for the caller to register.
+returned by ``spawn_background_load`` for the caller to register; every
+rep sends the same echo packets, built once per process.
 
 Each host owns an uplink toward the switch; the switch owns the downlink
 back. An echo host takes a port with no downlink: the switch forwards
@@ -16,6 +17,7 @@ window in one call and moves both positions past it, building no response.
 from __future__ import annotations
 
 import functools
+from ipaddress import IPv4Address
 from typing import Optional, Sequence
 
 from .endpoint import PAYLOAD_CACHE_SIZE, ConnState, IssPolicy, ServerApp, TcpEndpoint
@@ -234,22 +236,35 @@ class _EchoEmitter:
 
     __slots__ = ("flows", "k")
 
-    def __init__(self, flows: list[tuple[EchoHost, HostAddr]]) -> None:
+    def __init__(self, flows: list[tuple[EchoHost, EchoPacket]]) -> None:
         self.flows, self.k = flows, 0
 
     def emit(self) -> None:
         k = self.k
-        host, dst = self.flows[k]
-        host.transmit(EchoPacket(host.addr, dst, 10_000 + k, 7))
+        host, pkt = self.flows[k]
+        host.transmit(pkt)
         self.k = k = k + 1
         if k < len(self.flows):
             host.engine.schedule(self.emit, k * 71)
 
 
+@functools.lru_cache(maxsize=1)
+def _background(n: int, procs: int) -> tuple[tuple[HostAddr, ...], tuple[tuple, ...]]:
+    """Echo host j's address (j from 1: 10.1.0.0 + j, MAC 02:00:01:00:00:00 + j)
+    and, per host, its flows' write-once ``EchoPacket``s: cached like ``make_request``."""
+    addrs = tuple(HostAddr(str(IPv4Address(0x0A01_0000 + j)),
+                           (0x0200_0100_0000 + j).to_bytes(6, "big").hex(":"))
+                  for j in range(1, n + 1))
+    return addrs, tuple(tuple(EchoPacket(addr, addrs[(i + 1 + p % max(n - 1, 1)) % n],
+                                         10_000 + i * procs + p, 7) for p in range(procs))
+                        for i, addr in enumerate(addrs))
+
+
 def spawn_background_load(engine: Engine, switch: Switch, n: int, procs: int,
                           link_model: LinkModel) -> list[EchoHost]:
     """Create n x procs echo flows of one request each, from n echo hosts
-    attached to ``switch``; returns the hosts.
+    attached to ``switch``; returns the hosts. Addresses and requests come
+    from ``_background``, built once per process for the last (n, procs).
 
     Every flow gets a unique source port, so its request misses the flow
     table and takes the controller's packet-in path. That is the only load
@@ -258,13 +273,11 @@ def spawn_background_load(engine: Engine, switch: Switch, n: int, procs: int,
     output reads. Flow k's request leaves at k * 71 µs, a stagger that
     keeps the event order stable and the controller queue realistic.
     """
-    hosts = [EchoHost(engine, f"bg{i}",
-                      HostAddr(f"10.1.0.{i + 1}", f"02:00:01:00:00:{i + 1:02x}"))
-             for i in range(n)]
+    addrs, packets = _background(n, procs)
+    hosts = [EchoHost(engine, f"bg{i}", addr) for i, addr in enumerate(addrs)]
     for host in hosts:
         host.attach(switch, link_model)
-    flows = [(host, hosts[(i + 1 + p % (n - 1)) % n].addr if n > 1 else host.addr)
-             for i, host in enumerate(hosts) for p in range(procs)]
+    flows = [(host, pkt) for host, pkts in zip(hosts, packets) for pkt in pkts]
     if flows:
         engine.schedule(_EchoEmitter(flows).emit, 0)
     return hosts

@@ -16,8 +16,9 @@ switch:
 
 A port may have no link: it is a sink, and OUTPUT to it sends nothing.
 
-On a table miss the packet is held (not dropped) and escalated; the
-controller is expected to install rules and release it. A hold expires
+On a table miss ``process`` holds the packet (no drop) and hands it to
+the packet-in handler; the controller is expected to install rules and
+release it. A hold expires
 ``MISS_HOLD_TIMEOUT_US`` (one simulated second) after its miss, and no
 event watches it: as an OpenFlow controller learns that a buffer is gone
 only when its packet-out names it, ``release_held`` or ``drop_held`` at
@@ -97,7 +98,7 @@ class Switch:
         self._buffers: dict[Hashable, list] = {}
         # hold id -> (packet, key, deadline)
         self._held: dict[int, tuple[object, ConnKey, int]] = {}
-        self._next_hold = 1
+        self._last_hold = 0
         self.mirror_taps: list[Callable[[TcpSegment, ConnKey], None]] = []
         self.packet_in_handler: Optional[Callable[[object, ConnKey, int], None]] = None
         self.stats = {"processed": 0, "miss": 0, "hold_expired": 0}
@@ -157,7 +158,11 @@ class Switch:
                     tap(pkt, key)
         actions = self._table.get(key)
         if actions is None:
-            self._escalate(pkt, key)
+            self.stats["miss"] += 1
+            self._last_hold = hold_id = self._last_hold + 1
+            self._held[hold_id] = (pkt, key, self._engine.now + MISS_HOLD_TIMEOUT_US)
+            if self.packet_in_handler is not None:
+                self.packet_in_handler(pkt, key, hold_id)
             return
         for act in actions:
             if isinstance(act, Output):
@@ -170,37 +175,24 @@ class Switch:
                 self._buffers.setdefault(act.queue, []).append(pkt)
                 return
 
-    def _escalate(self, pkt, key: ConnKey) -> None:
-        self.stats["miss"] += 1
-        hold_id = self._next_hold
-        self._next_hold += 1
-        self._held[hold_id] = (pkt, key, self._engine.now + MISS_HOLD_TIMEOUT_US)
-        if self.packet_in_handler is not None:
-            self.packet_in_handler(pkt, key, hold_id)
-
-    def _resolve(self, hold_id: int) -> Optional[tuple[object, ConnKey]]:
-        """Pop a hold: its packet and key before its deadline, else None; a
-        known hold at or past its deadline counts as expired."""
-        pkt, key, deadline = self._held.pop(hold_id, (None, None, -1))
-        if self._engine.now < deadline:
-            return pkt, key
-        if pkt is not None:
-            self.stats["hold_expired"] += 1
-        return None
-
     def release_held(self, hold_id: int) -> bool:
         """Re-process a held miss packet (post rule install) under the key it
         missed with, skipping the taps; False when the hold is gone."""
-        held = self._resolve(hold_id)
-        if held is None:
+        held = self._held.pop(hold_id, None)
+        if held is None or self._engine.now >= held[2]:
+            self.stats["hold_expired"] += held is not None
             return False
-        self.process(*held)
+        self.process(held[0], held[1])
         return True
 
     def drop_held(self, hold_id: int) -> bool:
         """Discard a held miss packet; True exactly when ``release_held``
         would have released it."""
-        return self._resolve(hold_id) is not None
+        held = self._held.pop(hold_id, None)
+        if held is None or self._engine.now >= held[2]:
+            self.stats["hold_expired"] += held is not None
+            return False
+        return True
 
     def send_out(self, port: int, pkt) -> None:
         """Direct transmit on a port (controller-originated packets)."""

@@ -43,7 +43,8 @@ from honeysplice.harness import (
 )
 from honeysplice.cli import main as cli_main
 from honeysplice.endpoint import PAYLOAD_CACHE_SIZE, ServerApp
-from honeysplice.hosts import EchoHost, make_request
+from honeysplice.hosts import EchoHost, _background, make_request, spawn_background_load
+from honeysplice.netcore import HostAddr
 from honeysplice.vswitch import Switch
 
 from random_scenarios import random_scenario
@@ -765,6 +766,48 @@ def test_background_degenerate_counts(n_hosts, procs, expected):
     doc = minimal_doc(background={"n_hosts": n_hosts, "procs_per_host": procs})
     sim = run_single(scenario_from_dict(doc), 1)
     assert echo_flows(sim) == expected
+
+
+def test_every_rep_sends_the_same_echo_packets(monkeypatch):
+    sent = []
+    process = Switch.process
+
+    def recording(switch, pkt, key=None):
+        if key is None and isinstance(pkt, simnet.EchoPacket):  # off a link, not released
+            sent[-1].append(pkt)
+        process(switch, pkt, key)
+    monkeypatch.setattr(Switch, "process", recording)
+    scenario = load_scenario(builtin_scenario_path("e2_saturated"))
+    for rep in (1, 2):
+        sent.append([])
+        run_single(scenario, rep)
+    first, second = sent
+    assert len(first) == len(second) == 1_400
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_another_background_replaces_the_cached_one():
+    for n_hosts, procs in ((3, 4), (2, 3)):
+        run_single(scenario_from_dict(minimal_doc(
+            background={"n_hosts": n_hosts, "procs_per_host": procs})), 1)
+    assert _background.cache_info().currsize == 1
+    gc.collect()
+    # only the 2 x 3 background is alive: the 3 x 4 one was evicted
+    assert sum(isinstance(obj, simnet.EchoPacket) for obj in gc.get_objects()) == 6
+
+
+def test_echo_hosts_past_255_get_valid_unique_addresses():
+    engine = simnet.Engine(1)
+    addrs = [host.addr for host in spawn_background_load(
+        engine, Switch(engine), 300, 1, simnet.LinkModel())]
+    assert addrs[0] == HostAddr("10.1.0.1", "02:00:01:00:00:01")
+    assert addrs[254] == HostAddr("10.1.0.255", "02:00:01:00:00:ff")
+    assert addrs[255] == HostAddr("10.1.1.0", "02:00:01:00:01:00")
+    for addr in addrs:
+        octets = addr.ip.split(".")
+        assert len(octets) == 4 and all(0 <= int(o) <= 255 for o in octets), addr
+        assert re.fullmatch(r"([0-9a-f]{2}:){5}[0-9a-f]{2}", addr.mac), addr
+    assert len({a.ip for a in addrs}) == len({a.mac for a in addrs}) == 300
 
 
 # -- summarize ----------------------------------------------------------------------------

@@ -162,8 +162,10 @@ def write_once(monkeypatch):
 @pytest.mark.parametrize("name", ["e1_redirect", "e2_saturated",
                                   "e3_copy_on_demand", "e4_restore"])
 def test_shipped_scenarios_never_reassign_packet_fields(write_once, name):
-    scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=1)
-    assert len(run_experiment(scenario)) == 1
+    # e2 runs twice: its second rep sends the first rep's echo packets again
+    reps = 2 if name == "e2_saturated" else 1
+    scenario = replace(load_scenario(builtin_scenario_path(name)), repetitions=reps)
+    assert len(run_experiment(scenario)) == reps
 
 
 def test_write_once_guard_catches_reassignment(write_once):

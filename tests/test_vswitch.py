@@ -264,18 +264,17 @@ def test_a_burst_of_holds_schedules_no_event():
 
 
 class OneEventPerHold(Switch):
-    """Reference hold expiry: one timer event per miss, queued at the miss,
-    that drops the hold and counts it at its deadline."""
+    """Reference hold expiry: one timer event per miss, queued when
+    ``process`` leaves a new hold, that drops the hold and counts it at its
+    deadline; release and drop ignore the deadline the switch stores."""
 
-    def _escalate(self, pkt, key) -> None:
-        self.stats["miss"] += 1
-        hold_id = self._next_hold
-        self._next_hold += 1
-        self._held[hold_id] = (pkt, key)
-        self._engine.schedule_in(lambda h=hold_id: self._expire_hold(h),
-                                 MISS_HOLD_TIMEOUT_US)
-        if self.packet_in_handler is not None:
-            self.packet_in_handler(pkt, key, hold_id)
+    def process(self, pkt, key=None) -> None:
+        last = self._last_hold
+        super().process(pkt, key)
+        if self._last_hold != last:
+            hold_id = self._last_hold
+            self._engine.schedule_in(lambda: self._expire_hold(hold_id),
+                                     MISS_HOLD_TIMEOUT_US)
 
     def _expire_hold(self, hold_id: int) -> None:
         if self._held.pop(hold_id, None) is not None:
@@ -285,7 +284,7 @@ class OneEventPerHold(Switch):
         held = self._held.pop(hold_id, None)
         if held is None:
             return False
-        self.process(*held)
+        self.process(held[0], held[1])
         return True
 
     def drop_held(self, hold_id: int) -> bool:
